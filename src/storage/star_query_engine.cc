@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <unordered_set>
 #include <utility>
@@ -49,8 +50,8 @@ struct HierScanPlan {
   // Translation domain -> group member id: either borrowed from a dimension
   // table column (fact scans) or owned (view scans). Never point
   // `external_group_code` at `owned_group_code`: plans are moved into a
-  // vector, which would dangle the self-reference. Aggregate() resolves the
-  // effective array.
+  // vector, which would dangle the self-reference. group_code() resolves
+  // the effective array.
   const std::vector<MemberId>* external_group_code = nullptr;
   std::vector<MemberId> owned_group_code;
   std::vector<uint8_t> pass;  // empty: all pass
@@ -69,6 +70,10 @@ struct MeasureScanPlan {
   AggOp op = AggOp::kSum;  // effective re-aggregation operator
   std::string name;
 };
+
+// Deepest group-by set any scan accepts (the generic kernel's per-row
+// member buffer).
+constexpr size_t kMaxGroupLevels = 16;
 
 double InitialAccumulator(AggOp op) {
   switch (op) {
@@ -97,7 +102,7 @@ void AggregateRange(int64_t begin, int64_t end,
                     AggState* state) {
   const int num_grouped = static_cast<int>(grouped.size());
   const int num_measures = static_cast<int>(measures.size());
-  std::array<MemberId, 16> row_groups;
+  std::array<MemberId, kMaxGroupLevels> row_groups;
   state->rows_visited += end - begin;
   for (int64_t r = begin; r < end; ++r) {
     uint64_t key = 1;
@@ -201,17 +206,15 @@ void MergeAggStates(const std::vector<HierScanPlan*>& grouped,
   }
 }
 
-// How one Aggregate() call is scheduled: which pool runs its morsels, how
-// many participants it may occupy, and (fact scans only) the zone maps that
-// let whole morsels be skipped. `scanned`/`skipped` report back what
+// How one scan is scheduled: which pool runs its morsels and how many
+// participants it may occupy. `scanned`/`skipped` report back what
 // happened, for the engine's counters and the server stats frame.
 struct MorselExec {
   TaskPool* pool = nullptr;
   int max_threads = 1;
-  const FactZoneMaps* zones = nullptr;
   uint64_t scanned = 0;
   uint64_t skipped = 0;
-  // What Aggregate() actually ran, for spans and EXPLAIN ANALYZE: the SIMD
+  // What the driver actually ran, for spans and EXPLAIN ANALYZE: the SIMD
   // tier (meaningful when `fused`), whether the dense fused kernel or the
   // generic hash kernel did the work, and the scan's selectivity inputs.
   SimdLevel simd = SimdLevel::kScalar;
@@ -266,255 +269,63 @@ void AddKernelSpanAttrs(Span& span, const MorselExec& exec) {
   }
 }
 
-// Hash-aggregates `rows` source rows under the given hierarchy and measure
-// plans, producing the derived cube.
-//
-// The scan is fused and morsel-driven: rows are decomposed into
-// kMorselRows-sized morsels pulled dynamically by pool workers, each morsel
-// evaluated predicate-and-aggregate in a single pass into its own partial
-// state (no intermediate row-id vector), morsels whose zone maps prove the
-// predicate unsatisfiable skipped outright. Partials are merged in morsel
-// index order, so the floating-point reduction order — and therefore every
-// output bit — is a function of the data alone, identical across thread
-// counts and across runs.
-Result<Cube> Aggregate(int64_t rows, std::vector<HierScanPlan>& hiers,
-                       const std::vector<MeasureScanPlan>& measures,
-                       MorselExec* exec) {
-  // Assign radixes to the grouped hierarchies.
-  std::vector<HierScanPlan*> needed;
-  std::vector<HierScanPlan*> grouped;
-  uint64_t factor = 1;
-  for (HierScanPlan& h : hiers) {
-    needed.push_back(&h);
-    if (!h.grouped) continue;
-    h.radix = factor;
-    uint64_t card = static_cast<uint64_t>(
-                        h.hierarchy->LevelCardinality(h.group_level)) +
-                    1;
-    if (factor > (uint64_t{1} << 62) / std::max<uint64_t>(card, 1)) {
-      return Status::NotSupported(
-          "group-by space exceeds 2^62 coordinates; no such schema is "
-          "supported by the engine");
-    }
-    factor *= card;
-    grouped.push_back(&h);
-  }
+}  // namespace
 
-  const int num_grouped = static_cast<int>(grouped.size());
-  const int num_measures = static_cast<int>(measures.size());
-  auto make_state = [&]() {
-    AggState state;
-    state.out_coords.resize(num_grouped);
-    state.acc.resize(num_measures);
-    state.cnt.resize(num_measures);
-    return state;
-  };
-
-  // Kernel selection. The fused dense kernels apply when the mixed-radix
-  // key space fits kDenseKeyLimit (the reject-bit encoding and the dense
-  // key→group array both require it) and the dense array is not large
-  // relative to the scan (clearing key_space slots per morsel must stay
-  // negligible next to visiting the rows). Both inputs are properties of
-  // the query and data alone — never of the SIMD tier or thread count — so
-  // the kernel choice cannot break the bit-identical determinism contract.
-  const uint64_t key_space = factor + 1;
-  const bool use_fused =
-      key_space <= kDenseKeyLimit &&
-      static_cast<int64_t>(key_space) <= std::max<int64_t>(int64_t{4096}, rows);
-
-  std::vector<std::vector<uint32_t>> lane_tables;
-  FusedScanArgs fused_args;
-  FusedScanFn fused_fn = nullptr;
-  if (use_fused) {
-    exec->fused = true;
-    exec->simd = ActiveSimdLevel();
-    fused_fn = GetFusedScanKernel(exec->simd);
-    fused_args.key_space = static_cast<uint32_t>(key_space);
-    lane_tables.reserve(needed.size());
-    for (HierScanPlan* h : needed) {
-      std::vector<uint32_t> lane(static_cast<size_t>(h->code_domain), 0u);
-      const std::vector<MemberId>* gc =
-          h->grouped ? &h->group_code() : nullptr;
-      for (int64_t c = 0; c < h->code_domain; ++c) {
-        if (!h->pass.empty() && !h->pass[c]) {
-          lane[c] = kLaneReject;
-        } else if (gc != nullptr) {
-          lane[c] = static_cast<uint32_t>(h->radix) *
-                    (static_cast<uint32_t>((*gc)[c]) + 1u);
-        }
-      }
-      lane_tables.push_back(std::move(lane));
-      KernelColumn col;
-      col.packed = h->packed;
-      if (h->packed == nullptr) col.codes32 = h->codes;
-      col.lane = lane_tables.back().data();
-      fused_args.columns.push_back(col);
-      if (h->grouped) {
-        fused_args.groups.push_back(KernelGroup{
-            static_cast<uint32_t>(h->radix),
-            static_cast<uint32_t>(
-                h->hierarchy->LevelCardinality(h->group_level)) +
-                1u});
-      }
-    }
-    for (const MeasureScanPlan& m : measures) {
-      fused_args.measures.push_back(KernelMeasure{m.source, m.op});
-    }
-  }
-
-  const int64_t num_morsels =
-      rows == 0 ? 0 : (rows + kMorselRows - 1) / kMorselRows;
-
-  // Zone-map pruning: a morsel is skippable when, for some predicated
-  // hierarchy, no code in the morsel's [min, max] range passes. The
-  // per-hierarchy prefix sums over the pass flags make that an O(1) check
-  // per (morsel, hierarchy); building them costs one pass over the
-  // dimension rows, negligible next to the fact scan they prune.
-  std::vector<int64_t> work;
-  work.reserve(num_morsels);
-  if (exec->zones != nullptr && num_morsels > 1) {
-    struct Pruner {
-      const std::vector<ZoneRange>* zones = nullptr;
-      std::vector<int32_t> pass_prefix;
-    };
-    std::vector<Pruner> pruners;
-    for (HierScanPlan& h : hiers) {
-      if (h.pass.empty() || h.fact_dim < 0) continue;
-      Pruner pruner;
-      pruner.zones = &exec->zones->dims[h.fact_dim];
-      pruner.pass_prefix.resize(h.pass.size() + 1);
-      pruner.pass_prefix[0] = 0;
-      for (size_t i = 0; i < h.pass.size(); ++i) {
-        pruner.pass_prefix[i + 1] =
-            pruner.pass_prefix[i] + (h.pass[i] ? 1 : 0);
-      }
-      pruners.push_back(std::move(pruner));
-    }
-    for (int64_t m = 0; m < num_morsels; ++m) {
-      bool runnable = true;
-      for (const Pruner& pruner : pruners) {
-        const ZoneRange& zone = (*pruner.zones)[m];
-        if (pruner.pass_prefix[zone.max + 1] -
-                pruner.pass_prefix[zone.min] ==
-            0) {
-          runnable = false;
-          break;
-        }
-      }
-      if (runnable) work.push_back(m);
-    }
-  } else {
-    for (int64_t m = 0; m < num_morsels; ++m) work.push_back(m);
-  }
-  exec->scanned = work.size();
-  exec->skipped = static_cast<uint64_t>(num_morsels) - work.size();
-
-  // One partial state per surviving morsel, filled by whichever pool
-  // participant claims it.
-  std::vector<AggState> partials;
-  partials.reserve(work.size());
-  for (size_t i = 0; i < work.size(); ++i) partials.push_back(make_state());
-
-  if (!work.empty()) {
-    auto task = [&](int64_t i) -> Status {
-      int64_t begin = work[i] * kMorselRows;
-      int64_t end = std::min(rows, begin + kMorselRows);
-      if (fused_fn != nullptr) {
-        fused_fn(fused_args, begin, end, &partials[i]);
-      } else {
-        AggregateRange(begin, end, needed, grouped, measures, &partials[i]);
-      }
-      return Status::OK();
-    };
-    if (exec->pool != nullptr) {
-      ASSESS_RETURN_NOT_OK(exec->pool->RunMorsels(
-          static_cast<int64_t>(work.size()), exec->max_threads, task));
-    } else {
-      for (size_t i = 0; i < work.size(); ++i) {
-        ASSESS_RETURN_NOT_OK(task(static_cast<int64_t>(i)));
-      }
-    }
-  }
-  for (const AggState& partial : partials) {
-    exec->rows_visited += partial.rows_visited;
-    exec->rows_passed += partial.rows_passed;
-  }
-  CountKernelDispatch(*exec);
-
-  // Deterministic merge: always in morsel index order. A single-morsel scan
-  // adopts its partial unchanged, which also keeps sub-morsel scans
-  // bit-identical to the pre-morsel serial engine.
-  AggState result_state;
-  if (work.size() == 1) {
-    result_state = std::move(partials[0]);
-  } else {
-    result_state = make_state();
-    for (const AggState& partial : partials) {
-      MergeAggStates(grouped, measures, partial, &result_state);
-    }
-  }
-
-  // Finalize averages.
-  for (int m = 0; m < num_measures; ++m) {
-    if (measures[m].op != AggOp::kAvg) continue;
-    for (int32_t gi = 0; gi < result_state.num_groups; ++gi) {
-      result_state.acc[m][gi] =
-          result_state.cnt[m][gi] > 0
-              ? result_state.acc[m][gi] / result_state.cnt[m][gi]
-              : kNullMeasure;
-    }
-  }
-
-  std::vector<LevelRef> out_levels;
-  out_levels.reserve(num_grouped);
-  for (HierScanPlan* h : grouped) {
-    out_levels.push_back(LevelRef{h->hierarchy, h->group_level});
-  }
-  std::vector<std::string> out_names;
-  out_names.reserve(num_measures);
-  for (const MeasureScanPlan& m : measures) out_names.push_back(m.name);
-  return Cube::FromColumns(std::move(out_levels),
-                           std::move(result_state.out_coords),
-                           std::move(out_names),
-                           std::move(result_state.acc));
-}
-
-// One query's compiled fact-scan plan inside a shared scan.
-struct ConsumerScan {
+// One query's compiled scan: its per-hierarchy and per-measure plans and,
+// for predicated fact scans, the zone maps that let whole morsels be
+// skipped (null for roll-up sources, which carry none).
+struct ScanConsumer {
   std::vector<HierScanPlan> hiers;
   std::vector<MeasureScanPlan> measures;
+  const FactZoneMaps* zones = nullptr;
 };
 
-// The multi-consumer sibling of Aggregate(): one morsel pass over `rows`
-// fact rows feeds every consumer's accumulator set. Per morsel, each packed
-// FK column any fused consumer touches is decoded once into an int32
-// scratch buffer; every fused consumer then runs over the scratch codes
+namespace {
+
+// The scan driver: every get, roll-up, delta merge and MQO batch is one
+// call. One morsel pass over source rows [begin, end) feeds every
+// consumer's accumulator set. Morsels are kMorselRows-sized, anchored at
+// `begin` and pulled dynamically by pool workers; each morsel evaluates
+// predicate-and-aggregate in a single pass into its own partial state per
+// consumer (no intermediate row-id vector), and morsels whose zone maps
+// prove the predicate unsatisfiable are skipped outright. Partials merge
+// in morsel index order, so the floating-point reduction order — and
+// therefore every output bit — is a function of the data alone, identical
+// across thread counts and across runs.
+//
+// One consumer (a solo get, a view or cache roll-up, a delta merge) has
+// nothing to share: its kernel reads its sources directly at absolute
+// rows, with no scratch decode and no compaction.
+//
+// N consumers (an MQO batch) must share one predicate conjunction (the
+// caller's group contract): the zone-pruned work list is computed from
+// consumer 0 and is valid for every consumer. Per morsel, each packed FK
+// column a fused consumer touches is decoded once into an int32 scratch
+// buffer; every fused consumer then runs over the scratch codes
 // (begin-relative, measure sources shifted to match). The decoded codes are
-// exactly what the solo kernel would have read through PackedColumn::CodeAt,
-// the accumulation stays row-sequential per consumer, and each consumer's
+// exactly what the solo kernel reads through PackedColumn::CodeAt, the
+// accumulation stays row-sequential per consumer, and each consumer's
 // partials merge in morsel index order — so every output is bit-identical
 // to running that consumer alone. Consumers whose key space exceeds the
 // dense limit fall back to the generic hash kernel at absolute rows,
 // sharing the pass over the morsel but not the gather.
 //
-// All consumers must share one predicate conjunction (the caller's group
-// contract): the zone-pruned work list is computed from consumer 0 and is
-// valid for every consumer.
-//
-// The same contract pays for the scan's real sharing: the conjunction is
+// The same contract pays for the batch's real sharing: the conjunction is
 // evaluated ONCE per morsel and the passing rows compacted — codes and
-// measure values alike — so each additional grouped consumer aggregates
-// only the selected rows instead of re-testing the whole morsel. Under a
-// selective predicate N consumers cost about one scan plus N tiny
-// aggregations, not N scans. Compaction preserves the relative order of
-// passing rows and the grouped kernels accumulate row-sequentially, so
-// results stay bit-identical; no-group-by consumers are exempted (their
-// fast path assigns rows to fixed accumulator lanes by (row − begin) & 3,
-// which renumbering would perturb) and run over the full range as before.
-Result<std::vector<Cube>> AggregateShared(int64_t rows,
-                                          std::vector<ConsumerScan>& consumers,
-                                          MorselExec* exec) {
+// measure values alike — so each grouped consumer aggregates only the
+// selected rows instead of re-testing the whole morsel. Under a selective
+// predicate N consumers cost about one scan plus N tiny aggregations, not
+// N scans. Compaction preserves the relative order of passing rows and the
+// grouped kernels accumulate row-sequentially, so results stay
+// bit-identical; no-group-by consumers are exempted (their fast path
+// assigns rows to fixed accumulator lanes by (row − begin) & 3, which
+// renumbering would perturb) and run over the full morsel.
+Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
+                                        std::vector<ScanConsumer>& consumers,
+                                        MorselExec* exec) {
   const int num_consumers = static_cast<int>(consumers.size());
+  const bool solo = num_consumers == 1;
+  const int64_t rows = end - begin;
 
   struct Compiled {
     std::vector<HierScanPlan*> needed;
@@ -522,8 +333,8 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
     std::vector<std::vector<uint32_t>> lane_tables;
     FusedScanArgs args;
     bool fused = false;
-    // Eligible for the shared-selection compacted path (fused AND grouped;
-    // see the bit-identity note above).
+    // Eligible for the shared-selection compacted path (fused AND grouped
+    // AND batched; see the bit-identity note above).
     bool compact = false;
     // Per fused column: index into the shared decode list, or -1 when the
     // source is already int32 (then codes32 is shifted by the morsel base).
@@ -540,6 +351,7 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
 
   for (int c = 0; c < num_consumers; ++c) {
     Compiled& comp = compiled[c];
+    // Radix assignment over the grouped hierarchies.
     uint64_t factor = 1;
     for (HierScanPlan& h : consumers[c].hiers) {
       comp.needed.push_back(&h);
@@ -556,6 +368,17 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
       factor *= card;
       comp.grouped.push_back(&h);
     }
+    if (comp.grouped.size() > kMaxGroupLevels) {
+      return Status::NotSupported("group-by sets beyond 16 levels");
+    }
+    // Kernel selection. The fused dense kernels apply when the mixed-radix
+    // key space fits kDenseKeyLimit (the reject-bit encoding and the dense
+    // key→group array both require it) and the dense array is not large
+    // relative to the scan (clearing key_space slots per morsel must stay
+    // negligible next to visiting the rows). Both inputs are properties of
+    // the query and data alone — never of the SIMD tier, thread count or
+    // batch — so the kernel choice cannot break the bit-identical
+    // determinism contract.
     const uint64_t key_space = factor + 1;
     comp.fused = key_space <= kDenseKeyLimit &&
                  static_cast<int64_t>(key_space) <=
@@ -582,7 +405,7 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
       col.lane = comp.lane_tables.back().data();
       comp.args.columns.push_back(col);
       int scratch = -1;
-      if (h->packed != nullptr) {
+      if (h->packed != nullptr && !solo) {
         for (size_t d = 0; d < decode.size(); ++d) {
           if (decode[d] == h->packed) scratch = static_cast<int>(d);
         }
@@ -628,10 +451,10 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
   std::vector<const double*> msources;   // measure sources to compact
   bool any_compact = false;
   for (Compiled& comp : compiled) {
-    comp.compact = comp.fused && !comp.args.groups.empty();
+    comp.compact = !solo && comp.fused && !comp.args.groups.empty();
     any_compact |= comp.compact;
   }
-  if (any_compact && num_consumers > 0) {
+  if (any_compact) {
     for (HierScanPlan& h : consumers[0].hiers) {
       if (h.pass.empty()) continue;
       SelColumn sc;
@@ -700,13 +523,20 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
   }
 
   const int64_t num_morsels =
-      rows == 0 ? 0 : (rows + kMorselRows - 1) / kMorselRows;
+      rows <= 0 ? 0 : (rows + kMorselRows - 1) / kMorselRows;
 
-  // Zone-map pruning over consumer 0's predicated hierarchies; the shared
-  // predicate conjunction makes the surviving work list right for everyone.
+  // Zone-map pruning over consumer 0's predicated hierarchies (the shared
+  // conjunction makes the surviving work list right for every consumer): a
+  // morsel is skippable when, for some predicated hierarchy, no code in the
+  // morsel's [min, max] range passes. The per-hierarchy prefix sums over
+  // the pass flags make that an O(1) check per (morsel, hierarchy);
+  // building them costs one pass over the dimension rows, negligible next
+  // to the fact scan they prune. Zone maps index the table's own morsel
+  // grid, so only scans anchored at row 0 use them.
   std::vector<int64_t> work;
   work.reserve(num_morsels);
-  if (exec->zones != nullptr && num_morsels > 1 && num_consumers > 0) {
+  const FactZoneMaps* zones = num_consumers > 0 ? consumers[0].zones : nullptr;
+  if (zones != nullptr && begin == 0 && num_morsels > 1) {
     struct Pruner {
       const std::vector<ZoneRange>* zones = nullptr;
       std::vector<int32_t> pass_prefix;
@@ -715,7 +545,7 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
     for (HierScanPlan& h : consumers[0].hiers) {
       if (h.pass.empty() || h.fact_dim < 0) continue;
       Pruner pruner;
-      pruner.zones = &exec->zones->dims[h.fact_dim];
+      pruner.zones = &zones->dims[h.fact_dim];
       pruner.pass_prefix.resize(h.pass.size() + 1);
       pruner.pass_prefix[0] = 0;
       for (size_t i = 0; i < h.pass.size(); ++i) {
@@ -743,13 +573,15 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
   exec->scanned = work.size();
   exec->skipped = static_cast<uint64_t>(num_morsels) - work.size();
 
-  auto make_state = [](const Compiled& comp, const ConsumerScan& consumer) {
+  auto make_state = [](const Compiled& comp, const ScanConsumer& consumer) {
     AggState state;
     state.out_coords.resize(comp.grouped.size());
     state.acc.resize(consumer.measures.size());
     state.cnt.resize(consumer.measures.size());
     return state;
   };
+  // One partial state per (consumer, surviving morsel), filled by whichever
+  // pool participant claims the morsel.
   std::vector<std::vector<AggState>> partials(num_consumers);
   for (int c = 0; c < num_consumers; ++c) {
     partials[c].reserve(work.size());
@@ -760,9 +592,9 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
 
   if (!work.empty()) {
     auto task = [&](int64_t i) -> Status {
-      const int64_t begin = work[i] * kMorselRows;
-      const int64_t end = std::min(rows, begin + kMorselRows);
-      const int64_t n = end - begin;
+      const int64_t mbegin = begin + work[i] * kMorselRows;
+      const int64_t mend = std::min(end, mbegin + kMorselRows);
+      const int64_t n = mend - mbegin;
       // One gather per packed FK column, shared by every fused consumer.
       // Columns only compacted consumers read skip the full gather (see
       // decode_full) and are point-decoded at the selected rows below.
@@ -770,7 +602,7 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
       for (size_t d = 0; d < decode.size(); ++d) {
         if (!decode_full[d]) continue;
         scratch[d].resize(static_cast<size_t>(n));
-        DecodePackedCodes(*decode[d], begin, end, scratch[d].data());
+        DecodePackedCodes(*decode[d], mbegin, mend, scratch[d].data());
       }
       // The shared conjunction, tested once: `sel` holds the morsel-relative
       // indices of passing rows, in order. Everything a compacted consumer
@@ -800,7 +632,7 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
           for (size_t ci = 0; ci < sel_columns.size(); ++ci) {
             const SelColumn& sc = sel_columns[ci];
             if (sc.packed != nullptr) {
-              DecodePackedCodes(*sc.packed, begin + r0, begin + r0 + len,
+              DecodePackedCodes(*sc.packed, mbegin + r0, mbegin + r0 + len,
                                 sel_buf[ci].data());
             }
           }
@@ -811,7 +643,7 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
             const uint8_t* pass = sc.pass->data();
             const int32_t* codes = sc.packed != nullptr
                                        ? sel_buf[0].data()
-                                       : sc.codes + begin + r0;
+                                       : sc.codes + mbegin + r0;
             for (int64_t r = 0; r < len; ++r) {
               if (pass[codes[r]]) {
                 out[n_pass++] = static_cast<int32_t>(r0 + r);
@@ -824,7 +656,7 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
                 const SelColumn& sc = sel_columns[ci];
                 const int32_t code = sc.packed != nullptr
                                          ? sel_buf[ci][r]
-                                         : sc.codes[begin + r0 + r];
+                                         : sc.codes[mbegin + r0 + r];
                 if (!(*sc.pass)[code]) {
                   ok = false;
                   break;
@@ -844,7 +676,7 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
             }
           } else {
             for (size_t k = 0; k < np; ++k) {
-              cscratch[d][k] = decode[d]->CodeAt(begin + sel[k]);
+              cscratch[d][k] = decode[d]->CodeAt(mbegin + sel[k]);
             }
           }
         }
@@ -852,20 +684,25 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
         for (size_t d = 0; d < direct.size(); ++d) {
           cdirect[d].resize(np);
           for (size_t k = 0; k < np; ++k) {
-            cdirect[d][k] = direct[d][begin + sel[k]];
+            cdirect[d][k] = direct[d][mbegin + sel[k]];
           }
         }
         cmeas.resize(msources.size());
         for (size_t d = 0; d < msources.size(); ++d) {
           cmeas[d].resize(np);
           for (size_t k = 0; k < np; ++k) {
-            cmeas[d][k] = msources[d][begin + sel[k]];
+            cmeas[d][k] = msources[d][mbegin + sel[k]];
           }
         }
       }
       for (int c = 0; c < num_consumers; ++c) {
         const Compiled& comp = compiled[c];
-        if (comp.fused && comp.compact && any_compact) {
+        if (!comp.fused) {
+          AggregateRange(mbegin, mend, comp.needed, comp.grouped,
+                         consumers[c].measures, &partials[c][i]);
+        } else if (solo) {
+          fused_fn(comp.args, mbegin, mend, &partials[c][i]);
+        } else if (comp.compact) {
           if (n_pass > 0) {
             FusedScanArgs args = comp.args;
             for (size_t j = 0; j < args.columns.size(); ++j) {
@@ -888,23 +725,20 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
             partials[0][i].rows_visited += n - n_pass;
             partials[0][i].rows_passed = n_pass;
           }
-        } else if (comp.fused) {
+        } else {
           FusedScanArgs args = comp.args;
           for (size_t j = 0; j < args.columns.size(); ++j) {
             if (comp.scratch_of[j] >= 0) {
               args.columns[j].packed = nullptr;
               args.columns[j].codes32 = scratch[comp.scratch_of[j]].data();
             } else {
-              args.columns[j].codes32 += begin;
+              args.columns[j].codes32 += mbegin;
             }
           }
           for (KernelMeasure& km : args.measures) {
-            if (km.source != nullptr) km.source += begin;
+            if (km.source != nullptr) km.source += mbegin;
           }
           fused_fn(args, 0, n, &partials[c][i]);
-        } else {
-          AggregateRange(begin, end, compiled[c].needed, compiled[c].grouped,
-                         consumers[c].measures, &partials[c][i]);
         }
       }
       return Status::OK();
@@ -934,6 +768,9 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
     const Compiled& comp = compiled[c];
     const std::vector<MeasureScanPlan>& measures = consumers[c].measures;
     const int num_measures = static_cast<int>(measures.size());
+    // Deterministic merge: always in morsel index order. A single-morsel
+    // scan adopts its partial unchanged, which also keeps sub-morsel scans
+    // bit-identical to the pre-morsel serial engine.
     AggState result_state;
     if (work.size() == 1) {
       result_state = std::move(partials[c][0]);
@@ -943,6 +780,7 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
         MergeAggStates(comp.grouped, measures, partial, &result_state);
       }
     }
+    // Finalize averages.
     for (int m = 0; m < num_measures; ++m) {
       if (measures[m].op != AggOp::kAvg) continue;
       for (int32_t gi = 0; gi < result_state.num_groups; ++gi) {
@@ -968,22 +806,79 @@ Result<std::vector<Cube>> AggregateShared(int64_t rows,
   return out;
 }
 
-// Answers `query` by re-aggregating `data`, a selection-free-or-weaker
-// result pre-aggregated at `data_group_by` (a materialized view or a cached
-// cube). `preds` holds, partitioned by hierarchy, the predicates still to
-// apply on top of `data` (for views: all of the query's; for cached
-// results: the ones the cached entry had not already applied). Feasibility
-// (level reachability, lossless measures) must have been established by
+// Splits `predicates` by hierarchy, rejecting unknown hierarchies.
+Result<std::vector<std::vector<Predicate>>> PartitionPredicates(
+    const CubeSchema& schema, const std::vector<Predicate>& predicates) {
+  std::vector<std::vector<Predicate>> preds(schema.hierarchy_count());
+  for (const Predicate& p : predicates) {
+    if (p.hierarchy < 0 || p.hierarchy >= schema.hierarchy_count()) {
+      return Status::InvalidArgument("predicate on unknown hierarchy");
+    }
+    preds[p.hierarchy].push_back(p);
+  }
+  return preds;
+}
+
+// The one fact-scan plan builder (solo gets, delta merges and every MQO
+// consumer): a plan per hierarchy `group_by` or `predicates` touches and
+// per measure in `measures`, over the rows `snap` pins. Reads the packed FK
+// columns when `snap` carries derived accelerators (else the int32
+// columns) and attaches their zone maps when a predicate can prune.
+Result<ScanConsumer> PlanFactScan(const BoundCube& bound,
+                                  const FactSnapshot& snap,
+                                  const GroupBySet& group_by,
+                                  const std::vector<Predicate>& predicates,
+                                  const std::vector<int>& measures) {
+  const CubeSchema& schema = bound.schema();
+  ASSESS_ASSIGN_OR_RETURN(auto preds, PartitionPredicates(schema, predicates));
+  ScanConsumer consumer;
+  for (int h = 0; h < schema.hierarchy_count(); ++h) {
+    bool grouped = group_by.HasHierarchy(h);
+    if (!grouped && preds[h].empty()) continue;
+    const DimensionTable& dim = bound.dimension(h);
+    HierScanPlan plan;
+    plan.hierarchy = schema.hierarchy_ptr(h);
+    plan.grouped = grouped;
+    plan.codes = snap.fk[h];
+    if (snap.derived != nullptr) plan.packed = &snap.derived->packed.dims[h];
+    plan.code_domain = dim.NumRows();
+    plan.fact_dim = h;
+    if (grouped) {
+      plan.group_level = group_by.LevelOf(h);
+      plan.external_group_code = &dim.level_column(plan.group_level);
+    }
+    if (!preds[h].empty()) {
+      ASSESS_ASSIGN_OR_RETURN(plan.pass,
+                              BuildDimensionRowFlags(dim, preds[h]));
+      if (snap.derived != nullptr) consumer.zones = &snap.derived->zones;
+    }
+    consumer.hiers.push_back(std::move(plan));
+  }
+  for (int m : measures) {
+    const MeasureDef& def = schema.measure(m);
+    MeasureScanPlan mp;
+    mp.source = snap.measures[m];
+    mp.op = def.op;
+    mp.name = def.name;
+    consumer.measures.push_back(std::move(mp));
+  }
+  return consumer;
+}
+
+// Plans answering `query` by re-aggregating `data`, a selection-free-or-
+// weaker result pre-aggregated at `data_group_by` (a materialized view or
+// a cached cube). `predicates` are the ones still to apply on top of
+// `data` (for views: all of the query's; for cached results: the ones the
+// cached entry had not already applied). Feasibility (level reachability,
+// re-aggregable measures) must have been established by
 // RollupAnswersQuery / EntryAnswersQuery.
-Result<Cube> AggregateFromRollup(const CubeSchema& schema,
-                                 const CubeQuery& query,
-                                 const std::vector<std::vector<Predicate>>& preds,
-                                 const Cube& data,
-                                 const GroupBySet& data_group_by,
-                                 MorselExec* exec) {
-  std::vector<HierScanPlan> hiers;
-  std::vector<MeasureScanPlan> measures;
-  int64_t rows = data.NumRows();
+Result<ScanConsumer> PlanRollupScan(const CubeSchema& schema,
+                                    const CubeQuery& query,
+                                    const std::vector<Predicate>& predicates,
+                                    const Cube& data,
+                                    const GroupBySet& data_group_by) {
+  ASSESS_ASSIGN_OR_RETURN(auto preds, PartitionPredicates(schema, predicates));
+  ScanConsumer consumer;
   int data_pos = 0;
   for (int h = 0; h < schema.hierarchy_count(); ++h) {
     bool in_data = data_group_by.HasHierarchy(h);
@@ -1013,7 +908,7 @@ Result<Cube> AggregateFromRollup(const CubeSchema& schema,
       ASSESS_ASSIGN_OR_RETURN(
           plan.pass, BuildConjunctionFlags(hier, preds[h], data_level));
     }
-    hiers.push_back(std::move(plan));
+    consumer.hiers.push_back(std::move(plan));
   }
   for (int m : query.measures) {
     const MeasureDef& def = schema.measure(m);
@@ -1023,9 +918,9 @@ Result<Cube> AggregateFromRollup(const CubeSchema& schema,
     // Counts stored in the source re-aggregate by summation.
     mp.op = def.op == AggOp::kCount ? AggOp::kSum : def.op;
     mp.name = def.name;
-    measures.push_back(std::move(mp));
+    consumer.measures.push_back(std::move(mp));
   }
-  return Aggregate(rows, hiers, measures, exec);
+  return consumer;
 }
 
 // Copies `cached` with its measure columns selected (by schema measure
@@ -1100,21 +995,42 @@ StarQueryEngine::StarQueryEngine(const StarDatabase* db, bool use_views,
 namespace {
 
 // Per-thread scan tally, so ExecuteInternal can attribute morsel counts to
-// the one get it is timing. Correct because CountMorsels is always called
-// on the get's calling thread with that scan's totals (morsel partials are
-// summed into a MorselExec first, never counted from workers).
+// the one get it is timing. Correct because Scan() always runs on the get's
+// calling thread with that scan's totals (morsel partials are summed into a
+// MorselExec first, never counted from workers).
 thread_local uint64_t tl_morsels_scanned = 0;
 thread_local uint64_t tl_morsels_skipped = 0;
 
 }  // namespace
 
-void StarQueryEngine::CountMorsels(uint64_t scanned, uint64_t skipped) const {
-  if (scanned == 0 && skipped == 0) return;
-  tl_morsels_scanned += scanned;
-  tl_morsels_skipped += skipped;
-  morsels_scanned_.fetch_add(scanned, std::memory_order_relaxed);
-  morsels_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-  if (pool_) pool_->AddScanCounts(scanned, skipped);
+Result<std::vector<Cube>> StarQueryEngine::Scan(
+    Span& span, int64_t begin, int64_t end,
+    std::vector<ScanConsumer>* consumers) const {
+  MorselExec exec{pool_.get(), threads_};
+  Result<std::vector<Cube>> result =
+      ScanConsumers(begin, end, *consumers, &exec);
+  if (exec.scanned != 0 || exec.skipped != 0) {
+    tl_morsels_scanned += exec.scanned;
+    tl_morsels_skipped += exec.skipped;
+    morsels_scanned_.fetch_add(exec.scanned, std::memory_order_relaxed);
+    morsels_skipped_.fetch_add(exec.skipped, std::memory_order_relaxed);
+    if (pool_) pool_->AddScanCounts(exec.scanned, exec.skipped);
+  }
+  if (span.active()) {
+    span.AddInt("morsels_scanned", static_cast<int64_t>(exec.scanned));
+    span.AddInt("morsels_skipped", static_cast<int64_t>(exec.skipped));
+  }
+  AddKernelSpanAttrs(span, exec);
+  return result;
+}
+
+Result<Cube> StarQueryEngine::ScanOne(Span& span, int64_t begin, int64_t end,
+                                      ScanConsumer consumer) const {
+  std::vector<ScanConsumer> consumers;
+  consumers.push_back(std::move(consumer));
+  ASSESS_ASSIGN_OR_RETURN(std::vector<Cube> cubes,
+                          Scan(span, begin, end, &consumers));
+  return std::move(cubes[0]);
 }
 
 Result<Cube> StarQueryEngine::Execute(const CubeQuery& query) const {
@@ -1200,22 +1116,19 @@ Result<Cube> StarQueryEngine::ExecuteGet(const BoundCube& bound,
     for (const Predicate& p : finer->query.predicates) {
       applied.insert(PredicateKey(p));
     }
-    std::vector<std::vector<Predicate>> extra(schema.hierarchy_count());
+    std::vector<Predicate> extra;
     for (const Predicate& p : canon.predicates) {
-      if (!applied.count(PredicateKey(p))) extra[p.hierarchy].push_back(p);
+      if (!applied.count(PredicateKey(p))) extra.push_back(p);
     }
     Span span("engine.rollup");
-    MorselExec exec{pool_.get(), threads_};
-    auto rolled_or = AggregateFromRollup(schema, query, extra, finer->cube,
-                                         finer->query.group_by, &exec);
-    CountMorsels(exec.scanned, exec.skipped);
-    if (span.active()) {
-      span.AddInt("source_rows", finer->cube.NumRows());
-      span.AddInt("morsels_scanned", static_cast<int64_t>(exec.scanned));
-      span.AddInt("morsels_skipped", static_cast<int64_t>(exec.skipped));
-    }
-    AddKernelSpanAttrs(span, exec);
-    ASSESS_ASSIGN_OR_RETURN(Cube rolled, std::move(rolled_or));
+    if (span.active()) span.AddInt("source_rows", finer->cube.NumRows());
+    ASSESS_ASSIGN_OR_RETURN(
+        ScanConsumer consumer,
+        PlanRollupScan(schema, query, extra, finer->cube,
+                       finer->query.group_by));
+    ASSESS_ASSIGN_OR_RETURN(
+        Cube rolled,
+        ScanOne(span, 0, finer->cube.NumRows(), std::move(consumer)));
     last_used_view_ = false;
     last_cache_outcome_ = CacheOutcome::kSubsumptionHit;
     cache_->Insert(key, std::move(canon), rolled);
@@ -1234,26 +1147,13 @@ Result<Cube> StarQueryEngine::ExecuteUncached(const BoundCube& bound,
   const CubeSchema& schema = bound.schema();
   last_used_view_ = false;
 
-  // Partition predicates by hierarchy.
-  std::vector<std::vector<Predicate>> preds(schema.hierarchy_count());
-  for (const Predicate& p : query.predicates) {
-    if (p.hierarchy < 0 || p.hierarchy >= schema.hierarchy_count()) {
-      return Status::InvalidArgument("predicate on unknown hierarchy");
-    }
-    preds[p.hierarchy].push_back(p);
-  }
-
-  if (query.group_by.Arity() > 16) {
-    return Status::NotSupported("group-by sets beyond 16 levels");
-  }
-
   // Admission snapshot: the consistent committed prefix this get answers
   // at (passed down by ExecuteGet so the cache key's epoch and the scan
   // agree; taken here for uncached paths).
   const FactTable& facts = bound.facts();
   FactSnapshot snap = snap_in != nullptr ? *snap_in : facts.Snapshot();
 
-  int view_index = -1;
+  const MaterializedView* view = nullptr;
   std::shared_ptr<const ViewSet> view_set;
   if (use_views_) {
     view_set = bound.views_snapshot();
@@ -1261,88 +1161,37 @@ Result<Cube> StarQueryEngine::ExecuteUncached(const BoundCube& bound,
     // a set stamped at another epoch aggregates different table contents,
     // so the scan falls back to the facts rather than mix epochs.
     if (view_set->epoch == snap.epoch) {
-      view_index = PickBestView(schema, query, view_set->views);
+      int index = PickBestView(schema, query, view_set->views);
+      if (index >= 0) view = &view_set->views[index];
     }
-  }
-  if (view_index >= 0) {
-    last_used_view_ = true;
-    const MaterializedView& view = view_set->views[view_index];
-    Span span("engine.scan");
-    MorselExec exec{pool_.get(), threads_};
-    auto result = AggregateFromRollup(schema, query, preds, view.data,
-                                      view.group_by, &exec);
-    CountMorsels(exec.scanned, exec.skipped);
-    if (span.active()) {
-      span.AddString("source", "view");
-      span.AddInt("rows", view.data.NumRows());
-      span.AddInt("epoch", static_cast<int64_t>(snap.epoch));
-      span.AddInt("morsels_scanned", static_cast<int64_t>(exec.scanned));
-      span.AddInt("morsels_skipped", static_cast<int64_t>(exec.skipped));
-    }
-    AddKernelSpanAttrs(span, exec);
-    return result;
   }
 
   Span span("engine.scan");
-  std::vector<HierScanPlan> hiers;
-  std::vector<MeasureScanPlan> measures;
-  const int64_t rows = snap.rows;
-  // Build or extend the packed/zone accelerators up to the snapshot before
-  // reading any dimension state: every code they cover then predates the
-  // dimension rows visible below, keeping lane tables and pass flags large
-  // enough for every code a scan or pruner can meet.
-  facts.EnsureDerived(&snap);
-  for (int h = 0; h < schema.hierarchy_count(); ++h) {
-    bool grouped = query.group_by.HasHierarchy(h);
-    if (!grouped && preds[h].empty()) continue;
-    const DimensionTable& dim = bound.dimension(h);
-    HierScanPlan plan;
-    plan.hierarchy = schema.hierarchy_ptr(h);
-    plan.grouped = grouped;
-    plan.codes = snap.fk[h];
-    plan.packed = &snap.derived->packed.dims[h];
-    plan.code_domain = dim.NumRows();
-    plan.fact_dim = h;
-    if (grouped) {
-      plan.group_level = query.group_by.LevelOf(h);
-      plan.external_group_code = &dim.level_column(plan.group_level);
-    }
-    if (!preds[h].empty()) {
-      ASSESS_ASSIGN_OR_RETURN(plan.pass,
-                              BuildDimensionRowFlags(dim, preds[h]));
-    }
-    hiers.push_back(std::move(plan));
+  ScanConsumer consumer;
+  int64_t rows = 0;
+  if (view != nullptr) {
+    ASSESS_ASSIGN_OR_RETURN(consumer,
+                            PlanRollupScan(schema, query, query.predicates,
+                                           view->data, view->group_by));
+    last_used_view_ = true;
+    rows = view->data.NumRows();
+  } else {
+    // Build or extend the packed/zone accelerators up to the snapshot
+    // before reading any dimension state: every code they cover then
+    // predates the dimension rows visible below, keeping lane tables and
+    // pass flags large enough for every code a scan or pruner can meet.
+    facts.EnsureDerived(&snap);
+    ASSESS_ASSIGN_OR_RETURN(
+        consumer, PlanFactScan(bound, snap, query.group_by, query.predicates,
+                               query.measures));
+    rows = snap.rows;
   }
-  for (int m : query.measures) {
-    const MeasureDef& def = schema.measure(m);
-    MeasureScanPlan mp;
-    mp.source = snap.measures[m];
-    mp.op = def.op;
-    mp.name = def.name;
-    measures.push_back(std::move(mp));
-  }
-  MorselExec exec{pool_.get(), threads_};
-  // Zone maps pay off only when there is a predicate to prune with and more
-  // than one morsel to prune; extension for appended suffixes is
-  // incremental, so this stays one boundary-morsel recompute per commit.
-  bool predicated = false;
-  for (const HierScanPlan& h : hiers) {
-    if (!h.pass.empty()) predicated = true;
-  }
-  if (predicated && rows > kMorselRows) {
-    exec.zones = &snap.derived->zones;
-  }
-  auto result = Aggregate(rows, hiers, measures, &exec);
-  CountMorsels(exec.scanned, exec.skipped);
   if (span.active()) {
-    span.AddString("source", "fact");
+    span.AddString("source", view != nullptr ? "view" : "fact");
     span.AddInt("rows", rows);
     span.AddInt("epoch", static_cast<int64_t>(snap.epoch));
-    span.AddInt("morsels_scanned", static_cast<int64_t>(exec.scanned));
-    span.AddInt("morsels_skipped", static_cast<int64_t>(exec.skipped));
   }
-  AddKernelSpanAttrs(span, exec);
-  return result;
+  return ScanOne(span, 0, rows, std::move(consumer));
 }
 
 Result<Cube> StarQueryEngine::AggregateFactRange(const BoundCube& bound,
@@ -1358,38 +1207,16 @@ Result<Cube> StarQueryEngine::AggregateFactRange(const BoundCube& bound,
         "' (" + std::to_string(snap.rows) + " rows)");
   }
   Span span("engine.delta_scan");
-  std::vector<HierScanPlan> hiers;
-  std::vector<MeasureScanPlan> measures;
-  for (int h = 0; h < schema.hierarchy_count(); ++h) {
-    if (!group_by.HasHierarchy(h)) continue;
-    const DimensionTable& dim = bound.dimension(h);
-    HierScanPlan plan;
-    plan.hierarchy = schema.hierarchy_ptr(h);
-    plan.grouped = true;
-    plan.codes = snap.fk[h] + from;
-    plan.code_domain = dim.NumRows();
-    plan.group_level = group_by.LevelOf(h);
-    plan.external_group_code = &dim.level_column(plan.group_level);
-    hiers.push_back(std::move(plan));
-  }
-  for (int m = 0; m < schema.measure_count(); ++m) {
-    const MeasureDef& def = schema.measure(m);
-    MeasureScanPlan mp;
-    mp.source = snap.measures[m] + from;
-    mp.op = def.op;
-    mp.name = def.name;
-    measures.push_back(std::move(mp));
-  }
-  MorselExec exec{pool_.get(), threads_};
-  auto result = Aggregate(to - from, hiers, measures, &exec);
-  CountMorsels(exec.scanned, exec.skipped);
   if (span.active()) {
     span.AddString("source", "fact_delta");
     span.AddInt("rows", to - from);
     span.AddInt("epoch", static_cast<int64_t>(snap.epoch));
   }
-  AddKernelSpanAttrs(span, exec);
-  return result;
+  std::vector<int> measures(schema.measure_count());
+  std::iota(measures.begin(), measures.end(), 0);
+  ASSESS_ASSIGN_OR_RETURN(ScanConsumer consumer,
+                          PlanFactScan(bound, snap, group_by, {}, measures));
+  return ScanOne(span, from, to, std::move(consumer));
 }
 
 Result<std::vector<Cube>> StarQueryEngine::ExecuteSharedScan(
@@ -1410,14 +1237,7 @@ Result<std::vector<Cube>> StarQueryEngine::ExecuteSharedScan(
     if (q.cube_name != queries[0].cube_name) {
       return Status::Internal("shared scan mixes cubes");
     }
-    if (q.group_by.Arity() > 16) {
-      return Status::NotSupported("group-by sets beyond 16 levels");
-    }
-    for (const Predicate& p : q.predicates) {
-      if (p.hierarchy < 0 || p.hierarchy >= schema.hierarchy_count()) {
-        return Status::InvalidArgument("predicate on unknown hierarchy");
-      }
-    }
+    ASSESS_RETURN_NOT_OK(PartitionPredicates(schema, q.predicates).status());
     CanonicalQuery canon = CanonicalizeQuery(q);
     std::string pred_key;
     for (const Predicate& p : canon.predicates) pred_key += PredicateKey(p);
@@ -1436,75 +1256,29 @@ Result<std::vector<Cube>> StarQueryEngine::ExecuteSharedScan(
         "shared scan epoch changed (an ingest raced the batch)");
   }
   facts.EnsureDerived(&snap);
-  const int64_t rows = snap.rows;
 
   Span span("engine.shared_scan");
   if (span.active()) {
     span.AddString("cube", queries[0].cube_name);
     span.AddInt("queries", static_cast<int64_t>(queries.size()));
-    span.AddInt("rows", rows);
+    span.AddInt("rows", snap.rows);
     span.AddInt("epoch", static_cast<int64_t>(snap.epoch));
   }
 
-  // Compile each consumer's fact-scan plan. Views are deliberately
-  // bypassed: every consumer must aggregate the same source rows for the
-  // shared gather to be the one scan they all ride.
-  std::vector<ConsumerScan> consumers;
+  // One consumer per query. Views are deliberately bypassed: every
+  // consumer must aggregate the same source rows for the shared gather to
+  // be the one scan they all ride.
+  std::vector<ScanConsumer> consumers;
   consumers.reserve(queries.size());
   for (const CubeQuery& query : queries) {
-    std::vector<std::vector<Predicate>> preds(schema.hierarchy_count());
-    for (const Predicate& p : query.predicates) {
-      preds[p.hierarchy].push_back(p);
-    }
-    ConsumerScan consumer;
-    for (int h = 0; h < schema.hierarchy_count(); ++h) {
-      bool grouped = query.group_by.HasHierarchy(h);
-      if (!grouped && preds[h].empty()) continue;
-      const DimensionTable& dim = bound->dimension(h);
-      HierScanPlan plan;
-      plan.hierarchy = schema.hierarchy_ptr(h);
-      plan.grouped = grouped;
-      plan.codes = snap.fk[h];
-      plan.packed = &snap.derived->packed.dims[h];
-      plan.code_domain = dim.NumRows();
-      plan.fact_dim = h;
-      if (grouped) {
-        plan.group_level = query.group_by.LevelOf(h);
-        plan.external_group_code = &dim.level_column(plan.group_level);
-      }
-      if (!preds[h].empty()) {
-        ASSESS_ASSIGN_OR_RETURN(plan.pass,
-                                BuildDimensionRowFlags(dim, preds[h]));
-      }
-      consumer.hiers.push_back(std::move(plan));
-    }
-    for (int m : query.measures) {
-      const MeasureDef& def = schema.measure(m);
-      MeasureScanPlan mp;
-      mp.source = snap.measures[m];
-      mp.op = def.op;
-      mp.name = def.name;
-      consumer.measures.push_back(std::move(mp));
-    }
+    ASSESS_ASSIGN_OR_RETURN(
+        ScanConsumer consumer,
+        PlanFactScan(*bound, snap, query.group_by, query.predicates,
+                     query.measures));
     consumers.push_back(std::move(consumer));
   }
-
-  MorselExec exec{pool_.get(), threads_};
-  bool predicated = false;
-  for (const HierScanPlan& h : consumers[0].hiers) {
-    if (!h.pass.empty()) predicated = true;
-  }
-  if (predicated && rows > kMorselRows) {
-    exec.zones = &snap.derived->zones;
-  }
-  auto result = AggregateShared(rows, consumers, &exec);
-  CountMorsels(exec.scanned, exec.skipped);
-  if (span.active()) {
-    span.AddInt("morsels_scanned", static_cast<int64_t>(exec.scanned));
-    span.AddInt("morsels_skipped", static_cast<int64_t>(exec.skipped));
-  }
-  AddKernelSpanAttrs(span, exec);
-  ASSESS_ASSIGN_OR_RETURN(std::vector<Cube> cubes, std::move(result));
+  ASSESS_ASSIGN_OR_RETURN(std::vector<Cube> cubes,
+                          Scan(span, 0, snap.rows, &consumers));
 
   // Seed the result cache: one insert per consumer, keyed exactly as the
   // solo path would key it, so batch members executing right after the

@@ -15,8 +15,10 @@
 
 namespace assess {
 
+class Span;
 class TaskPool;
 class WorkloadProfiler;
+struct ScanConsumer;
 
 /// \brief Pivot push-down specification (the ⊞ operator executed
 /// "server-side", Section 5.2.3). The query it applies to must slice the
@@ -167,9 +169,10 @@ class StarQueryEngine {
                                   const std::string& view_name) const;
 
   /// \brief Aggregates committed fact rows [from, to) of `bound` at
-  /// `group_by` — no predicates, all schema measures — through the fused
-  /// kernels. This is the delta-aggregation primitive incremental
-  /// materialized-view maintenance feeds appended batches through.
+  /// `group_by` — no predicates, all schema measures — as a scan of that
+  /// row range (morsels anchored at `from`). This is the delta-aggregation
+  /// primitive incremental materialized-view maintenance feeds appended
+  /// batches through. Group-by sets beyond 16 levels are NotSupported.
   Result<Cube> AggregateFactRange(const BoundCube& bound,
                                   const GroupBySet& group_by, int64_t from,
                                   int64_t to) const;
@@ -219,7 +222,15 @@ class StarQueryEngine {
   /// cache key's epoch and the scan agree); null takes a fresh one.
   Result<Cube> ExecuteUncached(const BoundCube& bound, const CubeQuery& query,
                                const FactSnapshot* snap_in) const;
-  void CountMorsels(uint64_t scanned, uint64_t skipped) const;
+  /// The scan driver call every scan goes through (solo gets, roll-ups,
+  /// delta merges, MQO batches): runs `consumers` over source rows
+  /// [begin, end), counts its morsels and annotates `span` with them and
+  /// the kernel path.
+  Result<std::vector<Cube>> Scan(Span& span, int64_t begin, int64_t end,
+                                 std::vector<ScanConsumer>* consumers) const;
+  /// Scan() with one consumer.
+  Result<Cube> ScanOne(Span& span, int64_t begin, int64_t end,
+                       ScanConsumer consumer) const;
 
   const StarDatabase* db_;
   bool use_views_;

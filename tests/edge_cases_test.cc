@@ -13,6 +13,7 @@
 #include "labeling/distribution_labeling.h"
 #include "labeling/kmeans_labeling.h"
 #include "ssb/sales_generator.h"
+#include "storage/star_query_engine.h"
 #include "test_util.h"
 
 namespace assess {
@@ -131,6 +132,52 @@ TEST_F(EdgeCaseTest, ContradictoryPredicatesYieldEmptyResult) {
       "by product assess quantity labels quartiles");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->cube.NumRows(), 0);
+}
+
+TEST(EngineLimitTest, DeltaRangeRejectsGroupBysBeyondSixteenLevels) {
+  // 17 single-member hierarchies, all grouped: the key space (2^17 + 1)
+  // exceeds max(4096, rows), so the generic hash kernel would run, and its
+  // per-row member buffer holds 16 levels. Every scan entry point,
+  // including the delta-merge primitive, must refuse the shape instead.
+  constexpr int kHierarchies = 17;
+  auto schema = std::make_shared<CubeSchema>("WIDE");
+  std::vector<DimensionTable> dims;
+  std::vector<std::string> levels;
+  for (int h = 0; h < kHierarchies; ++h) {
+    const std::string level = "l" + std::to_string(h);
+    auto hier = std::make_shared<Hierarchy>("H" + std::to_string(h));
+    hier->AddLevel(level);
+    DimensionTable dim(level, hier);
+    dim.AddRow({hier->AddMember(0, "only")});
+    schema->AddHierarchy(hier);
+    dims.push_back(std::move(dim));
+    levels.push_back(level);
+  }
+  schema->AddMeasure({"m", AggOp::kSum});
+  FactTable facts("WIDE", kHierarchies, 1);
+  for (int r = 0; r < 10; ++r) {
+    facts.AddRow(std::vector<int32_t>(kHierarchies, 0), {1.0});
+  }
+  StarDatabase db;
+  ASSERT_TRUE(db.Register("WIDE", std::make_unique<BoundCube>(
+                                      schema, std::move(dims),
+                                      std::move(facts)))
+                  .ok());
+  const BoundCube& bound = **db.Find("WIDE");
+  auto group_by = GroupBySet::FromLevelNames(*schema, levels);
+  ASSERT_TRUE(group_by.ok()) << group_by.status().ToString();
+  ASSERT_EQ(group_by->Arity(), kHierarchies);
+
+  StarQueryEngine engine(&db, /*use_views=*/false, /*threads=*/1);
+  auto delta = engine.AggregateFactRange(bound, *group_by, 0, 10);
+  ASSERT_FALSE(delta.ok());
+  EXPECT_EQ(delta.status().code(), StatusCode::kNotSupported);
+
+  auto query = CubeQuery::Make(*schema, "WIDE", levels, {}, {"m"});
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto solo = engine.Execute(*query);
+  ASSERT_FALSE(solo.ok());
+  EXPECT_EQ(solo.status().code(), StatusCode::kNotSupported);
 }
 
 // --- Past benchmarks across boundaries ------------------------------------

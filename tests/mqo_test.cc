@@ -111,31 +111,69 @@ class SharedScanTest : public ::testing::Test {
 };
 
 TEST_F(SharedScanTest, BitIdenticalToSoloExecute) {
-  std::vector<CubeQuery> queries = CorrelatedBatch();
+  std::vector<Predicate> preds{{3, 2, PredicateOp::kIn, Countries(3)}};
+  const std::vector<std::vector<CubeQuery>> batches = {
+      // Predicated, grouped, dense-kernel consumers: the compacted path.
+      CorrelatedBatch(),
+      // A no-group-by consumer rides along: the full-range fused path,
+      // exempt from compaction.
+      {
+          Query({"month"}, preds, {"quantity"}),
+          Query({}, preds, {"quantity", "storeSales"}),
+          Query({"country"}, preds, {"storeCost"}),
+      },
+      // date x customer x country spans more keys than max(4096, rows)
+      // (asserted below): the generic hash kernel inside a shared scan.
+      {
+          Query({"date", "customer", "country"}, preds, {"storeSales"}),
+          Query({"year"}, preds, {"quantity", "storeSales"}),
+      },
+      // No predicate: no shared selection, every consumer scans every row.
+      {
+          Query({"month"}, {}, {"quantity"}),
+          Query({"product", "country"}, {}, {"storeSales", "storeCost"}),
+          Query({}, {}, {"storeSales"}),
+      },
+  };
 
-  EngineOptions options;
-  options.use_views = false;
-  options.threads = 4;
-  options.use_result_cache = true;
-  StarQueryEngine shared(db_.get(), options);
-  auto results = shared.ExecuteSharedScan(queries, 0);
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  ASSERT_EQ(results->size(), queries.size());
+  const CubeSchema& schema = sales_->schema();
+  const int64_t key_space =
+      int64_t{schema.hierarchy(0).LevelCardinality(0) + 1} *
+          (schema.hierarchy(1).LevelCardinality(0) + 1) *
+          (schema.hierarchy(3).LevelCardinality(2) + 1) +
+      1;
+  ASSERT_GT(key_space, std::max<int64_t>(4096, sales_->facts().NumRows()));
 
   // The reference: each query alone, serial, uncached, through the normal
   // fact-table scan path.
   StarQueryEngine solo(db_.get(), /*use_views=*/false, /*threads=*/1);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto expected = solo.Execute(queries[i]);
-    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    const Cube& lhs = *expected;
-    const Cube& rhs = (*results)[i];
-    ASSERT_EQ(lhs.NumRows(), rhs.NumRows()) << "query " << i;
-    ASSERT_EQ(lhs.measure_count(), rhs.measure_count()) << "query " << i;
-    for (int m = 0; m < lhs.measure_count(); ++m) {
-      EXPECT_EQ(lhs.measure_name(m), rhs.measure_name(m));
-      EXPECT_EQ(BitMap(lhs, m), BitMap(rhs, m))
-          << "query " << i << " measure " << lhs.measure_name(m);
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const std::vector<CubeQuery>& queries = batches[b];
+    for (int threads : {1, 4}) {
+      EngineOptions options;
+      options.use_views = false;
+      options.threads = threads;
+      options.use_result_cache = true;
+      StarQueryEngine shared(db_.get(), options);
+      auto results = shared.ExecuteSharedScan(queries, 0);
+      ASSERT_TRUE(results.ok()) << results.status().ToString();
+      ASSERT_EQ(results->size(), queries.size());
+
+      for (size_t i = 0; i < queries.size(); ++i) {
+        auto expected = solo.Execute(queries[i]);
+        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+        const Cube& lhs = *expected;
+        const Cube& rhs = (*results)[i];
+        ASSERT_EQ(lhs.NumRows(), rhs.NumRows())
+            << "batch " << b << " threads " << threads << " query " << i;
+        ASSERT_EQ(lhs.measure_count(), rhs.measure_count()) << "query " << i;
+        for (int m = 0; m < lhs.measure_count(); ++m) {
+          EXPECT_EQ(lhs.measure_name(m), rhs.measure_name(m));
+          EXPECT_EQ(BitMap(lhs, m), BitMap(rhs, m))
+              << "batch " << b << " threads " << threads << " query " << i
+              << " measure " << lhs.measure_name(m);
+        }
+      }
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 namespace assess {
 namespace {
@@ -188,6 +189,12 @@ struct BadStatement {
   const char* text;
   const char* reason;
 };
+
+// Names each case by its reason. Without this gtest prints the raw pointer
+// bytes, and CTest's discovered test names change with every build and run.
+void PrintTo(const BadStatement& statement, std::ostream* os) {
+  *os << statement.reason;
+}
 
 class ParserErrorTest : public ::testing::TestWithParam<BadStatement> {};
 
