@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "common/failpoint.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/materialized_view.h"
 
@@ -24,11 +23,6 @@ CubeResultCache::Shard& CubeResultCache::ShardFor(const std::string& key) {
 std::optional<Cube> CubeResultCache::FindExact(const std::string& key) {
   Span span("cache.lookup");
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  static Counter* const lookups_total =
-      MetricsRegistry::Instance().GetCounter(
-          "assess_cache_lookups_total",
-          "Result-cache lookups across all cache instances");
-  lookups_total->Inc();
   // A triggered lookup failpoint degrades to a miss: results must be
   // byte-identical with or without the cache's help.
   if (ASSESS_FAILPOINT_TRIGGERED("cache.lookup")) {
@@ -122,10 +116,6 @@ void CubeResultCache::Clear() {
 
 size_t CubeResultCache::InvalidateEpochsBefore(std::string_view cube_name,
                                                uint64_t epoch) {
-  static Counter* const invalidations_total =
-      MetricsRegistry::Instance().GetCounter(
-          "assess_cache_epoch_invalidations_total",
-          "Cached results swept because their cube advanced past their epoch");
   size_t dropped = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -142,7 +132,6 @@ size_t CubeResultCache::InvalidateEpochsBefore(std::string_view cube_name,
   }
   if (dropped > 0) {
     epoch_invalidations_.fetch_add(dropped, std::memory_order_relaxed);
-    invalidations_total->Inc(static_cast<uint64_t>(dropped));
   }
   return dropped;
 }

@@ -94,7 +94,7 @@ class CubeResultCache {
   /// the ingest commit's eager reclamation of results its append just made
   /// stale. Pure memory hygiene: epoch keying already makes such entries
   /// unreachable. Returns the number of entries dropped (also counted in
-  /// stats and the assess_cache_epoch_invalidations_total metric).
+  /// stats().epoch_invalidations).
   size_t InvalidateEpochsBefore(std::string_view cube_name, uint64_t epoch);
 
   CacheStats stats() const;

@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "common/failpoint.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace assess {
@@ -182,18 +181,6 @@ Status TaskPool::RunMorsels(int64_t num_morsels, int max_participants,
 void TaskPool::AddScanCounts(uint64_t scanned, uint64_t skipped) {
   morsels_scanned_.fetch_add(scanned, std::memory_order_relaxed);
   morsels_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-  // Process-wide mirrors in the metrics registry (one call per scan, not
-  // per morsel, so the registry never sits on the morsel hot path).
-  static Counter* const scanned_total =
-      MetricsRegistry::Instance().GetCounter(
-          "assess_morsels_scanned_total",
-          "Morsels aggregated across all engines");
-  static Counter* const skipped_total =
-      MetricsRegistry::Instance().GetCounter(
-          "assess_morsels_skipped_total",
-          "Morsels pruned by zone maps across all engines");
-  scanned_total->Inc(scanned);
-  skipped_total->Inc(skipped);
 }
 
 TaskPoolStats TaskPool::stats() const {

@@ -24,8 +24,12 @@ class Value {
   /// strings single-quoted.
   std::string ToString() const;
 
+  // Compares the alternative first and then only the matching payload:
+  // the variant's own operator== trips GCC 12's -Wmaybe-uninitialized
+  // under -fsanitize=address,undefined.
   friend bool operator==(const Value& a, const Value& b) {
-    return a.repr_ == b.repr_;
+    if (a.repr_.index() != b.repr_.index()) return false;
+    return a.is_number() ? a.number() == b.number() : a.text() == b.text();
   }
 
  private:

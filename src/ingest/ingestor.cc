@@ -11,26 +11,12 @@
 
 #include "common/failpoint.h"
 #include "ingest/row_codec.h"
-#include "obs/metrics.h"
 #include "olap/cube.h"
 #include "storage/star_query_engine.h"
 
 namespace assess {
 
 namespace {
-
-Counter& IngestRowsTotal() {
-  static Counter* c = MetricsRegistry::Instance().GetCounter(
-      "assess_ingest_rows_total", "Fact rows committed by streaming ingest");
-  return *c;
-}
-
-Counter& IngestBatchesTotal() {
-  static Counter* c = MetricsRegistry::Instance().GetCounter(
-      "assess_ingest_batches_total",
-      "Atomic fact-table batches committed by streaming ingest");
-  return *c;
-}
 
 /// What one input column (CSV header cell / JSONL key) feeds.
 struct ColumnBinding {
@@ -460,8 +446,6 @@ Status Ingestor::CommitBatch(Run* run) {
   run->stats.rows_ingested += static_cast<uint64_t>(app.rows);
   run->stats.batches += 1;
   run->stats.epoch = app.epoch;
-  IngestRowsTotal().Inc(static_cast<uint64_t>(app.rows));
-  IngestBatchesTotal().Inc();
 
   for (auto& col : run->fks) col.clear();
   for (auto& col : run->measures) col.clear();

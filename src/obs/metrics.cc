@@ -101,61 +101,38 @@ MetricsRegistry& MetricsRegistry::Instance() {
 Counter* MetricsRegistry::GetCounter(const std::string& name,
                                      const std::string& help) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = metrics_.find(name);
-  if (it != metrics_.end()) {
-    return it->second.kind == Kind::kCounter ? it->second.counter.get()
-                                             : nullptr;
+  auto [it, inserted] = metrics_.try_emplace(name);
+  if (inserted) {
+    it->second.help = help;
+    it->second.counter = std::make_unique<Counter>();
   }
-  Entry entry;
-  entry.kind = Kind::kCounter;
-  entry.help = help;
-  entry.counter = std::make_unique<Counter>();
-  Counter* out = entry.counter.get();
-  metrics_.emplace(name, std::move(entry));
-  return out;
-}
-
-Gauge* MetricsRegistry::GetGauge(const std::string& name,
-                                 const std::string& help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = metrics_.find(name);
-  if (it != metrics_.end()) {
-    return it->second.kind == Kind::kGauge ? it->second.gauge.get() : nullptr;
-  }
-  Entry entry;
-  entry.kind = Kind::kGauge;
-  entry.help = help;
-  entry.gauge = std::make_unique<Gauge>();
-  Gauge* out = entry.gauge.get();
-  metrics_.emplace(name, std::move(entry));
-  return out;
+  return it->second.counter.get();  // null when `name` is a histogram
 }
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<double> bounds,
                                          const std::string& help) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = metrics_.find(name);
-  if (it != metrics_.end()) {
-    return it->second.kind == Kind::kHistogram ? it->second.histogram.get()
-                                               : nullptr;
+  auto [it, inserted] = metrics_.try_emplace(name);
+  if (inserted) {
+    it->second.help = help;
+    it->second.histogram = std::make_unique<Histogram>(std::move(bounds));
   }
-  Entry entry;
-  entry.kind = Kind::kHistogram;
-  entry.help = help;
-  entry.histogram = std::make_unique<Histogram>(std::move(bounds));
-  Histogram* out = entry.histogram.get();
-  metrics_.emplace(name, std::move(entry));
-  return out;
+  return it->second.histogram.get();  // null when `name` is a counter
+}
+
+void AppendMetricHeader(std::string* out, std::string_view name,
+                        std::string_view help, std::string_view type) {
+  if (!help.empty()) {
+    out->append("# HELP ").append(name).append(" ").append(help).append("\n");
+  }
+  out->append("# TYPE ").append(name).append(" ").append(type).append("\n");
 }
 
 void AppendHistogramExposition(std::string* out, const std::string& name,
                                const std::string& help,
                                const Histogram& hist) {
-  if (!help.empty()) {
-    out->append("# HELP ").append(name).append(" ").append(help).append("\n");
-  }
-  out->append("# TYPE ").append(name).append(" histogram\n");
+  AppendMetricHeader(out, name, help, "histogram");
   const std::vector<uint64_t> counts = hist.BucketCounts();
   const std::vector<double>& bounds = hist.bounds();
   uint64_t cum = 0;
@@ -181,32 +158,13 @@ std::string MetricsRegistry::RenderPrometheus() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string out;
   for (const auto& [name, entry] : metrics_) {
-    switch (entry.kind) {
-      case Kind::kCounter:
-        if (!entry.help.empty()) {
-          out.append("# HELP ").append(name).append(" ").append(entry.help);
-          out.append("\n");
-        }
-        out.append("# TYPE ").append(name).append(" counter\n");
-        out.append(name).append(" ").append(
-            FormatUint(entry.counter->Value()));
-        out.append("\n");
-        break;
-      case Kind::kGauge: {
-        if (!entry.help.empty()) {
-          out.append("# HELP ").append(name).append(" ").append(entry.help);
-          out.append("\n");
-        }
-        out.append("# TYPE ").append(name).append(" gauge\n");
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%" PRId64, entry.gauge->Value());
-        out.append(name).append(" ").append(buf).append("\n");
-        break;
-      }
-      case Kind::kHistogram:
-        AppendHistogramExposition(&out, name, entry.help, *entry.histogram);
-        break;
+    if (entry.histogram) {
+      AppendHistogramExposition(&out, name, entry.help, *entry.histogram);
+      continue;
     }
+    AppendMetricHeader(&out, name, entry.help, "counter");
+    out.append(name).append(" ").append(FormatUint(entry.counter->Value()));
+    out.append("\n");
   }
   return out;
 }

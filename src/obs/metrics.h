@@ -3,18 +3,21 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace assess {
 
-/// \brief Process-wide metrics: lock-cheap counters, gauges and fixed-bucket
+/// \brief Process-wide metrics: lock-cheap counters and fixed-bucket
 /// histograms, plus a registry that renders them in Prometheus text
-/// exposition format (served by assessd's kMetrics admin frame).
+/// exposition format (served by assessd's kMetrics admin frame). The
+/// registry holds only series no component counts itself (kernel dispatch,
+/// the MQO batch-size histogram); a component's own counters reach
+/// /metrics once, through the ServerStats field table (server/protocol.h).
 ///
 /// Hot-path updates are single relaxed atomic RMWs — no locks, no
 /// allocation — so instrumented code can update metrics from scan workers.
@@ -30,17 +33,6 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
-};
-
-/// \brief Gauge: a value that can go up and down.
-class Gauge {
- public:
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
 };
 
 /// \brief Fixed-bucket histogram with atomic bucket counters.
@@ -98,30 +90,31 @@ class MetricsRegistry {
   /// A name identifies one metric of one kind; asking for an existing name
   /// with a different kind returns nullptr.
   Counter* GetCounter(const std::string& name, const std::string& help = "");
-  Gauge* GetGauge(const std::string& name, const std::string& help = "");
   Histogram* GetHistogram(const std::string& name, std::vector<double> bounds,
                           const std::string& help = "");
 
   /// \brief Prometheus text exposition: `# HELP`/`# TYPE` plus one sample
-  /// line per counter/gauge and `_bucket{le=...}`/`_sum`/`_count` series per
+  /// line per counter and `_bucket{le=...}`/`_sum`/`_count` series per
   /// histogram. Metrics are emitted in name order (deterministic).
   std::string RenderPrometheus() const;
 
  private:
   MetricsRegistry() = default;
 
-  enum class Kind { kCounter, kGauge, kHistogram };
   struct Entry {
-    Kind kind;
     std::string help;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
+    std::unique_ptr<Counter> counter;  // exactly one of the two is set
     std::unique_ptr<Histogram> histogram;
   };
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry> metrics_;  // ordered => deterministic render
 };
+
+/// \brief Appends the `# HELP` (skipped when `help` is empty) and `# TYPE`
+/// lines that open one metric family in Prometheus text exposition.
+void AppendMetricHeader(std::string* out, std::string_view name,
+                        std::string_view help, std::string_view type);
 
 /// \brief Appends one histogram in Prometheus exposition format under
 /// `name` (exposed so assessd can render its per-server latency histogram

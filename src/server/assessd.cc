@@ -349,18 +349,19 @@ void AssessServer::AcceptLoop() {
 
 void AssessServer::ReapFinishedConnections() {
   std::lock_guard<std::mutex> lock(conn_mutex_);
-  auto finished = [](const std::unique_ptr<Connection>& conn) {
-    return conn->done.load();
-  };
-  for (const auto& conn : connections_) {
-    if (finished(conn)) {
-      if (conn->reader.joinable()) conn->reader.join();
-      CloseSocket(conn->fd);
-    }
+  // Read each `done` exactly once: a reader can finish between two reads,
+  // and erasing a connection whose reader was never joined destroys a
+  // joinable std::thread (std::terminate).
+  auto finished = std::stable_partition(
+      connections_.begin(), connections_.end(),
+      [](const std::unique_ptr<Connection>& conn) {
+        return !conn->done.load();
+      });
+  for (auto it = finished; it != connections_.end(); ++it) {
+    if ((*it)->reader.joinable()) (*it)->reader.join();
+    CloseSocket((*it)->fd);
   }
-  connections_.erase(
-      std::remove_if(connections_.begin(), connections_.end(), finished),
-      connections_.end());
+  connections_.erase(finished, connections_.end());
 }
 
 void AssessServer::ReaderLoop(Connection* conn) {
@@ -902,6 +903,8 @@ ServerStats AssessServer::Snapshot() const {
   stats.slow_queries = slow_queries_.load(std::memory_order_relaxed);
   stats.traces_sampled = traces_sampled_.load(std::memory_order_relaxed);
   stats.trace_spans = trace_spans_.load(std::memory_order_relaxed);
+  stats.trace_emit_failures =
+      trace_emit_failures_.load(std::memory_order_relaxed);
   stats.ingest_rows = ingest_rows_.load(std::memory_order_relaxed);
   stats.ingest_batches = ingest_batches_.load(std::memory_order_relaxed);
   if (options_.engine.shared_cache) {
@@ -939,7 +942,9 @@ ServerStats AssessServer::Snapshot() const {
     stats.recovery_truncated_bytes = rec.truncated_bytes;
   }
   stats.workload_fingerprints = profiler_.fingerprints();
+  stats.workload_queries = profiler_.total_queries();
   stats.workload_evictions = profiler_.evicted_fingerprints();
+  stats.workload_dropped_samples = profiler_.dropped_samples();
   stats.http_requests = http_ != nullptr ? http_->requests() : 0;
   stats.trace_ids_received = trace_ids_received_.load(std::memory_order_relaxed);
   return stats;
@@ -951,70 +956,21 @@ std::string AssessServer::RenderMetrics() const {
       &out, "assessd_request_latency_ms",
       "Request latency from admission to response readiness (ms)",
       latency_hist_);
-  auto counter = [&out](const char* name, const char* help, uint64_t value) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "# HELP %s %s\n# TYPE %s counter\n%s %llu\n", name, help,
-                  name, name, static_cast<unsigned long long>(value));
-    out += buf;
-  };
-  counter("assessd_requests_total", "Query frames admitted or rejected",
-          total_requests_.load(std::memory_order_relaxed));
-  counter("assessd_responses_ok_total", "kResult responses sent",
-          ok_responses_.load(std::memory_order_relaxed));
-  counter("assessd_responses_error_total", "kError responses sent",
-          error_responses_.load(std::memory_order_relaxed));
-  counter("assessd_rejected_overload_total", "Admission-control rejections",
-          rejected_overload_.load(std::memory_order_relaxed));
-  counter("assessd_timeouts_total", "Per-request deadline violations",
-          timeouts_.load(std::memory_order_relaxed));
-  counter("assessd_slow_queries_total",
-          "Queries at or over the slow-query threshold",
-          slow_queries_.load(std::memory_order_relaxed));
-  counter("assessd_traces_sampled_total", "Queries executed under a trace",
-          traces_sampled_.load(std::memory_order_relaxed));
-  counter("assessd_trace_spans_total", "Spans recorded across sampled traces",
-          trace_spans_.load(std::memory_order_relaxed));
-  counter("assessd_trace_emit_failures_total",
-          "Slow-query dumps dropped by a failing sink",
-          trace_emit_failures_.load(std::memory_order_relaxed));
-  if (mqo_ != nullptr) {
-    const MqoStats mqo = mqo_->stats();
-    counter("assessd_mqo_batches_total",
-            "MQO micro-batch flushes holding at least two queries",
-            mqo.batches);
-    counter("assessd_mqo_queries_batched_total",
-            "Queries flushed in multi-query MQO batches", mqo.queries_batched);
-    counter("assessd_mqo_shared_scans_total",
-            "Shared-scan group executions", mqo.shared_scans);
-    counter("assessd_mqo_queries_piggybacked_total",
-            "Queries answered by a batch-mate's shared scan",
-            mqo.queries_piggybacked);
-  }
-  counter("assessd_http_requests_total",
-          "Observability HTTP requests served, error responses included",
-          http_ != nullptr ? http_->requests() : 0);
-  counter("assessd_trace_ids_received_total",
-          "Query frames carrying a client-generated trace id",
-          trace_ids_received_.load(std::memory_order_relaxed));
-  counter("assessd_workload_queries_total",
-          "Queries folded into the workload profile",
-          profiler_.total_queries());
-  counter("assessd_workload_evictions_total",
-          "Workload fingerprints evicted by the LRU cap",
-          profiler_.evicted_fingerprints());
-  counter("assessd_workload_dropped_samples_total",
-          "Workload samples dropped by the obs.profile failpoint",
-          profiler_.dropped_samples());
-  {
-    const char* name = "assessd_workload_fingerprints";
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "# HELP %s Distinct query fingerprints currently profiled\n"
-                  "# TYPE %s gauge\n%s %llu\n",
-                  name, name, name,
-                  static_cast<unsigned long long>(profiler_.fingerprints()));
-    out += buf;
+  const ServerStats stats = Snapshot();
+  for (const StatsField& field : ServerStatsFields()) {
+    // latency_samples is the histogram's own _count sample, rendered above.
+    if (field.u64 == &ServerStats::latency_samples) continue;
+    char value[32];
+    if (field.u64 != nullptr) {
+      std::snprintf(value, sizeof(value), "%llu",
+                    static_cast<unsigned long long>(stats.*field.u64));
+    } else {
+      std::snprintf(value, sizeof(value), "%.17g", stats.*field.f64);
+    }
+    AppendMetricHeader(&out, field.name, field.help,
+                       field.kind == StatsField::Kind::kCounter ? "counter"
+                                                                 : "gauge");
+    out.append(field.name).append(" ").append(value).append("\n");
   }
   return out;
 }

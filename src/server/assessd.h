@@ -179,9 +179,10 @@ class AssessServer {
   /// \brief Point-in-time server statistics (what kStats returns).
   ServerStats Snapshot() const;
 
-  /// \brief Prometheus-style text exposition (what kMetrics returns): the
-  /// process metrics registry plus this server's own series — the request
-  /// latency histogram and the request/trace counters.
+  /// \brief Prometheus-style text exposition (what kMetrics and /metrics
+  /// return): the process metrics registry, this server's request latency
+  /// histogram, and one series per ServerStats field-table row, read from
+  /// Snapshot() — so every \stats number has a same-named sample.
   std::string RenderMetrics() const;
 
   /// \brief The workload-profile + MV-advisor report (what kWorkload and
@@ -286,7 +287,7 @@ class AssessServer {
   Histogram latency_hist_{Histogram::LatencyBoundsMs()};
 
   // Slow-query tracing. The sampler's Rng is stateful, hence the mutex;
-  // the counters feed the v3 stats fields.
+  // the counters feed the ServerStats obs section.
   std::mutex trace_mutex_;
   TraceSampler trace_sampler_;
   std::atomic<uint64_t> slow_queries_{0};

@@ -9,13 +9,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <bit>
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
 #include "common/crc32c.h"
 #include "common/failpoint.h"
+#include "common/wire_codec.h"
 
 namespace assess {
 namespace {
@@ -407,245 +409,241 @@ void CloseSocket(int fd) {
 
 namespace {
 
-void PutVarint(std::string* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
+constexpr StatsField::Kind kCounter = StatsField::Kind::kCounter;
+constexpr StatsField::Kind kGauge = StatsField::Kind::kGauge;
+using S = ServerStats;
 
-void PutDouble(std::string* out, double v) {
-  uint64_t bits = std::bit_cast<uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
-  }
-}
-
-struct StatsReader {
-  std::string_view data;
-  size_t pos = 0;
-
-  Status GetVarint(uint64_t* out) {
-    uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (pos >= data.size()) {
-        return Status::InvalidArgument("stats: truncated varint");
-      }
-      uint8_t byte = static_cast<uint8_t>(data[pos++]);
-      v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) {
-        *out = v;
-        return Status::OK();
-      }
-    }
-    return Status::InvalidArgument("stats: varint too long");
-  }
-
-  Status GetDouble(double* out) {
-    if (data.size() - pos < 8) {
-      return Status::InvalidArgument("stats: truncated double");
-    }
-    uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<uint64_t>(static_cast<uint8_t>(data[pos + i]))
-              << (8 * i);
-    }
-    pos += 8;
-    *out = std::bit_cast<double>(bits);
-    return Status::OK();
-  }
+// Series that predate the table keep their names (assess_* for the engine,
+// cache and WAL layers); everything else is assessd_*.
+constexpr StatsField kStatsFields[] = {
+    {"server", "assessd_requests_total", "Query frames admitted or rejected",
+     kCounter, &S::total_requests},
+    {"server", "assessd_responses_ok_total", "kResult responses sent",
+     kCounter, &S::ok_responses},
+    {"server", "assessd_responses_error_total", "kError responses sent",
+     kCounter, &S::error_responses},
+    {"server", "assessd_rejected_overload_total",
+     "Admission-control rejections", kCounter, &S::rejected_overload},
+    {"server", "assessd_timeouts_total", "Per-request deadline violations",
+     kCounter, &S::timeouts},
+    {"load", "assessd_queued", "Requests waiting for a worker", kGauge,
+     &S::queued},
+    {"load", "assessd_in_flight", "Requests executing right now", kGauge,
+     &S::in_flight},
+    {"load", "assessd_connections", "Open client connections", kGauge,
+     &S::connections},
+    {"load", "assessd_worker_threads", "Size of the worker pool", kGauge,
+     &S::worker_threads},
+    {"request_latency", "assessd_request_latency_p50_ms",
+     "Median request latency (ms)", kGauge, &S::p50_ms},
+    {"request_latency", "assessd_request_latency_p90_ms",
+     "90th-percentile request latency (ms)", kGauge, &S::p90_ms},
+    {"request_latency", "assessd_request_latency_p99_ms",
+     "99th-percentile request latency (ms)", kGauge, &S::p99_ms},
+    {"request_latency", "assessd_request_latency_ms_count",
+     "Requests in the latency histogram", kCounter, &S::latency_samples},
+    {"cache", "assess_cache_lookups_total", "Shared result-cache lookups",
+     kCounter, &S::cache_lookups},
+    {"cache", "assessd_cache_exact_hits_total", "Result-cache exact hits",
+     kCounter, &S::cache_exact_hits},
+    {"cache", "assessd_cache_subsumption_hits_total",
+     "Result-cache hits answered by rolling up a finer entry", kCounter,
+     &S::cache_subsumption_hits},
+    {"cache", "assessd_cache_misses_total", "Result-cache misses", kCounter,
+     &S::cache_misses},
+    {"cache", "assessd_cache_entries", "Resident result-cache entries",
+     kGauge, &S::cache_entries},
+    {"cache", "assessd_cache_bytes", "Resident result-cache bytes", kGauge,
+     &S::cache_bytes},
+    {"cache", "assess_cache_epoch_invalidations_total",
+     "Cached results swept because their cube advanced past their epoch",
+     kCounter, &S::cache_epoch_invalidations},
+    {"engine", "assessd_pool_workers", "Shared task pool worker threads",
+     kGauge, &S::pool_workers},
+    {"engine", "assessd_pool_queue_depth", "Scan jobs with unclaimed morsels",
+     kGauge, &S::pool_queue_depth},
+    {"engine", "assess_morsels_scanned_total", "Morsels aggregated",
+     kCounter, &S::morsels_scanned},
+    {"engine", "assess_morsels_skipped_total", "Morsels pruned by zone maps",
+     kCounter, &S::morsels_skipped},
+    {"obs", "assessd_slow_queries_total",
+     "Queries at or over the slow-query threshold", kCounter,
+     &S::slow_queries},
+    {"obs", "assessd_traces_sampled_total", "Queries executed under a trace",
+     kCounter, &S::traces_sampled},
+    {"obs", "assessd_trace_spans_total",
+     "Spans recorded across sampled traces", kCounter, &S::trace_spans},
+    {"obs", "assessd_trace_emit_failures_total",
+     "Slow-query dumps dropped by a failing sink", kCounter,
+     &S::trace_emit_failures},
+    {"obs", "assessd_trace_ids_received_total",
+     "Query frames carrying a client-generated trace id", kCounter,
+     &S::trace_ids_received},
+    {"obs", "assessd_http_requests_total",
+     "Observability HTTP requests served, error responses included",
+     kCounter, &S::http_requests},
+    {"ingest", "assessd_ingest_rows_total", "Fact rows appended via kIngest",
+     kCounter, &S::ingest_rows},
+    {"ingest", "assessd_ingest_batches_total",
+     "Epoch-stamped commits made by kIngest", kCounter, &S::ingest_batches},
+    {"wal", "assess_wal_appends_total", "WAL records appended", kCounter,
+     &S::wal_appends},
+    {"wal", "assess_wal_fsyncs_total", "WAL fsync(2) calls issued", kCounter,
+     &S::wal_fsyncs},
+    {"wal", "assess_wal_bytes_total", "Framed bytes appended to the WAL",
+     kCounter, &S::wal_bytes},
+    {"wal", "assess_checkpoints_total", "Checkpoints published", kCounter,
+     &S::checkpoints},
+    {"wal", "assess_wal_replayed_records_total",
+     "WAL records replayed by startup recovery", kCounter,
+     &S::recovery_replayed_records},
+    {"wal", "assess_wal_truncated_bytes_total",
+     "Torn-tail WAL bytes dropped by startup recovery", kCounter,
+     &S::recovery_truncated_bytes},
+    {"mqo", "assessd_mqo_batches_total",
+     "MQO flushes holding at least two queries", kCounter, &S::mqo_batches},
+    {"mqo", "assessd_mqo_queries_batched_total",
+     "Queries flushed in multi-query MQO batches", kCounter,
+     &S::mqo_queries_batched},
+    {"mqo", "assessd_mqo_shared_scans_total", "Shared-scan group executions",
+     kCounter, &S::mqo_shared_scans},
+    {"mqo", "assessd_mqo_queries_piggybacked_total",
+     "Queries answered by a batch-mate's shared scan", kCounter,
+     &S::mqo_queries_piggybacked},
+    {"workload", "assessd_workload_fingerprints",
+     "Fingerprints currently profiled", kGauge, &S::workload_fingerprints},
+    {"workload", "assessd_workload_queries_total",
+     "Queries folded into the workload profile", kCounter,
+     &S::workload_queries},
+    {"workload", "assessd_workload_evictions_total",
+     "Fingerprints evicted by the LRU cap", kCounter, &S::workload_evictions},
+    {"workload", "assessd_workload_dropped_samples_total",
+     "Workload samples dropped by the obs.profile failpoint", kCounter,
+     &S::workload_dropped_samples},
 };
+
+constexpr uint8_t kStatsMagic = 'T';
+constexpr uint8_t kStatsFormat = 0x08;
+constexpr uint8_t kValueVarint = 0;
+constexpr uint8_t kValueF64 = 1;
+constexpr size_t kMaxStatsNameBytes = 64;
+// Bounds the duplicate check; a peer with several times this table's rows
+// still fits.
+constexpr size_t kMaxStatsPairs = 256;
 
 }  // namespace
 
+std::span<const StatsField> ServerStatsFields() { return kStatsFields; }
+
 std::string ServerStats::Serialize() const {
-  std::string out;
-  out.push_back('T');  // stats magic
-  out.push_back(0x07);  // v7: appends workload counters after v6's MQO
-  for (uint64_t v : {total_requests, ok_responses, error_responses,
-                     rejected_overload, timeouts, queued, in_flight,
-                     connections, worker_threads}) {
-    PutVarint(&out, v);
-  }
-  PutDouble(&out, p50_ms);
-  PutDouble(&out, p90_ms);
-  PutDouble(&out, p99_ms);
-  for (uint64_t v : {cache_lookups, cache_exact_hits, cache_subsumption_hits,
-                     cache_misses, cache_entries, cache_bytes}) {
-    PutVarint(&out, v);
-  }
-  for (uint64_t v :
-       {pool_workers, pool_queue_depth, morsels_scanned, morsels_skipped}) {
-    PutVarint(&out, v);
-  }
-  for (uint64_t v :
-       {latency_samples, slow_queries, traces_sampled, trace_spans}) {
-    PutVarint(&out, v);
-  }
-  for (uint64_t v :
-       {ingest_rows, ingest_batches, cache_epoch_invalidations}) {
-    PutVarint(&out, v);
-  }
-  for (uint64_t v : {wal_appends, wal_fsyncs, wal_bytes, checkpoints,
-                     recovery_replayed_records, recovery_truncated_bytes}) {
-    PutVarint(&out, v);
-  }
-  for (uint64_t v : {mqo_batches, mqo_queries_batched, mqo_shared_scans,
-                     mqo_queries_piggybacked}) {
-    PutVarint(&out, v);
-  }
-  for (uint64_t v : {workload_fingerprints, workload_evictions, http_requests,
-                     trace_ids_received}) {
-    PutVarint(&out, v);
+  std::string out = {static_cast<char>(kStatsMagic),
+                     static_cast<char>(kStatsFormat)};
+  PutVarint(&out, std::size(kStatsFields));
+  for (const StatsField& field : kStatsFields) {
+    PutString(&out, field.name);
+    if (field.u64 != nullptr) {
+      out.push_back(static_cast<char>(kValueVarint));
+      PutVarint(&out, this->*field.u64);
+    } else {
+      out.push_back(static_cast<char>(kValueF64));
+      PutDouble(&out, this->*field.f64);
+    }
   }
   return out;
 }
 
 Result<ServerStats> ServerStats::Deserialize(std::string_view data) {
-  StatsReader reader{data};
-  // Older payloads decode with the newer counters left at zero; each version
-  // appends its field group after the previous one's, so one pass reads
-  // every layout.
-  if (data.size() < 2 || data[0] != 'T' || data[1] < 0x02 || data[1] > 0x07) {
-    return Status::InvalidArgument("stats: bad magic");
+  WireReader reader(data);
+  uint8_t magic = 0;
+  uint8_t format = 0;
+  uint64_t count = 0;
+  ASSESS_RETURN_NOT_OK(reader.GetByte(&magic));
+  ASSESS_RETURN_NOT_OK(reader.GetByte(&format));
+  if (magic != kStatsMagic || format != kStatsFormat) {
+    return Status::InvalidArgument("stats: bad magic or format");
   }
-  const uint8_t version = static_cast<uint8_t>(data[1]);
-  reader.pos = 2;
+  ASSESS_RETURN_NOT_OK(reader.GetVarint(&count));
+  if (count > kMaxStatsPairs) {
+    return Status::InvalidArgument("stats: too many pairs");
+  }
+  std::array<std::string_view, kMaxStatsPairs> seen;
   ServerStats stats;
-  uint64_t* ints[] = {&stats.total_requests,    &stats.ok_responses,
-                      &stats.error_responses,   &stats.rejected_overload,
-                      &stats.timeouts,          &stats.queued,
-                      &stats.in_flight,         &stats.connections,
-                      &stats.worker_threads};
-  for (uint64_t* slot : ints) {
-    ASSESS_RETURN_NOT_OK(reader.GetVarint(slot));
-  }
-  ASSESS_RETURN_NOT_OK(reader.GetDouble(&stats.p50_ms));
-  ASSESS_RETURN_NOT_OK(reader.GetDouble(&stats.p90_ms));
-  ASSESS_RETURN_NOT_OK(reader.GetDouble(&stats.p99_ms));
-  uint64_t* cache_ints[] = {&stats.cache_lookups, &stats.cache_exact_hits,
-                            &stats.cache_subsumption_hits,
-                            &stats.cache_misses,  &stats.cache_entries,
-                            &stats.cache_bytes};
-  for (uint64_t* slot : cache_ints) {
-    ASSESS_RETURN_NOT_OK(reader.GetVarint(slot));
-  }
-  uint64_t* pool_ints[] = {&stats.pool_workers, &stats.pool_queue_depth,
-                           &stats.morsels_scanned, &stats.morsels_skipped};
-  for (uint64_t* slot : pool_ints) {
-    ASSESS_RETURN_NOT_OK(reader.GetVarint(slot));
-  }
-  if (version >= 0x03) {
-    uint64_t* obs_ints[] = {&stats.latency_samples, &stats.slow_queries,
-                            &stats.traces_sampled, &stats.trace_spans};
-    for (uint64_t* slot : obs_ints) {
-      ASSESS_RETURN_NOT_OK(reader.GetVarint(slot));
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t name_len = 0;
+    std::string_view name;
+    uint8_t type = 0;
+    ASSESS_RETURN_NOT_OK(reader.GetVarint(&name_len));
+    if (name_len == 0 || name_len > kMaxStatsNameBytes) {
+      return Status::InvalidArgument("stats: bad name length");
+    }
+    ASSESS_RETURN_NOT_OK(reader.GetView(name_len, &name));
+    if (std::find(seen.begin(), seen.begin() + i, name) != seen.begin() + i) {
+      return Status::InvalidArgument("stats: duplicate name");
+    }
+    seen[i] = name;
+    ASSESS_RETURN_NOT_OK(reader.GetByte(&type));
+    uint64_t u64 = 0;
+    double f64 = 0.0;
+    if (type == kValueF64) {
+      ASSESS_RETURN_NOT_OK(reader.GetDouble(&f64));
+    } else if (type == kValueVarint) {
+      ASSESS_RETURN_NOT_OK(reader.GetVarint(&u64));
+    } else {
+      return Status::InvalidArgument("stats: unknown value type");
+    }
+    const StatsField* field = std::find_if(
+        std::begin(kStatsFields), std::end(kStatsFields),
+        [name](const StatsField& f) { return name == f.name; });
+    if (field == std::end(kStatsFields)) continue;  // a newer peer's field
+    if ((type == kValueF64) != (field->f64 != nullptr)) {
+      return Status::InvalidArgument("stats: value type does not match");
+    }
+    if (field->f64 != nullptr) {
+      stats.*field->f64 = f64;
+    } else {
+      stats.*field->u64 = u64;
     }
   }
-  if (version >= 0x04) {
-    uint64_t* ingest_ints[] = {&stats.ingest_rows, &stats.ingest_batches,
-                               &stats.cache_epoch_invalidations};
-    for (uint64_t* slot : ingest_ints) {
-      ASSESS_RETURN_NOT_OK(reader.GetVarint(slot));
-    }
-  }
-  if (version >= 0x05) {
-    uint64_t* wal_ints[] = {&stats.wal_appends, &stats.wal_fsyncs,
-                            &stats.wal_bytes, &stats.checkpoints,
-                            &stats.recovery_replayed_records,
-                            &stats.recovery_truncated_bytes};
-    for (uint64_t* slot : wal_ints) {
-      ASSESS_RETURN_NOT_OK(reader.GetVarint(slot));
-    }
-  }
-  if (version >= 0x06) {
-    uint64_t* mqo_ints[] = {&stats.mqo_batches, &stats.mqo_queries_batched,
-                            &stats.mqo_shared_scans,
-                            &stats.mqo_queries_piggybacked};
-    for (uint64_t* slot : mqo_ints) {
-      ASSESS_RETURN_NOT_OK(reader.GetVarint(slot));
-    }
-  }
-  if (version >= 0x07) {
-    uint64_t* workload_ints[] = {&stats.workload_fingerprints,
-                                 &stats.workload_evictions,
-                                 &stats.http_requests,
-                                 &stats.trace_ids_received};
-    for (uint64_t* slot : workload_ints) {
-      ASSESS_RETURN_NOT_OK(reader.GetVarint(slot));
-    }
-  }
-  if (reader.pos != data.size()) {
+  if (!reader.exhausted()) {
     return Status::InvalidArgument("stats: trailing bytes");
   }
   return stats;
 }
 
 std::string ServerStats::ToString() const {
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof(buf),
-      "requests: %llu total, %llu ok, %llu errors, %llu overload-rejected, "
-      "%llu timeouts\n"
-      "load: %llu queued, %llu in flight, %llu connections, %llu workers\n"
-      "latency: p50 %.3f ms, p90 %.3f ms, p99 %.3f ms\n"
-      "cache: %llu lookups, %llu exact hits, %llu subsumption hits, "
-      "%llu misses (hit rate %.1f%%)\n"
-      "       %llu entries, %.1f MiB resident\n"
-      "engine: %llu pool workers, %llu scan jobs queued; morsels %llu "
-      "scanned, %llu skipped by zone maps\n"
-      "obs: %llu latency samples, %llu slow queries, %llu traces "
-      "(%llu spans)\n"
-      "ingest: %llu rows in %llu batches; %llu stale-epoch cache entries "
-      "swept\n"
-      "wal: %llu appends, %llu fsyncs, %.1f MiB written; %llu checkpoints; "
-      "recovery replayed %llu records, dropped %llu torn bytes\n"
-      "mqo: %llu batches (%llu queries), %llu shared scans, "
-      "%llu piggybacked\n"
-      "workload: %llu fingerprints profiled, %llu evicted; %llu http "
-      "requests, %llu traced frames",
-      static_cast<unsigned long long>(total_requests),
-      static_cast<unsigned long long>(ok_responses),
-      static_cast<unsigned long long>(error_responses),
-      static_cast<unsigned long long>(rejected_overload),
-      static_cast<unsigned long long>(timeouts),
-      static_cast<unsigned long long>(queued),
-      static_cast<unsigned long long>(in_flight),
-      static_cast<unsigned long long>(connections),
-      static_cast<unsigned long long>(worker_threads), p50_ms, p90_ms, p99_ms,
-      static_cast<unsigned long long>(cache_lookups),
-      static_cast<unsigned long long>(cache_exact_hits),
-      static_cast<unsigned long long>(cache_subsumption_hits),
-      static_cast<unsigned long long>(cache_misses), 100.0 * cache_hit_rate(),
-      static_cast<unsigned long long>(cache_entries),
-      cache_bytes / (1024.0 * 1024.0),
-      static_cast<unsigned long long>(pool_workers),
-      static_cast<unsigned long long>(pool_queue_depth),
-      static_cast<unsigned long long>(morsels_scanned),
-      static_cast<unsigned long long>(morsels_skipped),
-      static_cast<unsigned long long>(latency_samples),
-      static_cast<unsigned long long>(slow_queries),
-      static_cast<unsigned long long>(traces_sampled),
-      static_cast<unsigned long long>(trace_spans),
-      static_cast<unsigned long long>(ingest_rows),
-      static_cast<unsigned long long>(ingest_batches),
-      static_cast<unsigned long long>(cache_epoch_invalidations),
-      static_cast<unsigned long long>(wal_appends),
-      static_cast<unsigned long long>(wal_fsyncs),
-      wal_bytes / (1024.0 * 1024.0),
-      static_cast<unsigned long long>(checkpoints),
-      static_cast<unsigned long long>(recovery_replayed_records),
-      static_cast<unsigned long long>(recovery_truncated_bytes),
-      static_cast<unsigned long long>(mqo_batches),
-      static_cast<unsigned long long>(mqo_queries_batched),
-      static_cast<unsigned long long>(mqo_shared_scans),
-      static_cast<unsigned long long>(mqo_queries_piggybacked),
-      static_cast<unsigned long long>(workload_fingerprints),
-      static_cast<unsigned long long>(workload_evictions),
-      static_cast<unsigned long long>(http_requests),
-      static_cast<unsigned long long>(trace_ids_received));
-  return buf;
+  std::string out;
+  std::string_view section;
+  for (const StatsField& field : kStatsFields) {
+    // The label is the series name less its assess(d)_ prefix, _total
+    // suffix and section: assess_wal_appends_total prints as "appends".
+    std::string_view label = field.name;
+    label.remove_prefix(label.find('_') + 1);
+    if (label.ends_with("_total")) label.remove_suffix(6);
+    const size_t section_len = std::strlen(field.section);
+    if (label.size() > section_len && label.starts_with(field.section) &&
+        label[section_len] == '_') {
+      label.remove_prefix(section_len + 1);
+    }
+    if (field.section != section) {
+      out.append(section.empty() ? "" : "\n").append(field.section) += ':';
+      section = field.section;
+    } else {
+      out += ',';
+    }
+    char value[32];
+    if (field.u64 != nullptr) {
+      std::snprintf(value, sizeof(value), " %llu",
+                    static_cast<unsigned long long>(this->*field.u64));
+    } else {
+      std::snprintf(value, sizeof(value), " %.3f", this->*field.f64);
+    }
+    out.append(" ").append(label).append(value);
+  }
+  std::replace(out.begin(), out.end(), '_', ' ');
+  char hit_rate[48];
+  std::snprintf(hit_rate, sizeof(hit_rate), "\ncache hit rate: %.1f%%",
+                100.0 * cache_hit_rate());
+  return out + hit_rate;
 }
 
 }  // namespace assess

@@ -2,6 +2,7 @@
 #define ASSESS_SERVER_PROTOCOL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -59,7 +60,8 @@ namespace assess {
 ///                     the rows twice.
 ///   response kResult payload = SerializeAssessResult bytes
 ///            kError  payload = SerializeStatus bytes (typed code + message)
-///            kStatsReply payload = ServerStats::Serialize bytes
+///            kStatsReply payload = ServerStats::Serialize bytes (named
+///                     (name, value) pairs from the ServerStats field table)
 ///            kPong   payload empty
 ///            kFailpointReply payload = armed-failpoint listing (text)
 ///            kMetricsReply payload = metrics exposition (text)
@@ -196,9 +198,11 @@ Result<int> ConnectTo(const std::string& host, uint16_t port,
 void CloseSocket(int fd);
 
 /// \brief The server-side counters a kStats request returns: request
-/// outcomes, backpressure state, client-observed latency percentiles and
-/// the shared result cache's counters. All values are a point-in-time
-/// snapshot.
+/// outcomes, backpressure state, client-observed latency percentiles, the
+/// shared result cache, the engine, ingest, WAL, MQO and workload counters.
+/// All values are a point-in-time snapshot. The field table
+/// (ServerStatsFields()) names every field once for the wire frame,
+/// ToString() and assessd's /metrics.
 struct ServerStats {
   uint64_t total_requests = 0;     ///< query frames admitted or rejected
   uint64_t ok_responses = 0;       ///< kResult responses sent
@@ -222,18 +226,19 @@ struct ServerStats {
   uint64_t pool_queue_depth = 0;  ///< scan jobs with unclaimed morsels
   uint64_t morsels_scanned = 0;   ///< morsels aggregated, all sessions
   uint64_t morsels_skipped = 0;   ///< morsels pruned by zone maps
-  // v3: observability counters. The latency percentiles above are estimated
+  // Observability counters. The latency percentiles above are estimated
   // from a fixed-bucket histogram over the server's whole lifetime (not a
   // sliding window); latency_samples is that histogram's total count.
   uint64_t latency_samples = 0;  ///< requests measured into the histogram
   uint64_t slow_queries = 0;     ///< queries over --slow-query-ms
   uint64_t traces_sampled = 0;   ///< queries executed under a trace
   uint64_t trace_spans = 0;      ///< spans recorded across those traces
-  // v4: ingestion counters (zero on a read-only server).
+  uint64_t trace_emit_failures = 0;  ///< slow-query dumps a sink dropped
+  // Ingestion counters (zero on a read-only server).
   uint64_t ingest_rows = 0;     ///< fact rows appended via kIngest
   uint64_t ingest_batches = 0;  ///< epoch-stamped commits those rows made
   uint64_t cache_epoch_invalidations = 0;  ///< stale-epoch entries swept
-  // v5: durability counters (zero on a server without --data-dir).
+  // Durability counters (zero on a server without --data-dir).
   uint64_t wal_appends = 0;     ///< WAL records appended
   uint64_t wal_fsyncs = 0;      ///< fsync(2) calls the WAL issued (group
                                 ///< commit makes this < appends under load)
@@ -241,15 +246,18 @@ struct ServerStats {
   uint64_t checkpoints = 0;     ///< checkpoints published this run
   uint64_t recovery_replayed_records = 0;  ///< WAL records startup replayed
   uint64_t recovery_truncated_bytes = 0;   ///< torn-tail bytes dropped
-  // v6: multi-query optimization counters (zero when --mqo-window-us is 0).
+  // Multi-query optimization counters (zero when --mqo-window-us is 0).
   uint64_t mqo_batches = 0;        ///< micro-batch flushes holding >= 2 queries
   uint64_t mqo_queries_batched = 0;  ///< queries flushed in such batches
   uint64_t mqo_shared_scans = 0;     ///< shared-scan group executions
   uint64_t mqo_queries_piggybacked = 0;  ///< queries answered by a batch-mate's
                                          ///< scan instead of their own
-  // v7: workload-intelligence counters.
+  // Workload-intelligence counters.
   uint64_t workload_fingerprints = 0;  ///< live profiled query fingerprints
+  uint64_t workload_queries = 0;       ///< queries folded into the profile
   uint64_t workload_evictions = 0;     ///< fingerprints evicted by the LRU cap
+  uint64_t workload_dropped_samples = 0;  ///< samples the obs.profile
+                                          ///< failpoint dropped
   uint64_t http_requests = 0;          ///< requests the observability HTTP
                                        ///< listener has served
   uint64_t trace_ids_received = 0;     ///< frames carrying a client trace id
@@ -262,12 +270,52 @@ struct ServerStats {
                : 0.0;
   }
 
+  /// \brief The kStatsReply payload: `'T'` | format byte 0x08 |
+  /// count(varint) | count x pair, one pair per table row, where
+  /// pair := name_len(varint) | name | type(u8) | value. Type 0 is a u64
+  /// varint (every counter and gauge), type 1 an f64 LE (the latency
+  /// quantiles); the type lets a decoder skip names it does not know.
   std::string Serialize() const;
+
+  /// \brief Decodes a Serialize() payload. Unknown names are skipped and
+  /// absent names stay zero. Truncation, an unknown format byte, duplicate
+  /// or over-long names, a value of the wrong type and trailing bytes are
+  /// kInvalidArgument. Decoding allocates nothing sized by the payload.
   static Result<ServerStats> Deserialize(std::string_view data);
 
-  /// \brief Multi-line human-readable rendering (the CLI's \stats output).
+  /// \brief Multi-line human-readable rendering (the CLI's \stats output):
+  /// one line per table section, each field labelled by its series name
+  /// without the `assess(d)_` prefix, the `_total` suffix and the section.
   std::string ToString() const;
 };
+
+/// \brief One row of the ServerStats field table: the \stats section it
+/// prints in, the series name (also the field's wire key), its help text,
+/// its Prometheus kind and the member it reads. Exactly one of `u64` and
+/// `f64` is set.
+struct StatsField {
+  enum class Kind : uint8_t { kCounter, kGauge };
+
+  constexpr StatsField(const char* section, const char* name,
+                       const char* help, Kind kind,
+                       uint64_t ServerStats::*member)
+      : section(section), name(name), help(help), kind(kind), u64(member) {}
+  constexpr StatsField(const char* section, const char* name,
+                       const char* help, Kind kind,
+                       double ServerStats::*member)
+      : section(section), name(name), help(help), kind(kind), f64(member) {}
+
+  const char* section;
+  const char* name;
+  const char* help;
+  Kind kind;
+  uint64_t ServerStats::*u64 = nullptr;
+  double ServerStats::*f64 = nullptr;
+};
+
+/// \brief The field table, one row per ServerStats field, in \stats
+/// order.
+std::span<const StatsField> ServerStatsFields();
 
 }  // namespace assess
 

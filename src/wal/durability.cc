@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "ingest/ingestor.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "wal/checkpoint.h"
 
@@ -14,26 +13,6 @@ namespace assess {
 namespace fs = std::filesystem;
 
 namespace {
-
-Counter& CheckpointsTotal() {
-  static Counter* c = MetricsRegistry::Instance().GetCounter(
-      "assess_checkpoints_total", "Checkpoints published");
-  return *c;
-}
-
-Counter& ReplayedRecordsTotal() {
-  static Counter* c = MetricsRegistry::Instance().GetCounter(
-      "assess_wal_replayed_records_total",
-      "WAL records replayed by startup recovery");
-  return *c;
-}
-
-Counter& TruncatedBytesTotal() {
-  static Counter* c = MetricsRegistry::Instance().GetCounter(
-      "assess_wal_truncated_bytes_total",
-      "Torn-tail WAL bytes dropped by startup recovery");
-  return *c;
-}
 
 /// Re-ingests one WAL record through the ordinary commit path and
 /// cross-checks the outcome against what the record promises. Any
@@ -144,8 +123,6 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     mgr->recovery_.truncated_bytes = report.truncated_bytes;
     mgr->recovery_.tail_truncated = report.tail_truncated;
     mgr->recovery_.tail_note = report.tail_note;
-    ReplayedRecordsTotal().Inc(report.replayed);
-    TruncatedBytesTotal().Inc(report.truncated_bytes);
     span.AddInt("replayed", static_cast<int64_t>(report.replayed));
     span.AddInt("truncated_bytes",
                 static_cast<int64_t>(report.truncated_bytes));
@@ -222,7 +199,6 @@ Status DurabilityManager::Checkpoint() {
   ASSESS_RETURN_NOT_OK(PublishCurrentCheckpoint(data_dir_, seq));
   last_checkpoint_seq_ = seq;
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
-  CheckpointsTotal().Inc();
   wal_bytes_at_checkpoint_.store(wal_->stats().bytes_written,
                                  std::memory_order_relaxed);
   span.AddInt("seq", static_cast<int64_t>(seq));

@@ -26,7 +26,7 @@ struct DurabilityOptions {
 };
 
 /// \brief What startup recovery found and did — logged once and surfaced
-/// through ServerStats v5.
+/// through the ServerStats recovery_* fields.
 struct RecoveryInfo {
   /// True when the data directory was empty: the database was bootstrapped
   /// and sealed as checkpoint 1; nothing was replayed.

@@ -13,7 +13,6 @@
 #include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/fs_util.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace assess {
@@ -25,24 +24,6 @@ namespace {
 constexpr char kSegmentMagic[8] = {'A', 'S', 'S', 'E', 'S', 'S', 'W', '1'};
 constexpr size_t kSegmentHeaderBytes = 16;  // magic + first_lsn
 constexpr size_t kFrameHeaderBytes = 8;     // payload_len + crc32c
-
-Counter& WalAppendsTotal() {
-  static Counter* c = MetricsRegistry::Instance().GetCounter(
-      "assess_wal_appends_total", "WAL records appended");
-  return *c;
-}
-
-Counter& WalFsyncsTotal() {
-  static Counter* c = MetricsRegistry::Instance().GetCounter(
-      "assess_wal_fsyncs_total", "WAL fsync(2) calls issued");
-  return *c;
-}
-
-Counter& WalBytesTotal() {
-  static Counter* c = MetricsRegistry::Instance().GetCounter(
-      "assess_wal_bytes_total", "Framed bytes appended to the WAL");
-  return *c;
-}
 
 void PutU16(std::string* out, uint16_t v) {
   out->push_back(static_cast<char>(v & 0xFF));
@@ -313,7 +294,6 @@ Status WriteAheadLog::WriteFrameLocked(const std::string& payload) {
   }
   segment_offset_ = base + static_cast<int64_t>(frame.size());
   bytes_written_ += frame.size();
-  WalBytesTotal().Inc(frame.size());
   return Status::OK();
 }
 
@@ -339,7 +319,6 @@ Result<uint64_t> WriteAheadLog::Append(const WalRecordData& rec) {
   const uint64_t lsn = next_lsn_++;
   written_seq_ = lsn;
   appends_ += 1;
-  WalAppendsTotal().Inc();
 
   switch (options_.fsync_mode) {
     case FsyncMode::kNone:
@@ -402,7 +381,6 @@ Status WriteAheadLog::SyncLocked(std::unique_lock<std::mutex>* lock) {
   if (synced.ok()) {
     durable_seq_ = std::max(durable_seq_, target);
     fsyncs_ += 1;
-    WalFsyncsTotal().Inc();
   } else {
     poisoned_ = Status::Unavailable("WAL poisoned by a failed fsync (" +
                                     synced.message() +

@@ -74,7 +74,8 @@ struct WalOptions {
   int64_t segment_bytes = int64_t{64} << 20;
 };
 
-/// \brief Monotonic WAL counters (ServerStats v5 / assess_wal_* metrics).
+/// \brief Monotonic WAL counters (the ServerStats wal_* fields, exported as
+/// the assess_wal_* series).
 struct WalStats {
   uint64_t appends = 0;        ///< records appended
   uint64_t fsyncs = 0;         ///< fsync(2) calls issued

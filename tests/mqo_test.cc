@@ -380,6 +380,7 @@ TEST_F(MqoServerTest, BatchedResultsMatchUnbatchedAcrossWindows) {
 
 /// \analyze on a query that shared a batch-mate's scan says so.
 TEST_F(MqoServerTest, ExplainAnalyzeReportsSharedScan) {
+  if (!kTracingCompiledIn) GTEST_SKIP() << "needs ASSESS_TRACING=ON";
   // Concurrency makes the co-arrival timing-dependent; a fresh server per
   // attempt keeps the cache cold so the group actually forms.
   bool reported = false;

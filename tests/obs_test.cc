@@ -35,11 +35,6 @@ TEST(Metrics, CounterAndGaugeBasics) {
   c.Inc();
   c.Inc(41);
   EXPECT_EQ(c.Value(), 42u);
-
-  Gauge g;
-  g.Set(10);
-  g.Add(-3);
-  EXPECT_EQ(g.Value(), 7);
 }
 
 TEST(Metrics, HistogramBucketEdgesAreInclusive) {
@@ -87,7 +82,6 @@ TEST(Metrics, RegistryCreatesOnceAndRejectsKindMismatch) {
   ASSERT_NE(c1, nullptr);
   EXPECT_EQ(c1, c2);
   // Same name, different kind: refused.
-  EXPECT_EQ(registry.GetGauge("obs_test_counter"), nullptr);
   EXPECT_EQ(registry.GetHistogram("obs_test_counter", {1.0}), nullptr);
 
   c1->Inc(3);
@@ -109,22 +103,19 @@ TEST(Metrics, ConcurrentUpdatesAreExactUnderContention) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20'000;
   Counter counter;
-  Gauge gauge;
   Histogram hist(Histogram::LatencyBoundsMs());
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
+    threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
         counter.Inc();
-        gauge.Add(t % 2 == 0 ? 1 : -1);
         hist.Observe(static_cast<double>(i % 100));
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(counter.Value(), static_cast<uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(gauge.Value(), 0);
   EXPECT_EQ(hist.Count(), static_cast<uint64_t>(kThreads * kPerThread));
   uint64_t bucket_total = 0;
   for (uint64_t b : hist.BucketCounts()) bucket_total += b;

@@ -14,8 +14,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -493,189 +497,120 @@ TEST_F(ServerTest, StopDrainsInFlightRequests) {
 }
 
 // ---------------------------------------------------------------------------
-// Stats wire v5 + observability surfaces.
+// The ServerStats field table: wire frame, \stats and /metrics.
 // ---------------------------------------------------------------------------
 
-TEST(ServerStatsWire, V7RoundTripsEveryField) {
+/// Hand-builds one (name, value) pair of the stats frame.
+std::string StatsPair(std::string_view name, uint8_t type,
+                      std::string_view value) {
+  std::string pair(1, static_cast<char>(name.size()));
+  pair.append(name);
+  pair.push_back(static_cast<char>(type));
+  pair.append(value);
+  return pair;
+}
+
+/// A stats frame holding `pairs` (each from StatsPair).
+std::string StatsFrame(const std::vector<std::string>& pairs) {
+  std::string frame = {'T', 0x08, static_cast<char>(pairs.size())};
+  for (const std::string& pair : pairs) frame += pair;
+  return frame;
+}
+
+TEST(ServerStatsWire, TableRoundTripsEveryField) {
+  // One row per field: the rows cover the struct (every member is 8 bytes)
+  // and no two rows share a member, because each row reads back the
+  // distinct value written through it.
+  const auto fields = ServerStatsFields();
+  ASSERT_EQ(fields.size() * sizeof(uint64_t), sizeof(ServerStats));
   ServerStats stats;
-  stats.total_requests = 101;
-  stats.ok_responses = 90;
-  stats.error_responses = 11;
-  stats.rejected_overload = 3;
-  stats.timeouts = 2;
-  stats.queued = 5;
-  stats.in_flight = 4;
-  stats.connections = 7;
-  stats.worker_threads = 8;
-  stats.p50_ms = 1.5;
-  stats.p90_ms = 9.25;
-  stats.p99_ms = 42.0;
-  stats.cache_lookups = 1000;
-  stats.cache_exact_hits = 600;
-  stats.cache_subsumption_hits = 100;
-  stats.cache_misses = 300;
-  stats.cache_entries = 12;
-  stats.cache_bytes = 1 << 20;
-  stats.pool_workers = 4;
-  stats.pool_queue_depth = 1;
-  stats.morsels_scanned = 5000;
-  stats.morsels_skipped = 2000;
-  stats.latency_samples = 101;
-  stats.slow_queries = 6;
-  stats.traces_sampled = 50;
-  stats.trace_spans = 900;
-  stats.ingest_rows = 4096;
-  stats.ingest_batches = 3;
-  stats.cache_epoch_invalidations = 17;
-  stats.wal_appends = 33;
-  stats.wal_fsyncs = 9;
-  stats.wal_bytes = 8192;
-  stats.checkpoints = 2;
-  stats.recovery_replayed_records = 21;
-  stats.recovery_truncated_bytes = 13;
-  stats.mqo_batches = 19;
-  stats.mqo_queries_batched = 77;
-  stats.mqo_shared_scans = 23;
-  stats.mqo_queries_piggybacked = 31;
-  stats.workload_fingerprints = 41;
-  stats.workload_evictions = 5;
-  stats.http_requests = 67;
-  stats.trace_ids_received = 89;
+  uint64_t next = 1;
+  for (const StatsField& field : fields) {
+    if (field.u64 != nullptr) {
+      stats.*field.u64 = next == 1 ? UINT64_MAX : next * 1'000'003;
+    } else {
+      stats.*field.f64 = static_cast<double>(next) + 0.25;
+    }
+    ++next;
+  }
+  next = 1;
+  for (const StatsField& field : fields) {
+    if (field.u64 != nullptr) {
+      EXPECT_EQ(stats.*field.u64, next == 1 ? UINT64_MAX : next * 1'000'003)
+          << field.name;
+    } else {
+      EXPECT_EQ(stats.*field.f64, static_cast<double>(next) + 0.25)
+          << field.name;
+    }
+    ++next;
+  }
 
   std::string wire = stats.Serialize();
   ASSERT_GE(wire.size(), 2u);
   EXPECT_EQ(wire[0], 'T');
-  EXPECT_EQ(wire[1], 0x07);
-
+  EXPECT_EQ(wire[1], 0x08);
   auto decoded = ServerStats::Deserialize(wire);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->total_requests, stats.total_requests);
-  EXPECT_EQ(decoded->worker_threads, stats.worker_threads);
-  EXPECT_EQ(decoded->p50_ms, stats.p50_ms);
-  EXPECT_EQ(decoded->p99_ms, stats.p99_ms);
-  EXPECT_EQ(decoded->cache_bytes, stats.cache_bytes);
-  EXPECT_EQ(decoded->morsels_skipped, stats.morsels_skipped);
-  EXPECT_EQ(decoded->latency_samples, stats.latency_samples);
-  EXPECT_EQ(decoded->slow_queries, stats.slow_queries);
-  EXPECT_EQ(decoded->traces_sampled, stats.traces_sampled);
-  EXPECT_EQ(decoded->trace_spans, stats.trace_spans);
-  EXPECT_EQ(decoded->ingest_rows, stats.ingest_rows);
-  EXPECT_EQ(decoded->ingest_batches, stats.ingest_batches);
-  EXPECT_EQ(decoded->cache_epoch_invalidations,
-            stats.cache_epoch_invalidations);
-  EXPECT_EQ(decoded->wal_appends, stats.wal_appends);
-  EXPECT_EQ(decoded->wal_fsyncs, stats.wal_fsyncs);
-  EXPECT_EQ(decoded->wal_bytes, stats.wal_bytes);
-  EXPECT_EQ(decoded->checkpoints, stats.checkpoints);
-  EXPECT_EQ(decoded->recovery_replayed_records,
-            stats.recovery_replayed_records);
-  EXPECT_EQ(decoded->recovery_truncated_bytes,
-            stats.recovery_truncated_bytes);
-  EXPECT_EQ(decoded->mqo_batches, stats.mqo_batches);
-  EXPECT_EQ(decoded->mqo_queries_batched, stats.mqo_queries_batched);
-  EXPECT_EQ(decoded->mqo_shared_scans, stats.mqo_shared_scans);
-  EXPECT_EQ(decoded->mqo_queries_piggybacked, stats.mqo_queries_piggybacked);
-  EXPECT_EQ(decoded->workload_fingerprints, stats.workload_fingerprints);
-  EXPECT_EQ(decoded->workload_evictions, stats.workload_evictions);
-  EXPECT_EQ(decoded->http_requests, stats.http_requests);
-  EXPECT_EQ(decoded->trace_ids_received, stats.trace_ids_received);
-  // The human rendering carries the new counters too.
-  EXPECT_NE(stats.ToString().find("slow queries"), std::string::npos);
-  EXPECT_NE(stats.ToString().find("wal:"), std::string::npos);
-  EXPECT_NE(stats.ToString().find("mqo:"), std::string::npos);
-  EXPECT_NE(stats.ToString().find("workload:"), std::string::npos);
-
+  for (const StatsField& field : fields) {
+    if (field.u64 != nullptr) {
+      EXPECT_EQ((*decoded).*field.u64, stats.*field.u64) << field.name;
+    } else {
+      EXPECT_EQ((*decoded).*field.f64, stats.*field.f64) << field.name;
+    }
+  }
+  // The human rendering carries every section.
+  const std::string text = stats.ToString();
+  for (const char* needle : {"hit rate", "slow queries", "wal:", "mqo:",
+                             "workload:", "trace emit failures",
+                             "dropped samples"}) {
+    EXPECT_NE(text.find(needle), std::string::npos) << needle;
+  }
   // Trailing garbage is still rejected.
   EXPECT_FALSE(ServerStats::Deserialize(wire + "x").ok());
 }
 
-TEST(ServerStatsWire, AcceptsV6PayloadsWithZeroWorkloadFields) {
-  // A v6 payload from a pre-workload-intelligence peer: the workload/http
-  // counter group is simply absent and decodes as zeros.
-  std::string v6;
-  v6.push_back('T');
-  v6.push_back(0x06);
-  v6.append(9, '\0');   // request/load varints
-  v6.append(24, '\0');  // p50/p90/p99 doubles
-  v6.append(6, '\0');   // cache varints
-  v6.append(4, '\0');   // pool varints
-  v6.append(4, '\0');   // v3 observability varints
-  v6.append(3, '\0');   // v4 ingest varints
-  v6.append(6, '\0');   // v5 durability varints
-  v6.append(4, '\0');   // v6 mqo varints
-  auto decoded = ServerStats::Deserialize(v6);
+TEST(ServerStatsWire, DecoderSkipsUnknownNamesAndRejectsMalformedPairs) {
+  const std::string one = {'\x01'};
+  // Unknown names are skipped; absent names stay zero.
+  auto decoded = ServerStats::Deserialize(
+      StatsFrame({StatsPair("assessd_from_the_future", 0, one),
+                  StatsPair("assessd_requests_total", 0, "\x07"),
+                  StatsPair("assessd_from_the_future_f64", 1,
+                            std::string(8, '\0'))}));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->workload_fingerprints, 0u);
-  EXPECT_EQ(decoded->workload_evictions, 0u);
-  EXPECT_EQ(decoded->http_requests, 0u);
-  EXPECT_EQ(decoded->trace_ids_received, 0u);
-  EXPECT_FALSE(ServerStats::Deserialize(v6 + '\0').ok());
-}
+  EXPECT_EQ(decoded->total_requests, 7u);
+  EXPECT_EQ(decoded->ok_responses, 0u);
+  auto empty = ServerStats::Deserialize(StatsFrame({}));
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty->total_requests, 0u);
 
-TEST(ServerStatsWire, AcceptsV5PayloadsWithZeroMqoFields) {
-  // A v5 payload from a pre-MQO peer: the MQO counter group is simply
-  // absent and decodes as zeros.
-  std::string v5;
-  v5.push_back('T');
-  v5.push_back(0x05);
-  v5.append(9, '\0');   // request/load varints
-  v5.append(24, '\0');  // p50/p90/p99 doubles
-  v5.append(6, '\0');   // cache varints
-  v5.append(4, '\0');   // pool varints
-  v5.append(4, '\0');   // v3 observability varints
-  v5.append(3, '\0');   // v4 ingest varints
-  v5.append(6, '\0');   // v5 durability varints
-  auto decoded = ServerStats::Deserialize(v5);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->mqo_batches, 0u);
-  EXPECT_EQ(decoded->mqo_queries_batched, 0u);
-  EXPECT_EQ(decoded->mqo_shared_scans, 0u);
-  EXPECT_EQ(decoded->mqo_queries_piggybacked, 0u);
-  EXPECT_FALSE(ServerStats::Deserialize(v5 + '\0').ok());
-}
-
-TEST(ServerStatsWire, AcceptsV4PayloadsWithZeroWalFields) {
-  // A v4 payload from a pre-durability peer: the WAL counter group is
-  // simply absent and decodes as zeros.
-  std::string v4;
-  v4.push_back('T');
-  v4.push_back(0x04);
-  v4.append(9, '\0');   // request/load varints
-  v4.append(24, '\0');  // p50/p90/p99 doubles
-  v4.append(6, '\0');   // cache varints
-  v4.append(4, '\0');   // pool varints
-  v4.append(4, '\0');   // v3 observability varints
-  v4.append(3, '\0');   // v4 ingest varints
-  auto decoded = ServerStats::Deserialize(v4);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->wal_appends, 0u);
-  EXPECT_EQ(decoded->checkpoints, 0u);
-  EXPECT_EQ(decoded->recovery_replayed_records, 0u);
-  EXPECT_FALSE(ServerStats::Deserialize(v4 + '\0').ok());
-}
-
-TEST(ServerStatsWire, AcceptsV2PayloadsWithZeroObservabilityFields) {
-  // A hand-crafted v2 payload from a pre-observability peer: magic, version
-  // 0x02, 9 zero varints, 3 zero doubles, 6 cache varints, 4 pool varints.
-  std::string v2;
-  v2.push_back('T');
-  v2.push_back(0x02);
-  v2.append(9, '\0');   // request/load varints
-  v2.append(24, '\0');  // p50/p90/p99 doubles
-  v2.append(6, '\0');   // cache varints
-  v2.append(4, '\0');   // pool varints
-  auto decoded = ServerStats::Deserialize(v2);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->latency_samples, 0u);
-  EXPECT_EQ(decoded->slow_queries, 0u);
-  EXPECT_EQ(decoded->traces_sampled, 0u);
-  EXPECT_EQ(decoded->trace_spans, 0u);
-  // v2 length checks still hold: trailing bytes stay an error.
-  EXPECT_FALSE(ServerStats::Deserialize(v2 + '\0').ok());
-  // Unknown versions are rejected outright.
-  std::string v9 = v2;
-  v9[1] = 0x09;
-  EXPECT_FALSE(ServerStats::Deserialize(v9).ok());
+  auto rejected = [](const std::string& frame) {
+    auto result = ServerStats::Deserialize(frame);
+    return !result.ok() &&
+           result.status().code() == StatusCode::kInvalidArgument;
+  };
+  const std::string requests = StatsPair("assessd_requests_total", 0, one);
+  EXPECT_TRUE(rejected(StatsFrame({requests, requests})));  // duplicate
+  EXPECT_TRUE(rejected(StatsFrame({StatsPair("x", 0, one),
+                                   StatsPair("x", 0, one)})));
+  EXPECT_TRUE(rejected(StatsFrame({StatsPair(std::string(65, 'a'), 0, one)})));
+  EXPECT_TRUE(rejected(StatsFrame({StatsPair("", 0, one)})));
+  EXPECT_TRUE(rejected(StatsFrame({StatsPair("x", 2, one)})));  // bad type
+  // A known name with the other value type.
+  EXPECT_TRUE(rejected(
+      StatsFrame({StatsPair("assessd_requests_total", 1, std::string(8, 0))})));
+  EXPECT_TRUE(rejected(StatsFrame({StatsPair("assessd_request_latency_p50_ms",
+                                             0, one)})));
+  // The count promises more pairs than the payload holds.
+  std::string short_frame = StatsFrame({requests});
+  short_frame[2] = 2;
+  EXPECT_TRUE(rejected(short_frame));
+  // Earlier stats formats (0x02-0x07) and other magic are refused cleanly.
+  std::string old_format = StatsFrame({requests});
+  old_format[1] = 0x07;
+  EXPECT_TRUE(rejected(old_format));
+  EXPECT_TRUE(rejected("X"));
+  EXPECT_TRUE(rejected(""));
 }
 
 // ---------------------------------------------------------------------------
@@ -768,6 +703,95 @@ TEST_F(ServerTest, MetricsFrameReturnsPrometheusExposition) {
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->latency_samples, 1u);
+}
+
+/// The samples of a Prometheus exposition by series name (labelled
+/// histogram buckets excluded), failing the test on a repeated `# TYPE`.
+std::map<std::string, std::string> ParseExposition(const std::string& text) {
+  std::map<std::string, std::string> samples;
+  std::set<std::string> typed;
+  size_t begin = 0;
+  while (begin < text.size()) {
+    size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(begin, end - begin);
+    begin = end + 1;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::string name = line.substr(7, line.find(' ', 7) - 7);
+      EXPECT_TRUE(typed.insert(name).second) << "duplicate # TYPE " << name;
+      continue;
+    }
+    if (line.empty() || line[0] == '#' || line.find('{') != line.npos) {
+      continue;
+    }
+    const size_t space = line.find(' ');
+    EXPECT_TRUE(samples.emplace(line.substr(0, space), line.substr(space + 1))
+                    .second)
+        << "duplicate sample " << line;
+  }
+  return samples;
+}
+
+TEST_F(ServerTest, StatsAndMetricsAgreeOnEveryTableRow) {
+  ServerOptions options;
+  options.worker_threads = 2;
+  options.mqo_window_us = 20'000;
+  options.mutable_db = mini_.db.get();
+  auto server = StartServer(options);
+  {
+    // Two concurrent identical queries share an MQO window; the repeats
+    // are cache hits; the ingest sweeps the cache past its epoch.
+    std::vector<std::thread> clients;
+    for (int t = 0; t < 2; ++t) {
+      clients.emplace_back([&] {
+        AssessClient client = ConnectOrDie(*server);
+        EXPECT_TRUE(client.Query(kSibling).ok());
+        EXPECT_TRUE(client.Query(kSibling).ok());
+        EXPECT_TRUE(client.Query(kRollup).ok());
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    AssessClient client = ConnectOrDie(*server);
+    auto ingested = client.Ingest(
+        "SALES",
+        "date,product,store,quantity,sales\n1997-07-01,Apple,SmartMart,1,0\n");
+    ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+    EXPECT_TRUE(client.Query(kRollup).ok());
+  }
+  AssessClient client = ConnectOrDie(*server);
+  // Quiesce: once a round trip proves this connection is served, it must be
+  // the only open one, and nothing may be queued, running or still closing.
+  ASSERT_TRUE(client.Ping().ok());
+  for (int i = 0; i < 500; ++i) {
+    const ServerStats now = server->Snapshot();
+    if (now.connections == 1 && now.queued == 0 && now.in_flight == 0 &&
+        now.pool_queue_depth == 0) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  auto metrics = client.Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_GT(stats->cache_lookups, 0u);
+  EXPECT_GT(stats->cache_exact_hits, 0u);
+  EXPECT_EQ(stats->ingest_rows, 1u);
+  EXPECT_GT(stats->workload_queries, 0u);
+
+  const std::map<std::string, std::string> samples =
+      ParseExposition(*metrics);
+  for (const StatsField& field : ServerStatsFields()) {
+    auto it = samples.find(field.name);
+    ASSERT_NE(it, samples.end()) << field.name;
+    if (field.u64 != nullptr) {
+      EXPECT_EQ(std::stoull(it->second), (*stats).*field.u64) << field.name;
+    } else {
+      EXPECT_EQ(std::strtod(it->second.c_str(), nullptr), (*stats).*field.f64)
+          << field.name;
+    }
+  }
 }
 
 TEST_F(ServerTest, RemoteExplainAnalyzeRendersSpans) {
