@@ -1,12 +1,11 @@
 // Ingest-churn benchmark: the SSB workload keeps querying while batches of
-// member-stable rows stream into the fact table, once with incremental
-// maintenance (epoch-swept cache + view delta-merges) and once with the
-// full-invalidation baseline (cache cleared, views rebuilt from scratch on
-// every batch). Each statement runs twice per round, so the second pass can
-// hit the epoch-keyed cache; every ingest then advances the epoch and the
-// next round starts cold again. Reports query and ingest latency
-// percentiles plus the cache counters per mode, and writes
-// BENCH_ingest.json for the regression record. Single-threaded on purpose:
+// member-stable rows stream into the fact table, each commit sweeping the
+// epoch-keyed cache and delta-merging two materialized views. Each
+// statement runs twice per round, so the second pass can hit the
+// epoch-keyed cache; every ingest then advances the epoch and the next
+// round starts cold again. Reports query and ingest latency percentiles
+// plus the cache and maintenance counters, and writes BENCH_ingest.json
+// for the regression record. Single-threaded on purpose:
 // interleaving is deterministic and honest on a one-core CI host, and the
 // snapshot-isolation properties of concurrent churn are proven by
 // ingest_test, not timed here.
@@ -84,7 +83,7 @@ double PercentileMs(std::vector<double> seconds, double p) {
   return seconds[idx] * 1000.0;
 }
 
-struct ModeResult {
+struct ChurnResult {
   double query_p50_ms = 0, query_p99_ms = 0;
   double ingest_p50_ms = 0, ingest_p99_ms = 0;
   double hit_rate = 0;
@@ -96,7 +95,7 @@ struct ModeResult {
   uint64_t repacks = 0;
 };
 
-ModeResult RunChurn(bool incremental, double sf, int rounds, int batch_rows) {
+ChurnResult RunChurn(double sf, int rounds, int batch_rows) {
   // The workload's External statement compares against the BUDGET cube, so
   // keep it; churn streams into SSB only.
   auto db = BuildScale({"SSB", sf});
@@ -112,8 +111,7 @@ ModeResult RunChurn(bool incremental, double sf, int rounds, int batch_rows) {
   options.shared_cache = std::make_shared<CubeResultCache>(options.cache);
   AssessSession session(db.get(), options);
 
-  // Two coarse materialized views, so every batch pays view maintenance —
-  // a delta-merge or a from-scratch rebuild depending on the mode.
+  // Two coarse materialized views, so every batch pays view maintenance.
   StarQueryEngine engine(db.get(), /*use_views=*/false, /*threads=*/1);
   std::vector<std::string> view_levels;
   for (int h = 0; h < schema.hierarchy_count() && view_levels.size() < 2;
@@ -130,14 +128,13 @@ ModeResult RunChurn(bool incremental, double sf, int rounds, int batch_rows) {
   }
 
   IngestOptions ingest_options;
-  ingest_options.incremental = incremental;
   ingest_options.batch_rows = batch_rows;
   Ingestor ingestor(db.get(), options.shared_cache, ingest_options);
 
   const std::vector<WorkloadStatement> workload = SsbWorkload();
   std::vector<double> query_seconds;
   std::vector<double> ingest_seconds;
-  ModeResult result;
+  ChurnResult result;
   for (int round = 0; round < rounds; ++round) {
     // Two passes per round: the first repopulates the cache at the current
     // epoch, the second gets to hit it.
@@ -181,7 +178,7 @@ ModeResult RunChurn(bool incremental, double sf, int rounds, int batch_rows) {
   return result;
 }
 
-void PrintMode(const char* name, const ModeResult& r) {
+void PrintMode(const char* name, const ChurnResult& r) {
   std::printf(
       "%-12s query p50 %7.3f ms  p99 %7.3f ms   ingest p50 %7.3f ms  "
       "p99 %7.3f ms\n"
@@ -200,8 +197,7 @@ void PrintMode(const char* name, const ModeResult& r) {
       static_cast<unsigned long long>(r.repacks));
 }
 
-void WriteModeJson(std::FILE* json, const char* name, const ModeResult& r,
-                   bool trailing_comma) {
+void WriteModeJson(std::FILE* json, const char* name, const ChurnResult& r) {
   std::fprintf(
       json,
       "  \"%s\": {\n"
@@ -218,7 +214,7 @@ void WriteModeJson(std::FILE* json, const char* name, const ModeResult& r,
       "    \"mv_incremental_updates\": %llu,\n"
       "    \"mv_full_rebuilds\": %llu,\n"
       "    \"repacks\": %llu\n"
-      "  }%s\n",
+      "  }\n",
       name, r.query_p50_ms, r.query_p99_ms, r.ingest_p50_ms, r.ingest_p99_ms,
       r.hit_rate, static_cast<unsigned long long>(r.cache.lookups),
       static_cast<unsigned long long>(r.cache.hits()),
@@ -227,8 +223,7 @@ void WriteModeJson(std::FILE* json, const char* name, const ModeResult& r,
       static_cast<unsigned long long>(r.rows_ingested),
       static_cast<unsigned long long>(r.mv_incremental_updates),
       static_cast<unsigned long long>(r.mv_full_rebuilds),
-      static_cast<unsigned long long>(r.repacks),
-      trailing_comma ? "," : "");
+      static_cast<unsigned long long>(r.repacks));
 }
 
 }  // namespace
@@ -243,10 +238,8 @@ int main() {
       "twice per round)\n\n",
       sf, rounds, batch_rows);
 
-  ModeResult incremental = RunChurn(true, sf, rounds, batch_rows);
-  ModeResult full = RunChurn(false, sf, rounds, batch_rows);
+  ChurnResult incremental = RunChurn(sf, rounds, batch_rows);
   PrintMode("incremental", incremental);
-  PrintMode("full", full);
 
   std::FILE* json = std::fopen("BENCH_ingest.json", "w");
   if (json == nullptr) {
@@ -259,8 +252,7 @@ int main() {
                "  \"rounds\": %d,\n"
                "  \"batch_rows\": %d,\n",
                sf, rounds, batch_rows);
-  WriteModeJson(json, "incremental", incremental, /*trailing_comma=*/true);
-  WriteModeJson(json, "full_invalidation", full, /*trailing_comma=*/false);
+  WriteModeJson(json, "incremental", incremental);
   std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("\nwrote BENCH_ingest.json\n");

@@ -6,7 +6,6 @@
 
 #include "common/failpoint.h"
 #include "obs/trace.h"
-#include "storage/materialized_view.h"
 
 namespace assess {
 
@@ -39,7 +38,7 @@ std::optional<Cube> CubeResultCache::FindExact(const std::string& key) {
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   exact_hits_.fetch_add(1, std::memory_order_relaxed);
   span.AddInt("hit", 1);
-  return it->second->cube;
+  return it->second->entry.cube;
 }
 
 bool CubeResultCache::Contains(const std::string& key) const {
@@ -48,27 +47,32 @@ bool CubeResultCache::Contains(const std::string& key) const {
   return shard.index.count(key) > 0;
 }
 
-std::optional<CubeResultCache::Snapshot> CubeResultCache::FindSubsuming(
+std::optional<CubeEntry> CubeResultCache::FindSubsuming(
     const CubeSchema& schema, const CanonicalQuery& want) {
   Span span("cache.subsume");
-  std::optional<Snapshot> best;
-  int64_t best_rows = 0;
+  std::optional<CubeEntry> best;
+  std::string best_key;
   if (ASSESS_FAILPOINT_TRIGGERED("cache.lookup")) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return best;
   }
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.lru.begin(); it != shard.lru.end(); ++it) {
-      if (!EntryAnswersQuery(schema, want, it->query)) continue;
-      int64_t rows = it->cube.NumRows();
-      if (best && rows >= best_rows) continue;
-      best = Snapshot{it->query, it->cube};
-      best_rows = rows;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it);
+    for (const Entry& e : shard.lru) {
+      if (best && e.entry.cube.NumRows() >= best->cube.NumRows()) continue;
+      if (!EntryAnswersQuery(schema, want, e.entry.query)) continue;
+      best = e.entry;
+      best_key = e.key;
     }
   }
   if (best) {
+    // Bump the winner only: candidates it beat must stay evictable.
+    Shard& shard = ShardFor(best_key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto it = shard.index.find(best_key);
+    if (it != shard.index.end()) {
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    }
     subsumption_hits_.fetch_add(1, std::memory_order_relaxed);
   } else {
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -92,7 +96,7 @@ void CubeResultCache::Insert(const std::string& key, CanonicalQuery query,
     shard.lru.erase(it->second);
     shard.index.erase(it);
   }
-  shard.lru.push_front(Entry{key, std::move(query), cube, bytes});
+  shard.lru.push_front(Entry{key, CubeEntry{std::move(query), cube}, bytes});
   shard.index[key] = shard.lru.begin();
   shard.bytes += bytes;
   insertions_.fetch_add(1, std::memory_order_relaxed);
@@ -120,7 +124,8 @@ size_t CubeResultCache::InvalidateEpochsBefore(std::string_view cube_name,
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->query.cube_name == cube_name && it->query.epoch < epoch) {
+      const CanonicalQuery& query = it->entry.query;
+      if (query.cube_name == cube_name && query.epoch < epoch) {
         shard.bytes -= it->bytes;
         shard.index.erase(it->key);
         it = shard.lru.erase(it);
@@ -154,6 +159,31 @@ CacheStats CubeResultCache::stats() const {
   return stats;
 }
 
+bool RollupAnswersQuery(const CubeSchema& schema, const CubeQuery& query,
+                        const GroupBySet& source_group_by) {
+  // Measures must re-aggregate losslessly.
+  for (int m : query.measures) {
+    if (schema.measure(m).op == AggOp::kAvg) return false;
+  }
+  // Per hierarchy: the finest level the query touches must be rolled up to
+  // from the source's level for that hierarchy.
+  for (int h = 0; h < schema.hierarchy_count(); ++h) {
+    int finest_needed = -1;  // -1: hierarchy untouched.
+    if (query.group_by.HasHierarchy(h)) {
+      finest_needed = query.group_by.LevelOf(h);
+    }
+    for (const Predicate& p : query.predicates) {
+      if (p.hierarchy != h) continue;
+      finest_needed =
+          finest_needed < 0 ? p.level : std::min(finest_needed, p.level);
+    }
+    if (finest_needed < 0) continue;
+    if (!source_group_by.HasHierarchy(h)) return false;
+    if (source_group_by.LevelOf(h) > finest_needed) return false;
+  }
+  return true;
+}
+
 bool EntryAnswersQuery(const CubeSchema& schema, const CanonicalQuery& want,
                        const CanonicalQuery& entry) {
   if (want.cube_name != entry.cube_name) return false;
@@ -175,8 +205,7 @@ bool EntryAnswersQuery(const CubeSchema& schema, const CanonicalQuery& want,
     entry_keys.insert(key);
   }
   // The residual request (its group-by plus the extra predicates the entry
-  // has not already applied) must be answerable by rolling the entry up —
-  // the same rule that decides whether a materialized view answers a query.
+  // has not already applied) must be answerable by rolling the entry up.
   CubeQuery residual;
   residual.cube_name = want.cube_name;
   residual.group_by = want.group_by;
@@ -185,6 +214,17 @@ bool EntryAnswersQuery(const CubeSchema& schema, const CanonicalQuery& want,
     if (!entry_keys.count(PredicateKey(p))) residual.predicates.push_back(p);
   }
   return RollupAnswersQuery(schema, residual, entry.group_by);
+}
+
+const CubeEntry* SmallestAnsweringEntry(const CubeSchema& schema,
+                                        const CanonicalQuery& want,
+                                        const std::vector<CubeEntry>& entries) {
+  const CubeEntry* best = nullptr;
+  for (const CubeEntry& e : entries) {
+    if (best != nullptr && e.cube.NumRows() >= best->cube.NumRows()) continue;
+    if (EntryAnswersQuery(schema, want, e.query)) best = &e;
+  }
+  return best;
 }
 
 size_t EstimateCubeBytes(const Cube& cube) {

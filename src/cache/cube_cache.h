@@ -12,9 +12,22 @@
 
 #include "cache/query_fingerprint.h"
 #include "olap/cube.h"
+#include "olap/cube_query.h"
 #include "olap/cube_schema.h"
+#include "olap/group_by_set.h"
 
 namespace assess {
+
+/// \brief An aggregate at one group-by node together with the canonical
+/// query it answers: the one entry type of "answer a get from a finer
+/// aggregate". Result-cache entries are CubeEntries, and so are
+/// materialized views — a view's query has the view's group-by, no
+/// predicates, every schema measure and the fact epoch its contents
+/// aggregate. Measure columns are named with schema measure names.
+struct CubeEntry {
+  CanonicalQuery query;
+  Cube cube;
+};
 
 /// \brief Sizing knobs of the result cache.
 struct CacheOptions {
@@ -43,11 +56,11 @@ struct CacheStats {
 };
 
 /// \brief A sharded, thread-safe, byte-budgeted LRU cache of cube-query
-/// results: the dynamic generalization of the static materialized views in
-/// storage/materialized_view.h. Entries are keyed by canonical query
-/// fingerprint; lookups either match exactly or find a finer-grained entry
-/// whose result subsumes the request (see EntryAnswersQuery) for
-/// client-side re-aggregation.
+/// results: the dynamic counterpart of the materialized views a BoundCube
+/// holds, with entries of the same CubeEntry type. Entries are keyed by
+/// canonical query fingerprint; lookups either match exactly or find a
+/// finer-grained entry whose result subsumes the request (EntryAnswersQuery,
+/// the same rule that picks a view) for client-side re-aggregation.
 ///
 /// Mutable fact tables are handled by epoch keying: the engine stamps every
 /// entry with the fact epoch it was computed at (part of the fingerprint,
@@ -57,13 +70,6 @@ struct CacheStats {
 class CubeResultCache {
  public:
   explicit CubeResultCache(CacheOptions options = {});
-
-  /// A copied-out cache entry: the canonical query it answers plus its
-  /// result cube (measure columns named with schema measure names).
-  struct Snapshot {
-    CanonicalQuery query;
-    Cube cube;
-  };
 
   /// \brief Exact lookup by fingerprint key. Counts a lookup; on hit the
   /// entry is bumped to most-recently-used and its cube copied out.
@@ -76,10 +82,11 @@ class CubeResultCache {
 
   /// \brief Subsumption lookup: among entries on `want.cube_name`, returns
   /// a copy of the smallest (fewest rows) entry that answers `want` per
-  /// EntryAnswersQuery, or nullopt. Call after FindExact missed; counts the
+  /// EntryAnswersQuery, or nullopt. Only the returned entry is bumped to
+  /// most-recently-used. Call after FindExact missed; counts the
   /// subsumption hit or the overall miss.
-  std::optional<Snapshot> FindSubsuming(const CubeSchema& schema,
-                                        const CanonicalQuery& want);
+  std::optional<CubeEntry> FindSubsuming(const CubeSchema& schema,
+                                         const CanonicalQuery& want);
 
   /// \brief Stores `cube` as the result of `query` under `key`, replacing
   /// any previous entry, then evicts least-recently-used entries until the
@@ -104,8 +111,7 @@ class CubeResultCache {
  private:
   struct Entry {
     std::string key;
-    CanonicalQuery query;
-    Cube cube;
+    CubeEntry entry;
     size_t bytes = 0;
   };
 
@@ -131,19 +137,32 @@ class CubeResultCache {
   mutable std::atomic<uint64_t> epoch_invalidations_{0};
 };
 
-/// \brief True when a cached result for `entry` can answer `want` by
-/// client-side re-aggregation: same cube; the entry's group-by is
-/// finer-or-equal (RollupAnswersQuery, shared with the materialized-view
-/// picker, which also enforces that avg measures disqualify); the entry's
+/// \brief True when `query` can be answered by re-aggregating any
+/// selection-free result pre-aggregated at `source_group_by`: every level
+/// the query needs (group-by or predicate) is available at a finer-or-equal
+/// level in the source, and all query measures re-aggregate losslessly
+/// (sum/min/max/count; avg is not distributive and disqualifies the
+/// source). The group-by half of EntryAnswersQuery.
+bool RollupAnswersQuery(const CubeSchema& schema, const CubeQuery& query,
+                        const GroupBySet& source_group_by);
+
+/// \brief True when `entry` (a cached result or a materialized view) can
+/// answer `want` by client-side re-aggregation: same cube; the entry's
 /// predicates are a subset of the request's (so the request's conjunction
 /// implies the entry's and the entry's rows are a superset of the rows
-/// needed); every *extra* request predicate sits on a level coarser-or-equal
-/// than the entry's group-by level so it can be re-evaluated on the entry's
-/// cells; and the requested measures are a subset of the entry's. Entries
-/// from a different fact epoch never answer: their cube had different
-/// contents.
+/// needed); the request's group-by and every *extra* request predicate are
+/// reachable by rolling the entry's group-by up (RollupAnswersQuery, which
+/// also enforces that avg measures disqualify); and the requested measures
+/// are a subset of the entry's. Entries from a different fact epoch never
+/// answer: their cube had different contents.
 bool EntryAnswersQuery(const CubeSchema& schema, const CanonicalQuery& want,
                        const CanonicalQuery& entry);
+
+/// \brief The smallest (fewest rows; the first on ties) entry of `entries`
+/// that answers `want` per EntryAnswersQuery, or nullptr when none does.
+const CubeEntry* SmallestAnsweringEntry(const CubeSchema& schema,
+                                        const CanonicalQuery& want,
+                                        const std::vector<CubeEntry>& entries);
 
 /// \brief Estimated resident size of a cached cube (coordinate columns,
 /// measure columns, names and fixed bookkeeping).

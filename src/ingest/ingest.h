@@ -67,13 +67,6 @@ struct IngestOptions {
   /// and invalidates superseded cache entries before the next batch starts.
   int64_t batch_rows = 8192;
 
-  /// Incremental maintenance (the default): appended rows are aggregated
-  /// once per view and merged into it, and only cache entries of this cube
-  /// from older epochs are swept. When false, every batch rebuilds all
-  /// views from scratch and clears the whole cache — the full-invalidation
-  /// baseline the churn bench compares against.
-  bool incremental = true;
-
   /// Malformed or unresolvable rows beyond this many abort the ingest with
   /// the row's typed error. 0 (default) = strict: fail on the first bad
   /// row. Rejected rows are counted in IngestStats::rows_rejected.

@@ -32,9 +32,9 @@ struct ColumnBinding {
 /// combine per the schema operator, new coordinates append. The index is
 /// built over the *old* cube only — delta coordinates are unique within the
 /// delta (it is itself grouped), so appended rows never need indexing.
-Result<Cube> MergeViewDelta(const CubeSchema& schema,
-                            const MaterializedView& view, const Cube& delta) {
-  Cube merged = view.data;
+Result<Cube> MergeViewDelta(const CubeSchema& schema, const Cube& view,
+                            const Cube& delta) {
+  Cube merged = view;
   const int64_t delta_rows = delta.NumRows();
   if (delta_rows == 0) return merged;
 
@@ -53,14 +53,13 @@ Result<Cube> MergeViewDelta(const CubeSchema& schema,
     if (delta.level_count() <= l ||
         delta.level(l).name() != merged.level(l).name()) {
       return Status::Internal(
-          "delta aggregation axes do not match materialized view '" +
-          view.name + "'");
+          "delta aggregation axes do not match the materialized view");
     }
   }
 
   std::vector<int> keys(levels);
   std::iota(keys.begin(), keys.end(), 0);
-  CoordinateIndex index(view.data, keys);
+  CoordinateIndex index(view, keys);
   std::vector<MemberId> coords(levels);
   std::vector<double> measures(num_measures);
   for (int64_t r = 0; r < delta_rows; ++r) {
@@ -452,53 +451,47 @@ Status Ingestor::CommitBatch(Run* run) {
   run->wal_lines.clear();
   run->pending = 0;
 
-  // Writes flow through the materialized views: aggregate only the appended
-  // delta and merge it in, falling back to a full rebuild when the delta is
-  // not contiguous with what the views cover (or avg makes merging lossy).
-  // Until PublishViews lands, queries at the new epoch skip the (lagging)
-  // views and scan facts — consistent, just slower.
-  std::shared_ptr<const ViewSet> old_set = run->bound->views_snapshot();
-  if (!old_set->views.empty()) {
+  // Writes flow through the materialized views. A view at the epoch just
+  // before this commit aggregates exactly the rows before the batch, so
+  // only the appended delta is aggregated and merged in; a view lagging an
+  // append that bypassed the ingestor, or any view of a cube with an avg
+  // measure (merging it is lossy), is rebuilt from scratch. Until
+  // PublishViews lands, queries at the new epoch skip the (lagging) views
+  // and scan facts — consistent, just slower.
+  std::shared_ptr<const std::vector<CubeEntry>> old_views =
+      run->bound->views_snapshot();
+  if (!old_views->empty()) {
     const int64_t new_rows = app.first_row + app.rows;
-    const bool contiguous = old_set->rows == app.first_row;
-    const bool delta_ok =
-        options_.incremental && contiguous && !run->has_avg_measure;
-    std::vector<MaterializedView> next;
-    next.reserve(old_set->views.size());
-    for (const MaterializedView& view : old_set->views) {
-      if (delta_ok) {
+    std::vector<CubeEntry> next;
+    next.reserve(old_views->size());
+    for (const CubeEntry& view : *old_views) {
+      CanonicalQuery query = view.query;
+      query.epoch = app.epoch;
+      if (view.query.epoch + 1 == app.epoch && !run->has_avg_measure) {
         ASSESS_ASSIGN_OR_RETURN(
             Cube delta, run->engine.AggregateFactRange(
-                            *run->bound, view.group_by, app.first_row,
+                            *run->bound, query.group_by, app.first_row,
                             new_rows));
         ASSESS_ASSIGN_OR_RETURN(Cube merged,
-                                MergeViewDelta(*run->schema, view, delta));
-        next.push_back(
-            MaterializedView{view.name, view.group_by, std::move(merged)});
+                                MergeViewDelta(*run->schema, view.cube, delta));
+        next.push_back(CubeEntry{std::move(query), std::move(merged)});
         run->stats.mv_incremental_updates += 1;
       } else {
         ASSESS_ASSIGN_OR_RETURN(
             Cube rebuilt, run->engine.AggregateFactRange(
-                              *run->bound, view.group_by, 0, new_rows));
-        next.push_back(
-            MaterializedView{view.name, view.group_by, std::move(rebuilt)});
+                              *run->bound, query.group_by, 0, new_rows));
+        next.push_back(CubeEntry{std::move(query), std::move(rebuilt)});
         run->stats.mv_full_rebuilds += 1;
       }
     }
-    run->bound->PublishViews(std::move(next), app.epoch, new_rows);
+    run->bound->PublishViews(std::move(next));
   }
 
   if (cache_ != nullptr) {
-    if (options_.incremental) {
-      // Epoch keying already makes superseded entries unreachable; the
-      // sweep is eager memory reclamation.
-      run->stats.cache_invalidations +=
-          cache_->InvalidateEpochsBefore(run->cube_name, app.epoch);
-    } else {
-      // Full-invalidation baseline: drop everything, every batch.
-      run->stats.cache_invalidations += cache_->stats().entries;
-      cache_->Clear();
-    }
+    // Epoch keying already makes superseded entries unreachable; the sweep
+    // is eager memory reclamation.
+    run->stats.cache_invalidations +=
+        cache_->InvalidateEpochsBefore(run->cube_name, app.epoch);
   }
   return Status::OK();
 }

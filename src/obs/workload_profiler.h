@@ -37,8 +37,9 @@ namespace assess {
 ///   - LatticeHeat: rolls per-fingerprint stats up the roll-up lattice of
 ///     one cube. A query's *candidate node* is the finest level it touches
 ///     per hierarchy (group-by or selection) — exactly the applicability
-///     condition of storage/materialized_view.h, so a view materialized at
-///     a candidate node is guaranteed to answer the queries that heated it.
+///     condition of RollupAnswersQuery (cache/cube_cache.h), so a view
+///     materialized at a candidate node is guaranteed to answer the queries
+///     that heated it.
 ///
 ///   - The greedy advisor (Harinarayan–Rajaraman–Ullman style lattice
 ///     selection over the observed candidate set): repeatedly picks the

@@ -19,7 +19,6 @@
 #include "obs/trace.h"
 #include "obs/workload_profiler.h"
 #include "storage/flat_map64.h"
-#include "storage/materialized_view.h"
 #include "storage/predicate.h"
 #include "storage/scan_kernels.h"
 
@@ -866,12 +865,10 @@ Result<ScanConsumer> PlanFactScan(const BoundCube& bound,
 }
 
 // Plans answering `query` by re-aggregating `data`, a selection-free-or-
-// weaker result pre-aggregated at `data_group_by` (a materialized view or
-// a cached cube). `predicates` are the ones still to apply on top of
-// `data` (for views: all of the query's; for cached results: the ones the
-// cached entry had not already applied). Feasibility (level reachability,
-// re-aggregable measures) must have been established by
-// RollupAnswersQuery / EntryAnswersQuery.
+// weaker result pre-aggregated at `data_group_by` (a cache entry or a
+// materialized view). `predicates` are the ones the source has not already
+// applied. Feasibility (level reachability, re-aggregable measures) must
+// have been established by EntryAnswersQuery.
 Result<ScanConsumer> PlanRollupScan(const CubeSchema& schema,
                                     const CubeQuery& query,
                                     const std::vector<Predicate>& predicates,
@@ -1086,34 +1083,58 @@ Result<Cube> StarQueryEngine::ExecuteInternal(const BoundCube& bound,
 Result<Cube> StarQueryEngine::ExecuteGet(const BoundCube& bound,
                                          const CubeQuery& query) const {
   ASSESS_FAILPOINT("storage.group_by");
-  last_cache_outcome_ = CacheOutcome::kBypass;
-  if (cache_ == nullptr) return ExecuteUncached(bound, query, nullptr);
+  last_used_view_ = false;
+  last_cache_outcome_ =
+      cache_ != nullptr ? CacheOutcome::kMiss : CacheOutcome::kBypass;
+  // Admission: capture the snapshot the whole get answers at. Cache entries
+  // and views are stamped with the epoch they aggregate, so only sources of
+  // byte-identical table contents answer, and the fact scan below reads
+  // exactly this prefix.
+  FactSnapshot snap = bound.facts().Snapshot();
+  if (cache_ == nullptr && !use_views_) {
+    return ExecuteUncached(bound, query, &snap);
+  }
   const CubeSchema& schema = bound.schema();
   for (const Predicate& p : query.predicates) {
     if (p.hierarchy < 0 || p.hierarchy >= schema.hierarchy_count()) {
-      // Let the scan path produce its usual diagnostic.
-      return ExecuteUncached(bound, query, nullptr);
+      // Let the fact scan produce its usual diagnostic.
+      return ExecuteUncached(bound, query, &snap);
     }
   }
-
-  // Admission: capture the snapshot the whole get answers at. The cache is
-  // keyed by its epoch, so entries are only ever reused for byte-identical
-  // table contents, and the scan below reads exactly this prefix.
-  FactSnapshot snap = bound.facts().Snapshot();
   CanonicalQuery canon = CanonicalizeQuery(query);
   canon.epoch = snap.epoch;
-  std::string key = FingerprintKey(canon);
-  if (std::optional<Cube> hit = cache_->FindExact(key)) {
-    last_used_view_ = false;
-    last_cache_outcome_ = CacheOutcome::kExactHit;
-    return ProjectMeasures(*hit, schema, query.measures);
+
+  // Finer aggregates answering the get, searched in order: an identical
+  // cached result, the smallest answering cache entry, the smallest
+  // answering view; else the fact scan.
+  std::string key;
+  std::optional<CubeEntry> cached;
+  std::shared_ptr<const std::vector<CubeEntry>> views;
+  const CubeEntry* source = nullptr;
+  if (cache_ != nullptr) {
+    key = FingerprintKey(canon);
+    if (std::optional<Cube> hit = cache_->FindExact(key)) {
+      last_cache_outcome_ = CacheOutcome::kExactHit;
+      return ProjectMeasures(*hit, schema, query.measures);
+    }
+    cached = cache_->FindSubsuming(schema, canon);
+    if (cached) {
+      source = &*cached;
+      last_cache_outcome_ = CacheOutcome::kSubsumptionHit;
+    }
   }
-  if (std::optional<CubeResultCache::Snapshot> finer =
-          cache_->FindSubsuming(schema, canon)) {
-    // Re-aggregate the finer cached result client-side, applying only the
-    // predicates the cached entry has not already applied.
+  if (source == nullptr && use_views_) {
+    views = bound.views_snapshot();
+    source = SmallestAnsweringEntry(schema, canon, *views);
+    last_used_view_ = source != nullptr;
+  }
+
+  Cube cube;
+  if (source != nullptr) {
+    // Re-aggregate the source client-side, applying only the predicates it
+    // has not already applied.
     std::unordered_set<std::string> applied;
-    for (const Predicate& p : finer->query.predicates) {
+    for (const Predicate& p : source->query.predicates) {
       applied.insert(PredicateKey(p));
     }
     std::vector<Predicate> extra;
@@ -1121,77 +1142,44 @@ Result<Cube> StarQueryEngine::ExecuteGet(const BoundCube& bound,
       if (!applied.count(PredicateKey(p))) extra.push_back(p);
     }
     Span span("engine.rollup");
-    if (span.active()) span.AddInt("source_rows", finer->cube.NumRows());
+    if (span.active()) {
+      span.AddString("source", last_used_view_ ? "view" : "cache");
+      span.AddInt("source_rows", source->cube.NumRows());
+      span.AddInt("epoch", static_cast<int64_t>(snap.epoch));
+    }
     ASSESS_ASSIGN_OR_RETURN(
         ScanConsumer consumer,
-        PlanRollupScan(schema, query, extra, finer->cube,
-                       finer->query.group_by));
+        PlanRollupScan(schema, query, extra, source->cube,
+                       source->query.group_by));
     ASSESS_ASSIGN_OR_RETURN(
-        Cube rolled,
-        ScanOne(span, 0, finer->cube.NumRows(), std::move(consumer)));
-    last_used_view_ = false;
-    last_cache_outcome_ = CacheOutcome::kSubsumptionHit;
-    cache_->Insert(key, std::move(canon), rolled);
-    return rolled;
+        cube, ScanOne(span, 0, source->cube.NumRows(), std::move(consumer)));
+  } else {
+    ASSESS_ASSIGN_OR_RETURN(cube, ExecuteUncached(bound, query, &snap));
   }
-  ASSESS_ASSIGN_OR_RETURN(Cube cube, ExecuteUncached(bound, query, &snap));
-  last_cache_outcome_ = CacheOutcome::kMiss;
-  cache_->Insert(key, std::move(canon), cube);
+  if (cache_ != nullptr) cache_->Insert(key, std::move(canon), cube);
   return cube;
 }
 
 Result<Cube> StarQueryEngine::ExecuteUncached(const BoundCube& bound,
                                               const CubeQuery& query,
-                                              const FactSnapshot* snap_in) const {
+                                              FactSnapshot* snap) const {
   ASSESS_FAILPOINT("storage.scan");
-  const CubeSchema& schema = bound.schema();
-  last_used_view_ = false;
-
-  // Admission snapshot: the consistent committed prefix this get answers
-  // at (passed down by ExecuteGet so the cache key's epoch and the scan
-  // agree; taken here for uncached paths).
-  const FactTable& facts = bound.facts();
-  FactSnapshot snap = snap_in != nullptr ? *snap_in : facts.Snapshot();
-
-  const MaterializedView* view = nullptr;
-  std::shared_ptr<const ViewSet> view_set;
-  if (use_views_) {
-    view_set = bound.views_snapshot();
-    // Views lag fact commits by design (facts publish first, views after);
-    // a set stamped at another epoch aggregates different table contents,
-    // so the scan falls back to the facts rather than mix epochs.
-    if (view_set->epoch == snap.epoch) {
-      int index = PickBestView(schema, query, view_set->views);
-      if (index >= 0) view = &view_set->views[index];
-    }
-  }
-
   Span span("engine.scan");
-  ScanConsumer consumer;
-  int64_t rows = 0;
-  if (view != nullptr) {
-    ASSESS_ASSIGN_OR_RETURN(consumer,
-                            PlanRollupScan(schema, query, query.predicates,
-                                           view->data, view->group_by));
-    last_used_view_ = true;
-    rows = view->data.NumRows();
-  } else {
-    // Build or extend the packed/zone accelerators up to the snapshot
-    // before reading any dimension state: every code they cover then
-    // predates the dimension rows visible below, keeping lane tables and
-    // pass flags large enough for every code a scan or pruner can meet.
-    facts.EnsureDerived(&snap);
-    ASSESS_ASSIGN_OR_RETURN(
-        consumer, PlanFactScan(bound, snap, query.group_by, query.predicates,
-                               query.measures));
-    rows = snap.rows;
-  }
   if (span.active()) {
-    span.AddString("source", view != nullptr ? "view" : "fact");
-    span.AddInt("rows", rows);
-    span.AddInt("epoch", static_cast<int64_t>(snap.epoch));
+    span.AddString("source", "fact");
+    span.AddInt("rows", snap->rows);
+    span.AddInt("epoch", static_cast<int64_t>(snap->epoch));
   }
-  return ScanOne(span, 0, rows, std::move(consumer));
+  // Build or extend the packed/zone accelerators up to the snapshot before
+  // reading any dimension state: every code they cover then predates the
+  // dimension rows visible below, keeping lane tables and pass flags large
+  // enough for every code a scan or pruner can meet.
+  bound.facts().EnsureDerived(snap);
+  ASSESS_ASSIGN_OR_RETURN(
+      ScanConsumer consumer,
+      PlanFactScan(bound, *snap, query.group_by, query.predicates,
+                   query.measures));
+  return ScanOne(span, 0, snap->rows, std::move(consumer));
 }
 
 Result<Cube> StarQueryEngine::AggregateFactRange(const BoundCube& bound,
@@ -1335,7 +1323,7 @@ Result<Cube> StarQueryEngine::ExecutePivoted(const CubeQuery& query_all,
 Result<int64_t> StarQueryEngine::MaterializeView(
     StarDatabase* db, const std::string& cube_name,
     const std::vector<std::string>& level_names,
-    const std::string& view_name) const {
+    const std::string& /*view_name*/) const {
   ASSESS_ASSIGN_OR_RETURN(BoundCube* bound, db->FindMutable(cube_name));
   const CubeSchema& schema = bound->schema();
   CubeQuery query;
@@ -1344,12 +1332,15 @@ Result<int64_t> StarQueryEngine::MaterializeView(
                           GroupBySet::FromLevelNames(schema, level_names));
   for (int m = 0; m < schema.measure_count(); ++m) query.measures.push_back(m);
 
-  // Build the view from base data only (never from another view), at this
-  // engine's parallelism — the morsel merge keeps it deterministic.
-  StarQueryEngine base_engine(db_, /*use_views=*/false, threads_);
-  ASSESS_ASSIGN_OR_RETURN(Cube data, base_engine.ExecuteInternal(*bound, query));
-  int64_t rows = data.NumRows();
-  bound->AddView(MaterializedView{view_name, query.group_by, std::move(data)});
+  // Build the view from base data only (never from another view) — the
+  // morsel merge keeps it deterministic — stamped with the epoch it
+  // aggregates.
+  FactSnapshot snap = bound->facts().Snapshot();
+  ASSESS_ASSIGN_OR_RETURN(Cube data, ExecuteUncached(*bound, query, &snap));
+  const int64_t rows = data.NumRows();
+  CanonicalQuery view = CanonicalizeQuery(query);
+  view.epoch = snap.epoch;
+  bound->AddView(CubeEntry{std::move(view), std::move(data)});
   return rows;
 }
 

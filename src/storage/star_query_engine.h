@@ -103,7 +103,7 @@ class StarQueryEngine {
 
   /// \brief Legacy construction: serial by default and — deliberately —
   /// without a result cache, so direct uses (microbenches, equivalence
-  /// tests, view materialization) keep measuring and exercising raw scans.
+  /// tests) keep measuring and exercising raw scans.
   /// `threads` > 1 lets large scans occupy that many participants of the
   /// process-wide TaskPool (morsel-driven; partials merged in morsel order,
   /// so results are bit-identical to the serial path at every thread
@@ -162,8 +162,10 @@ class StarQueryEngine {
       const std::vector<CubeQuery>& queries, uint64_t pinned_epoch) const;
 
   /// \brief Materializes an aggregate view of `cube_name` at `level_names`
-  /// (no predicates, all measures) and attaches it to the cube. Returns the
-  /// number of rows in the view.
+  /// (no predicates, all measures) by a fact scan and attaches it to the
+  /// cube as a CubeEntry stamped with the epoch it aggregates. Returns the
+  /// number of rows in the view. Views are identified by their group-by;
+  /// `view_name` is accepted for callers that label them and not stored.
   Result<int64_t> MaterializeView(StarDatabase* db, const std::string& cube_name,
                                   const std::vector<std::string>& level_names,
                                   const std::string& view_name) const;
@@ -177,8 +179,9 @@ class StarQueryEngine {
                                   const GroupBySet& group_by, int64_t from,
                                   int64_t to) const;
 
-  /// \brief Whether the last Execute() was answered from a view (observable
-  /// for tests and the ablation bench). False for cache hits.
+  /// \brief Whether the last Execute() was rolled up from a materialized
+  /// view (observable for tests and the ablation bench). Views are searched
+  /// only after the cache missed, so this is false for every cache hit.
   bool last_used_view() const { return last_used_view_; }
 
   /// \brief How the last internal get was answered.
@@ -214,14 +217,17 @@ class StarQueryEngine {
  private:
   Result<Cube> ExecuteInternal(const BoundCube& bound,
                                const CubeQuery& query) const;
-  /// ExecuteInternal minus the "engine.get" span: cache lookup, subsumption
-  /// roll-up, or uncached scan.
+  /// ExecuteInternal minus the "engine.get" span: the one get path. Answers
+  /// from, in order, an exact cache hit, the smallest answering cache entry,
+  /// the smallest answering view (when use_views), else a fact scan; the
+  /// two finer-aggregate sources share one roll-up.
   Result<Cube> ExecuteGet(const BoundCube& bound,
                           const CubeQuery& query) const;
-  /// `snap_in` is the admission snapshot the get must answer at (so the
-  /// cache key's epoch and the scan agree); null takes a fresh one.
+  /// The fact scan at admission snapshot `snap` (the epoch the get answers
+  /// at, so cache keys and scanned rows agree); extends its derived
+  /// accelerators in place.
   Result<Cube> ExecuteUncached(const BoundCube& bound, const CubeQuery& query,
-                               const FactSnapshot* snap_in) const;
+                               FactSnapshot* snap) const;
   /// The scan driver call every scan goes through (solo gets, roll-ups,
   /// delta merges, MQO batches): runs `consumers` over source rows
   /// [begin, end), counts its morsels and annotates `span` with them and

@@ -8,27 +8,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cache/cube_cache.h"
 #include "common/result.h"
 #include "olap/cube_schema.h"
-#include "storage/materialized_view.h"
 #include "storage/table.h"
 
 namespace assess {
-
-/// \brief An immutable, atomically-swapped set of materialized views,
-/// stamped with the fact-table epoch its contents aggregate. The engine
-/// uses a set only when its epoch matches the fact snapshot it scans at;
-/// otherwise the views lag a commit and the scan falls back to the facts —
-/// so a query never mixes view data and fact data from different epochs.
-struct ViewSet {
-  uint64_t epoch = 0;
-  /// Committed fact rows the view contents aggregate: incremental
-  /// maintenance may merge a delta only when the delta's first row equals
-  /// this count (otherwise rows slipped in between and the maintainer
-  /// falls back to a full rebuild).
-  int64_t rows = 0;
-  std::vector<MaterializedView> views;
-};
 
 /// \brief A detailed cube bound to its star-schema storage: the cube schema,
 /// one dimension table per hierarchy (parallel to schema hierarchy order),
@@ -40,7 +25,7 @@ class BoundCube {
       : schema_(std::move(schema)),
         dimensions_(std::move(dimensions)),
         facts_(std::move(facts)),
-        views_(std::make_shared<const ViewSet>()) {}
+        views_(std::make_shared<const std::vector<CubeEntry>>()) {}
 
   const CubeSchema& schema() const { return *schema_; }
   const std::shared_ptr<CubeSchema>& schema_ptr() const { return schema_; }
@@ -54,40 +39,31 @@ class BoundCube {
   FactTable& mutable_facts() { return facts_; }
   DimensionTable& mutable_dimension(int h) { return dimensions_[h]; }
 
-  /// \brief The current view set (never null; possibly empty).
-  std::shared_ptr<const ViewSet> views_snapshot() const {
+  /// \brief The current materialized views (never null; possibly empty):
+  /// an immutable, atomically swapped set of CubeEntries, each stamped with
+  /// the fact epoch its contents aggregate. Views lag fact commits (facts
+  /// publish first, views after); a view at another epoch than the get's
+  /// snapshot never answers it (EntryAnswersQuery), so a query never mixes
+  /// view data and fact data from different epochs.
+  std::shared_ptr<const std::vector<CubeEntry>> views_snapshot() const {
     std::lock_guard<std::mutex> lock(view_mu_);
     return views_;
   }
 
-  /// \brief Legacy accessor into the current set; setup-time use only (the
-  /// reference is invalidated by the next AddView/PublishViews).
-  const std::vector<MaterializedView>& views() const {
+  /// \brief Appends a view (setup-time path: no appender may run
+  /// concurrently).
+  void AddView(CubeEntry view) {
     std::lock_guard<std::mutex> lock(view_mu_);
-    return views_->views;
-  }
-
-  /// \brief Appends a view, stamping the set at the facts' current epoch
-  /// (setup-time path: no appender may run concurrently).
-  void AddView(MaterializedView view) {
-    std::lock_guard<std::mutex> lock(view_mu_);
-    auto next = std::make_shared<ViewSet>();
-    next->epoch = facts_.epoch();
-    next->rows = facts_.NumRows();
-    next->views = views_->views;
-    next->views.push_back(std::move(view));
+    auto next = std::make_shared<std::vector<CubeEntry>>(*views_);
+    next->push_back(std::move(view));
     views_ = std::move(next);
   }
 
-  /// \brief Atomically replaces the whole set — the incremental-maintenance
-  /// commit path. `epoch` / `rows` are the fact epoch and committed row
-  /// count the view contents aggregate.
-  void PublishViews(std::vector<MaterializedView> views, uint64_t epoch,
-                    int64_t rows) {
-    auto next = std::make_shared<ViewSet>();
-    next->epoch = epoch;
-    next->rows = rows;
-    next->views = std::move(views);
+  /// \brief Atomically replaces the whole set — the view-maintenance
+  /// commit path.
+  void PublishViews(std::vector<CubeEntry> views) {
+    auto next =
+        std::make_shared<const std::vector<CubeEntry>>(std::move(views));
     std::lock_guard<std::mutex> lock(view_mu_);
     views_ = std::move(next);
   }
@@ -105,7 +81,7 @@ class BoundCube {
   std::vector<DimensionTable> dimensions_;
   FactTable facts_;
   mutable std::mutex view_mu_;
-  std::shared_ptr<const ViewSet> views_;
+  std::shared_ptr<const std::vector<CubeEntry>> views_;
   mutable std::mutex ingest_mu_;
 };
 

@@ -373,6 +373,50 @@ TEST_F(CacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   EXPECT_FALSE(cache.FindExact("key0").has_value());
 }
 
+// Only the winner of a subsumption lookup is bumped to most-recently-used:
+// a larger answering entry the walk passed before reaching the smaller
+// winner stays the eviction candidate it was.
+TEST_F(CacheTest, SubsumptionBumpsOnlyTheWinner) {
+  StarQueryEngine engine(mini_.db.get(), /*use_views=*/false, 1);
+  CubeQuery small_q = Query({"type", "country"}, {}, {"quantity"});
+  CubeQuery large_q = Query({"product", "country"}, {}, {"quantity"});
+  CubeQuery other_q = Query({"year"}, {}, {"quantity"});  // cannot answer
+  CubeQuery want_q = Query({"country"}, {}, {"quantity"});
+  Cube small = *engine.Execute(small_q);
+  Cube large = *engine.Execute(large_q);
+  Cube other = *engine.Execute(other_q);
+  ASSERT_LT(small.NumRows(), large.NumRows());
+  ASSERT_LE(other.NumRows(), large.NumRows());
+
+  // Keys of equal length: an entry's footprint depends on its cube only.
+  auto insert_all = [&](CubeResultCache* cache) {
+    cache->Insert("small", CanonicalizeQuery(small_q), small);
+    cache->Insert("large", CanonicalizeQuery(large_q), large);
+    cache->Insert("other", CanonicalizeQuery(other_q), other);
+  };
+  CacheOptions options;
+  options.shards = 1;
+  CubeResultCache probe(options);
+  insert_all(&probe);
+  options.budget_bytes = probe.stats().bytes_resident;  // exactly all three
+  CubeResultCache cache(options);
+  insert_all(&cache);  // LRU, most recent first: other, large, small
+  ASSERT_EQ(cache.stats().evictions, 0u);
+
+  auto found = cache.FindSubsuming(*mini_.schema, CanonicalizeQuery(want_q));
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->cube.NumRows(), small.NumRows());
+
+  // One more entry the size of "other" overflows the budget by at most the
+  // least recently used entry, which must be "large", not "other".
+  cache.Insert("fresh", CanonicalizeQuery(other_q), other);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_FALSE(cache.Contains("large"));
+  EXPECT_TRUE(cache.Contains("small"));
+  EXPECT_TRUE(cache.Contains("other"));
+  EXPECT_TRUE(cache.Contains("fresh"));
+}
+
 TEST_F(CacheTest, OversizedResultsAreNotCached) {
   CacheOptions options;
   options.shards = 1;

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "algebra/operators.h"
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "test_util.h"
 
@@ -223,6 +224,81 @@ TEST_F(EngineViewTest, DisabledViewsAreNotConsulted) {
   Cube cube = *no_views.Execute(Query({"country"}, {}, {"quantity"}));
   EXPECT_FALSE(no_views.last_used_view());
   EXPECT_EQ(cube.NumRows(), 2);
+}
+
+TEST_F(EngineViewTest, CacheAnswersBeforeViews) {
+  ASSERT_TRUE(engine_
+                  .MaterializeView(mini_.db.get(), "SALES",
+                                   {"product", "country"}, "mv_pc")
+                  .ok());
+  EngineOptions options;
+  options.threads = 1;
+  StarQueryEngine cached(mini_.db.get(), options);
+  StarQueryEngine no_views(mini_.db.get(), /*use_views=*/false);
+
+  // Nothing cached yet: the miss falls through to the view.
+  CubeQuery mid = Query({"type", "country"}, {}, {"quantity"});
+  Cube from_view = *cached.Execute(mid);
+  EXPECT_EQ(cached.last_cache_outcome(), CacheOutcome::kMiss);
+  EXPECT_TRUE(cached.last_used_view());
+  EXPECT_EQ(CellMap(*no_views.Execute(mid), "quantity"),
+            CellMap(from_view, "quantity"));
+
+  // Both the cached {type, country} entry and the view answer {country}:
+  // the cache is searched first.
+  CubeQuery coarse = Query({"country"}, {}, {"quantity"});
+  Cube from_cache = *cached.Execute(coarse);
+  EXPECT_EQ(cached.last_cache_outcome(), CacheOutcome::kSubsumptionHit);
+  EXPECT_FALSE(cached.last_used_view());
+  EXPECT_EQ(CellMap(*no_views.Execute(coarse), "quantity"),
+            CellMap(from_cache, "quantity"));
+}
+
+TEST_F(EngineViewTest, LaggingViewsAreNotUsed) {
+  ASSERT_TRUE(engine_
+                  .MaterializeView(mini_.db.get(), "SALES",
+                                   {"product", "country"}, "mv_pc")
+                  .ok());
+  StarQueryEngine no_views(mini_.db.get(), /*use_views=*/false);
+  CubeQuery q = Query({"country"}, {}, {"quantity"});
+  auto before = CellMap(*no_views.Execute(q), "quantity");
+
+  // Append a fact (first date, Apple, SmartMart in Italy) behind the views'
+  // back: they still aggregate the previous epoch.
+  BoundCube* bound = *mini_.db->FindMutable("SALES");
+  bound->mutable_facts().AppendBatch({{0}, {0}, {0}}, {{5}, {7}});
+
+  Cube cube = *engine_.Execute(q);
+  EXPECT_FALSE(engine_.last_used_view());
+  auto after = CellMap(cube, "quantity");
+  EXPECT_EQ(after, CellMap(*no_views.Execute(q), "quantity"));
+  EXPECT_EQ(after[K("Italy")], before[K("Italy")] + 5);
+  EXPECT_EQ(after[K("France")], before[K("France")]);
+}
+
+TEST_F(EngineViewTest, CacheLookupFailpointFallsThroughToViews) {
+  if (!kFailpointsCompiledIn) {
+    GTEST_SKIP() << "built with ASSESS_FAILPOINTS=OFF";
+  }
+  ASSERT_TRUE(engine_
+                  .MaterializeView(mini_.db.get(), "SALES",
+                                   {"product", "country"}, "mv_pc")
+                  .ok());
+  EngineOptions options;
+  options.threads = 1;
+  StarQueryEngine cached(mini_.db.get(), options);
+  CubeQuery q = Query({"type", "country"}, {}, {"quantity"});
+  (void)*cached.Execute(q);  // cached now: an exact hit without the failpoint
+
+  FailpointRegistry& registry = FailpointRegistry::Instance();
+  ASSERT_TRUE(registry.ArmFromString("cache.lookup=error").ok());
+  Cube cube = *cached.Execute(q);
+  registry.DisarmAll();
+  EXPECT_EQ(cached.last_cache_outcome(), CacheOutcome::kMiss);
+  EXPECT_TRUE(cached.last_used_view());
+  StarQueryEngine no_views(mini_.db.get(), /*use_views=*/false);
+  EXPECT_EQ(CellMap(*no_views.Execute(q), "quantity"),
+            CellMap(cube, "quantity"));
 }
 
 // --- Push-down entry points -----------------------------------------------

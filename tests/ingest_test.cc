@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "assess/session.h"
+#include "cache/query_fingerprint.h"
 #include "client/assess_client.h"
 #include "common/failpoint.h"
 #include "olap/cube_query.h"
@@ -290,23 +291,26 @@ TEST_F(IngestTest, IncrementalViewMaintenanceMatchesFromScratchRebuild) {
   EXPECT_EQ(stats->mv_incremental_updates, 2u * stats->batches);
   EXPECT_EQ(stats->mv_full_rebuilds, 0u);
 
-  // The maintained set is stamped at the final epoch and row count.
-  std::shared_ptr<const ViewSet> set = bound_->views_snapshot();
-  ASSERT_EQ(set->views.size(), 2u);
-  EXPECT_EQ(set->epoch, bound_->facts().epoch());
-  EXPECT_EQ(set->rows, bound_->facts().NumRows());
+  // Every maintained view is stamped at the final epoch.
+  std::shared_ptr<const std::vector<CubeEntry>> views =
+      bound_->views_snapshot();
+  ASSERT_EQ(views->size(), 2u);
+  for (const CubeEntry& view : *views) {
+    EXPECT_EQ(view.query.epoch, bound_->facts().epoch());
+  }
 
   // Bit-identity: each maintained view equals a from-scratch aggregation of
   // the full fact prefix (integer measures, so no FP-order slack needed).
-  for (const MaterializedView& view : set->views) {
-    auto rebuilt = engine.AggregateFactRange(*bound_, view.group_by, 0,
+  for (const CubeEntry& view : *views) {
+    const std::string name = FingerprintKey(view.query);
+    auto rebuilt = engine.AggregateFactRange(*bound_, view.query.group_by, 0,
                                              bound_->facts().NumRows());
     ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-    ASSERT_EQ(view.data.NumRows(), rebuilt->NumRows()) << view.name;
+    ASSERT_EQ(view.cube.NumRows(), rebuilt->NumRows()) << name;
     for (const char* measure : {"quantity", "sales"}) {
       auto expected = CellMap(*rebuilt, measure);
-      auto actual = CellMap(view.data, measure);
-      EXPECT_EQ(actual, expected) << view.name << " " << measure;
+      auto actual = CellMap(view.cube, measure);
+      EXPECT_EQ(actual, expected) << name << " " << measure;
     }
   }
 
@@ -323,29 +327,52 @@ TEST_F(IngestTest, IncrementalViewMaintenanceMatchesFromScratchRebuild) {
   EXPECT_EQ(CellMap(*from_views, "sales"), CellMap(from_facts, "sales"));
 }
 
-TEST_F(IngestTest, FullRebuildBaselineRebuildsEveryBatch) {
+// An avg measure cannot be delta-merged, so every batch rebuilds the views
+// of its cube from the full fact prefix.
+TEST_F(IngestTest, AvgMeasureViewsRebuildEveryBatch) {
+  auto schema = std::make_shared<CubeSchema>("PRICES");
+  schema->AddHierarchy(mini_.schema->hierarchy_ptr(1));
+  schema->AddMeasure({"quantity", AggOp::kSum});
+  schema->AddMeasure({"price", AggOp::kAvg});
+  ASSERT_TRUE(mini_.db
+                  ->Register("PRICES",
+                             std::make_unique<BoundCube>(
+                                 schema,
+                                 std::vector<DimensionTable>{
+                                     bound_->dimension(1)},
+                                 FactTable("PRICES", 1, 2)))
+                  .ok());
+  BoundCube* prices = *mini_.db->FindMutable("PRICES");
   StarQueryEngine engine(mini_.db.get(), /*use_views=*/false, /*threads=*/1);
   ASSERT_TRUE(
-      engine.MaterializeView(mini_.db.get(), "SALES", {"product"}, "pv")
+      engine.MaterializeView(mini_.db.get(), "PRICES", {"type"}, "pv_t")
           .ok());
+
   IngestOptions options;
-  options.incremental = false;
   options.batch_rows = 1;
-  auto stats = Ingest(
-      "date,product,store,quantity,sales\n"
-      "1997-07-01,Apple,SmartMart,1,0\n"
-      "1997-07-02,Pear,PetitPrix,2,0\n",
-      options);
+  Ingestor ingestor(mini_.db.get(), nullptr, options);
+  auto stats = ingestor.IngestText("PRICES",
+                                   "product,quantity,price\n"
+                                   "Apple,1,2.5\n"
+                                   "Pear,2,3.25\n"
+                                   "Lemon,3,1.5\n");
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->mv_full_rebuilds, 2u);
+  EXPECT_EQ(stats->batches, 3u);
+  EXPECT_EQ(stats->mv_full_rebuilds, 3u);
   EXPECT_EQ(stats->mv_incremental_updates, 0u);
 
-  std::shared_ptr<const ViewSet> set = bound_->views_snapshot();
-  auto rebuilt = engine.AggregateFactRange(
-      *bound_, set->views[0].group_by, 0, bound_->facts().NumRows());
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(CellMap(set->views[0].data, "quantity"),
-            CellMap(*rebuilt, "quantity"));
+  std::shared_ptr<const std::vector<CubeEntry>> views =
+      prices->views_snapshot();
+  ASSERT_EQ(views->size(), 1u);
+  const CubeEntry& view = (*views)[0];
+  EXPECT_EQ(view.query.epoch, prices->facts().epoch());
+  auto rebuilt = engine.AggregateFactRange(*prices, view.query.group_by, 0,
+                                           prices->facts().NumRows());
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  for (const char* measure : {"quantity", "price"}) {
+    EXPECT_EQ(CellMap(view.cube, measure), CellMap(*rebuilt, measure))
+        << measure;
+  }
 }
 
 TEST_F(IngestTest, EpochKeyingInvalidatesCachedResults) {

@@ -1,11 +1,12 @@
-// Edge cases of the view-answerability rule (RollupAnswersQuery /
-// ViewAnswersQuery) that the result cache's subsumption matcher shares:
+// Edge cases of the one answerability rule (EntryAnswersQuery) applied to
+// materialized views, which are cache-typed entries with no predicates:
 // avg-measure disqualification, predicate levels relative to the view's
 // group-by, and empty-view behavior.
 
 #include <gtest/gtest.h>
 
-#include "storage/materialized_view.h"
+#include "cache/cube_cache.h"
+#include "cache/query_fingerprint.h"
 #include "storage/star_query_engine.h"
 #include "test_util.h"
 
@@ -27,13 +28,20 @@ class MaterializedViewTest : public ::testing::Test {
     return *q;
   }
 
-  MaterializedView MakeView(const std::vector<std::string>& levels,
-                            const std::string& name) {
+  // `q` as the engine asks views: canonical, at the facts' current epoch.
+  CanonicalQuery Want(const CubeQuery& q) {
+    CanonicalQuery want = CanonicalizeQuery(q);
+    want.epoch = (*mini_.db->Find("SALES"))->facts().epoch();
+    return want;
+  }
+
+  CubeEntry MakeView(const std::vector<std::string>& levels,
+                     const std::string& name) {
     StarQueryEngine engine(mini_.db.get());
     EXPECT_TRUE(
         engine.MaterializeView(mini_.db.get(), "SALES", levels, name).ok());
     const BoundCube* bound = *mini_.db->Find("SALES");
-    return bound->views().back();
+    return bound->views_snapshot()->back();
   }
 
   testutil::MiniDb mini_;
@@ -53,29 +61,34 @@ TEST_F(MaterializedViewTest, AvgMeasureDisqualifiesTheView) {
   schema->AddMeasure({"s", AggOp::kSum});
   schema->AddMeasure({"a", AggOp::kAvg});
 
-  GroupBySet fine(1);
-  fine.SetLevel(0, 0);
-  MaterializedView view{"v", fine, Cube({LevelRef{hier, 0}}, {"s", "a"})};
+  CubeEntry view;
+  view.query.cube_name = "T";
+  view.query.group_by = GroupBySet(1);
+  view.query.group_by.SetLevel(0, 0);
+  view.query.measures = {0, 1};
+  view.cube = Cube({LevelRef{hier, 0}}, {"s", "a"});
 
   CubeQuery sum_query;
   sum_query.cube_name = "T";
   sum_query.group_by = GroupBySet(1);
   sum_query.group_by.SetLevel(0, 1);
   sum_query.measures = {0};
-  EXPECT_TRUE(ViewAnswersQuery(*schema, sum_query, view));
+  EXPECT_TRUE(
+      EntryAnswersQuery(*schema, CanonicalizeQuery(sum_query), view.query));
 
   CubeQuery avg_query = sum_query;
   avg_query.measures = {0, 1};
-  EXPECT_FALSE(ViewAnswersQuery(*schema, avg_query, view));
+  EXPECT_FALSE(
+      EntryAnswersQuery(*schema, CanonicalizeQuery(avg_query), view.query));
 }
 
 TEST_F(MaterializedViewTest, PredicateCoarserThanViewGroupByIsAnswerable) {
   // View at month granularity; a predicate on year (coarser) is evaluable
   // by rolling the view's month members up.
-  MaterializedView view = MakeView({"month", "product", "store"}, "mv_m");
+  CubeEntry view = MakeView({"month", "product", "store"}, "mv_m");
   CubeQuery q = Query({"product"}, {{0, 2, PredicateOp::kEquals, {"1997"}}},
                       {"quantity"});
-  EXPECT_TRUE(ViewAnswersQuery(*mini_.schema, q, view));
+  EXPECT_TRUE(EntryAnswersQuery(*mini_.schema, Want(q), view.query));
 
   StarQueryEngine with_views(mini_.db.get());
   StarQueryEngine no_views(mini_.db.get(), /*use_views=*/false);
@@ -88,19 +101,19 @@ TEST_F(MaterializedViewTest, PredicateCoarserThanViewGroupByIsAnswerable) {
 TEST_F(MaterializedViewTest, PredicateFinerThanViewGroupByDisqualifies) {
   // View at year granularity cannot evaluate a month-level slice: the
   // year cells aggregate over the months the predicate must discriminate.
-  MaterializedView view = MakeView({"year", "product"}, "mv_y");
+  CubeEntry view = MakeView({"year", "product"}, "mv_y");
   CubeQuery q = Query({"product"},
                       {{0, 1, PredicateOp::kEquals, {"1997-07"}}},
                       {"quantity"});
-  EXPECT_FALSE(ViewAnswersQuery(*mini_.schema, q, view));
-  EXPECT_EQ(PickBestView(*mini_.schema, q, {view}), -1);
+  EXPECT_FALSE(EntryAnswersQuery(*mini_.schema, Want(q), view.query));
+  EXPECT_EQ(SmallestAnsweringEntry(*mini_.schema, Want(q), {view}), nullptr);
 }
 
 TEST_F(MaterializedViewTest, PredicateOnHierarchyAbsentFromViewDisqualifies) {
-  MaterializedView view = MakeView({"month", "product"}, "mv_mp");
+  CubeEntry view = MakeView({"month", "product"}, "mv_mp");
   CubeQuery q = Query({"product"}, {{2, 1, PredicateOp::kEquals, {"Italy"}}},
                       {"quantity"});
-  EXPECT_FALSE(ViewAnswersQuery(*mini_.schema, q, view));
+  EXPECT_FALSE(EntryAnswersQuery(*mini_.schema, Want(q), view.query));
 }
 
 TEST_F(MaterializedViewTest, EmptyViewAnswersWithEmptyCube) {

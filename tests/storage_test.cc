@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "storage/materialized_view.h"
+#include "cache/cube_cache.h"
+#include "cache/query_fingerprint.h"
 #include "storage/predicate.h"
 #include "storage/star_schema.h"
 #include "test_util.h"
@@ -167,91 +168,97 @@ TEST_F(StorageTest, EmptyPredicatesPassEverything) {
   EXPECT_EQ(*flags, (std::vector<uint8_t>{1, 1}));
 }
 
+// A materialized view is a CubeEntry with no predicates and every measure.
+CubeEntry View(const CubeSchema& schema,
+               const std::vector<std::string>& levels) {
+  CubeEntry view;
+  view.query.group_by = *GroupBySet::FromLevelNames(schema, levels);
+  for (int m = 0; m < schema.measure_count(); ++m) {
+    view.query.measures.push_back(m);
+  }
+  return view;
+}
+
 class MaterializedViewTest : public StorageTest {};
 
 TEST_F(MaterializedViewTest, ViewAnswersCoarserQuery) {
-  MaterializedView view;
-  view.name = "by_product_country";
-  view.group_by = *GroupBySet::FromLevelNames(schema(), {"product", "country"});
+  CubeEntry view = View(schema(), {"product", "country"});
   CubeQuery query;
   query.group_by = *GroupBySet::FromLevelNames(schema(), {"type"});
   query.measures = {0};
-  EXPECT_TRUE(ViewAnswersQuery(schema(), query, view));
+  EXPECT_TRUE(
+      EntryAnswersQuery(schema(), CanonicalizeQuery(query), view.query));
 }
 
 TEST_F(MaterializedViewTest, ViewRejectsFinerQuery) {
-  MaterializedView view;
-  view.group_by = *GroupBySet::FromLevelNames(schema(), {"type"});
+  CubeEntry view = View(schema(), {"type"});
   CubeQuery query;
   query.group_by = *GroupBySet::FromLevelNames(schema(), {"product"});
   query.measures = {0};
-  EXPECT_FALSE(ViewAnswersQuery(schema(), query, view));
+  EXPECT_FALSE(
+      EntryAnswersQuery(schema(), CanonicalizeQuery(query), view.query));
 }
 
 TEST_F(MaterializedViewTest, ViewRejectsMissingHierarchy) {
-  MaterializedView view;
-  view.group_by = *GroupBySet::FromLevelNames(schema(), {"product"});
+  CubeEntry view = View(schema(), {"product"});
   CubeQuery query;
   query.group_by = *GroupBySet::FromLevelNames(schema(), {"product"});
   query.predicates = {{2, 1, PredicateOp::kEquals, {"Italy"}}};
   query.measures = {0};
-  EXPECT_FALSE(ViewAnswersQuery(schema(), query, view));
+  EXPECT_FALSE(
+      EntryAnswersQuery(schema(), CanonicalizeQuery(query), view.query));
 }
 
 TEST_F(MaterializedViewTest, ViewRejectsFinerPredicateLevel) {
-  MaterializedView view;
-  view.group_by = *GroupBySet::FromLevelNames(schema(), {"product", "country"});
+  CubeEntry view = View(schema(), {"product", "country"});
   CubeQuery query;
   query.group_by = *GroupBySet::FromLevelNames(schema(), {"product"});
   query.predicates = {{2, 0, PredicateOp::kEquals, {"SmartMart"}}};
   query.measures = {0};
-  EXPECT_FALSE(ViewAnswersQuery(schema(), query, view));
+  EXPECT_FALSE(
+      EntryAnswersQuery(schema(), CanonicalizeQuery(query), view.query));
 }
 
 TEST_F(MaterializedViewTest, AvgMeasureDisqualifies) {
   CubeSchema avg_schema("X");
   avg_schema.AddHierarchy(mini_.schema->hierarchy_ptr(1));
   avg_schema.AddMeasure({"m", AggOp::kAvg});
-  MaterializedView view;
-  view.group_by = *GroupBySet::FromLevelNames(avg_schema, {"product"});
+  CubeEntry view = View(avg_schema, {"product"});
   CubeQuery query;
   query.group_by = *GroupBySet::FromLevelNames(avg_schema, {"type"});
   query.measures = {0};
-  EXPECT_FALSE(ViewAnswersQuery(avg_schema, query, view));
+  EXPECT_FALSE(
+      EntryAnswersQuery(avg_schema, CanonicalizeQuery(query), view.query));
 }
 
 TEST_F(MaterializedViewTest, PickBestPrefersSmallest) {
-  MaterializedView big;
-  big.group_by = *GroupBySet::FromLevelNames(schema(), {"product", "country"});
-  big.data = Cube({}, {});
-  MaterializedView small;
-  small.group_by = *GroupBySet::FromLevelNames(schema(), {"type", "country"});
-  small.data = Cube({}, {});
+  CubeEntry big = View(schema(), {"product", "country"});
+  CubeEntry small = View(schema(), {"type", "country"});
   // Sizes: fake by adding rows to `big` only.
-  big.data = Cube({LevelRef{mini_.schema->hierarchy_ptr(1), 0}}, {"m"});
-  big.data.AddRow({0}, {1});
-  big.data.AddRow({1}, {1});
-  small.data = Cube({LevelRef{mini_.schema->hierarchy_ptr(1), 1}}, {"m"});
-  small.data.AddRow({0}, {1});
+  big.cube = Cube({LevelRef{mini_.schema->hierarchy_ptr(1), 0}}, {"m"});
+  big.cube.AddRow({0}, {1});
+  big.cube.AddRow({1}, {1});
+  small.cube = Cube({LevelRef{mini_.schema->hierarchy_ptr(1), 1}}, {"m"});
+  small.cube.AddRow({0}, {1});
 
   CubeQuery query;
   query.group_by = *GroupBySet::FromLevelNames(schema(), {"country"});
   query.measures = {0};
-  std::vector<MaterializedView> views;
+  std::vector<CubeEntry> views;
   views.push_back(std::move(big));
   views.push_back(std::move(small));
-  EXPECT_EQ(PickBestView(schema(), query, views), 1);
+  EXPECT_EQ(SmallestAnsweringEntry(schema(), CanonicalizeQuery(query), views),
+            &views[1]);
 }
 
 TEST_F(MaterializedViewTest, PickBestNoneApplicable) {
-  MaterializedView view;
-  view.group_by = *GroupBySet::FromLevelNames(schema(), {"year"});
   CubeQuery query;
   query.group_by = *GroupBySet::FromLevelNames(schema(), {"product"});
   query.measures = {0};
-  std::vector<MaterializedView> views;
-  views.push_back(std::move(view));
-  EXPECT_EQ(PickBestView(schema(), query, views), -1);
+  std::vector<CubeEntry> views;
+  views.push_back(View(schema(), {"year"}));
+  EXPECT_EQ(SmallestAnsweringEntry(schema(), CanonicalizeQuery(query), views),
+            nullptr);
 }
 
 }  // namespace

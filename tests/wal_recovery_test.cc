@@ -425,7 +425,7 @@ TEST_F(WalRecoveryTest, FailedCheckpointRenameKeepsThePreviousOneLive) {
 
 // Restart consistency for the epoch-keyed derived state: the recovered
 // fact table carries the *exact* pre-crash epoch (not a re-derived one), so
-// epoch-stamped cache keys and view sets line up, and a re-materialized
+// epoch-stamped cache keys and views line up, and a re-materialized
 // view lands on identical contents at the identical epoch.
 TEST_F(WalRecoveryTest, EpochKeyedViewStateRebuildsConsistently) {
   Signature committed;
@@ -446,11 +446,11 @@ TEST_F(WalRecoveryTest, EpochKeyedViewStateRebuildsConsistently) {
     }
     const BoundCube* bound = *db->Find("SALES");
     auto views = bound->views_snapshot();
-    ASSERT_EQ(views->views.size(), 1u);
+    ASSERT_EQ(views->size(), 1u);
     // Incremental maintenance kept the view current with the fact epoch.
-    EXPECT_EQ(views->epoch, bound->facts().epoch());
-    view_cells = CellMap(views->views[0].data, "quantity");
-    view_epoch = views->epoch;
+    EXPECT_EQ((*views)[0].query.epoch, bound->facts().epoch());
+    view_cells = CellMap((*views)[0].cube, "quantity");
+    view_epoch = (*views)[0].query.epoch;
     committed = Sig(db);
   }
 
@@ -467,10 +467,10 @@ TEST_F(WalRecoveryTest, EpochKeyedViewStateRebuildsConsistently) {
           .ok());
   const BoundCube* bound = *db->Find("SALES");
   auto views = bound->views_snapshot();
-  ASSERT_EQ(views->views.size(), 1u);
-  EXPECT_EQ(views->epoch, view_epoch);
-  EXPECT_EQ(views->epoch, bound->facts().epoch());
-  EXPECT_EQ(CellMap(views->views[0].data, "quantity"), view_cells);
+  ASSERT_EQ(views->size(), 1u);
+  EXPECT_EQ((*views)[0].query.epoch, view_epoch);
+  EXPECT_EQ((*views)[0].query.epoch, bound->facts().epoch());
+  EXPECT_EQ(CellMap((*views)[0].cube, "quantity"), view_cells);
 }
 
 // The durability promise under a real kill -9: a child process ingests
