@@ -1,13 +1,58 @@
 #include "cache/cube_cache.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <functional>
-#include <unordered_set>
+#include <iterator>
 
 #include "common/failpoint.h"
 #include "obs/trace.h"
 
 namespace assess {
+
+namespace {
+
+// Requests with at most this many predicates probe each visited node once
+// per subset of their predicate set (at most 64 hash lookups); requests with
+// more walk the visited node's entries instead.
+constexpr size_t kMaxProbedPredicates = 6;
+
+uint64_t PredicateHash(const std::string& key) {
+  // splitmix64's finalizer, so a sum of hashes stays well mixed.
+  uint64_t z = std::hash<std::string>{}(key) + 0x9E3779B97F4A7C15ULL;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+// Order-independent hash of a predicate set: the sum of its keys' hashes,
+// so every subset's hash is one addition away from a smaller subset's.
+uint64_t PredicateSetHash(const std::vector<std::string>& keys) {
+  uint64_t sum = 0;
+  for (const std::string& key : keys) sum += PredicateHash(key);
+  return sum;
+}
+
+// What the lattice index and the canonical predicate keys add to an entry:
+// its hash-map node and bucket slot, and the keys themselves.
+size_t IndexBytes(const CanonicalQuery& query) {
+  size_t bytes = 4 * sizeof(void*) + sizeof(uint64_t);
+  for (const std::string& key : query.predicate_keys) {
+    bytes += sizeof(std::string) + key.size();
+  }
+  return bytes;
+}
+
+// The bucket of `group_by` among one epoch's nodes, or nodes.end().
+template <typename NodeBuckets>
+auto FindNode(NodeBuckets& nodes, const GroupBySet& group_by) {
+  return std::find_if(nodes.begin(), nodes.end(), [&](const auto& node) {
+    return node.group_by == group_by;
+  });
+}
+
+}  // namespace
 
 CubeResultCache::CubeResultCache(CacheOptions options)
     : budget_bytes_(options.budget_bytes),
@@ -19,6 +64,38 @@ CubeResultCache::Shard& CubeResultCache::ShardFor(const std::string& key) {
   return shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
+void CubeResultCache::AddToLattice(Shard& shard, LruList::iterator it) {
+  const CanonicalQuery& query = it->entry->query;
+  auto cube_it = shard.lattice.find(query.cube_name);
+  if (cube_it == shard.lattice.end()) {
+    cube_it = shard.lattice.emplace(query.cube_name, EpochBuckets()).first;
+  }
+  std::vector<NodeBucket>& nodes = cube_it->second[query.epoch];
+  auto node = FindNode(nodes, query.group_by);
+  if (node == nodes.end()) {
+    nodes.push_back(NodeBucket{query.group_by, {}});
+    node = std::prev(nodes.end());
+  }
+  node->by_predicates.emplace(it->predicate_set_hash, it);
+}
+
+void CubeResultCache::Erase(Shard& shard, LruList::iterator it) {
+  const CanonicalQuery& query = it->entry->query;
+  auto cube_it = shard.lattice.find(query.cube_name);
+  auto epoch_it = cube_it->second.find(query.epoch);
+  std::vector<NodeBucket>& nodes = epoch_it->second;
+  auto node = FindNode(nodes, query.group_by);
+  auto [lo, hi] = node->by_predicates.equal_range(it->predicate_set_hash);
+  while (lo->second != it) ++lo;
+  node->by_predicates.erase(lo);
+  if (node->by_predicates.empty()) nodes.erase(node);
+  if (nodes.empty()) cube_it->second.erase(epoch_it);
+  if (cube_it->second.empty()) shard.lattice.erase(cube_it);
+  shard.bytes -= it->bytes;
+  shard.index.erase(it->key);
+  shard.lru.erase(it);
+}
+
 std::optional<Cube> CubeResultCache::FindExact(const std::string& key) {
   Span span("cache.lookup");
   lookups_.fetch_add(1, std::memory_order_relaxed);
@@ -28,17 +105,20 @@ std::optional<Cube> CubeResultCache::FindExact(const std::string& key) {
     span.AddInt("hit", 0);
     return std::nullopt;
   }
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    span.AddInt("hit", 0);
-    return std::nullopt;
+  std::shared_ptr<const CubeEntry> hit;
+  {
+    Shard& shard = ShardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto it = shard.index.find(key);
+    if (it != shard.index.end()) {
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      hit = it->second->entry;
+    }
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  span.AddInt("hit", hit ? 1 : 0);
+  if (!hit) return std::nullopt;
   exact_hits_.fetch_add(1, std::memory_order_relaxed);
-  span.AddInt("hit", 1);
-  return it->second->entry.cube;
+  return hit->cube;
 }
 
 bool CubeResultCache::Contains(const std::string& key) const {
@@ -50,61 +130,102 @@ bool CubeResultCache::Contains(const std::string& key) const {
 std::optional<CubeEntry> CubeResultCache::FindSubsuming(
     const CubeSchema& schema, const CanonicalQuery& want) {
   Span span("cache.subsume");
-  std::optional<CubeEntry> best;
-  std::string best_key;
   if (ASSESS_FAILPOINT_TRIGGERED("cache.lookup")) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return best;
+    return std::nullopt;
   }
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const Entry& e : shard.lru) {
-      if (best && e.entry.cube.NumRows() >= best->cube.NumRows()) continue;
-      if (!EntryAnswersQuery(schema, want, e.entry.query)) continue;
-      best = e.entry;
-      best_key = e.key;
+  // An answering entry's predicates are a subset of the request's. With few
+  // enough request predicates, hash every subset once; each visited node is
+  // then probed for exactly those predicate sets.
+  const size_t k = want.predicate_keys.size();
+  const bool probe = k <= kMaxProbedPredicates;
+  std::array<uint64_t, size_t{1} << kMaxProbedPredicates> subsets;
+  const size_t subset_count = probe ? size_t{1} << k : 0;
+  if (probe) {
+    std::array<uint64_t, kMaxProbedPredicates> hashes;
+    for (size_t i = 0; i < k; ++i) {
+      hashes[i] = PredicateHash(want.predicate_keys[i]);
+    }
+    subsets[0] = 0;
+    for (size_t mask = 1; mask < subset_count; ++mask) {
+      subsets[mask] = subsets[mask & (mask - 1)] +
+                      hashes[std::countr_zero(mask)];
     }
   }
-  if (best) {
+
+  std::shared_ptr<const CubeEntry> best;
+  std::string best_key;
+  uint64_t probes = 0;
+  auto consider = [&](const Entry& e) {
+    ++probes;
+    if (!EntryAnswersQuery(schema, want, e.entry->query)) return;
+    if (best) {
+      const int64_t rows = e.entry->cube.NumRows();
+      const int64_t best_rows = best->cube.NumRows();
+      if (rows > best_rows || (rows == best_rows && e.key >= best_key)) return;
+    }
+    best = e.entry;
+    best_key = e.key;
+  };
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto cube_it = shard.lattice.find(want.cube_name);
+    if (cube_it == shard.lattice.end()) continue;
+    auto epoch_it = cube_it->second.find(want.epoch);
+    if (epoch_it == cube_it->second.end()) continue;
+    for (const NodeBucket& node : epoch_it->second) {
+      if (!node.group_by.RollsUpTo(want.group_by, schema)) continue;
+      if (!probe) {
+        for (const auto& [hash, it] : node.by_predicates) consider(*it);
+        continue;
+      }
+      for (size_t s = 0; s < subset_count; ++s) {
+        auto [lo, hi] = node.by_predicates.equal_range(subsets[s]);
+        for (; lo != hi; ++lo) consider(*lo->second);
+      }
+    }
+  }
+  subsumption_probes_.fetch_add(probes, std::memory_order_relaxed);
+  span.AddInt("hit", best ? 1 : 0);
+  if (!best) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
+  }
+  {
     // Bump the winner only: candidates it beat must stay evictable.
     Shard& shard = ShardFor(best_key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.index.find(best_key);
-    if (it != shard.index.end()) {
+    if (it != shard.index.end() && it->second->entry == best) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     }
-    subsumption_hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
   }
-  span.AddInt("hit", best ? 1 : 0);
-  return best;
+  subsumption_hits_.fetch_add(1, std::memory_order_relaxed);
+  return *best;
 }
 
 void CubeResultCache::Insert(const std::string& key, CanonicalQuery query,
                              const Cube& cube) {
   if (ASSESS_FAILPOINT_TRIGGERED("cache.insert")) return;  // dropped insert
   Span span("cache.insert");
-  size_t bytes = EstimateCubeBytes(cube) + key.size() + sizeof(Entry);
+  size_t bytes = EstimateCubeBytes(cube) + key.size() + sizeof(Entry) +
+                 sizeof(CubeEntry) + IndexBytes(query);
   span.AddInt("bytes", static_cast<int64_t>(bytes));
   if (bytes > shard_budget_) return;
+  const uint64_t predicate_set_hash = PredicateSetHash(query.predicate_keys);
+  auto entry =
+      std::make_shared<const CubeEntry>(CubeEntry{std::move(query), cube});
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    shard.bytes -= it->second->bytes;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-  }
-  shard.lru.push_front(Entry{key, CubeEntry{std::move(query), cube}, bytes});
+  if (it != shard.index.end()) Erase(shard, it->second);
+  shard.lru.push_front(Entry{key, std::move(entry), bytes, predicate_set_hash});
   shard.index[key] = shard.lru.begin();
+  AddToLattice(shard, shard.lru.begin());
   shard.bytes += bytes;
   insertions_.fetch_add(1, std::memory_order_relaxed);
   while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
-    Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
+    Erase(shard, std::prev(shard.lru.end()));
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -114,6 +235,7 @@ void CubeResultCache::Clear() {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.lru.clear();
     shard.index.clear();
+    shard.lattice.clear();
     shard.bytes = 0;
   }
 }
@@ -123,17 +245,22 @@ size_t CubeResultCache::InvalidateEpochsBefore(std::string_view cube_name,
   size_t dropped = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      const CanonicalQuery& query = it->entry.query;
-      if (query.cube_name == cube_name && query.epoch < epoch) {
-        shard.bytes -= it->bytes;
-        shard.index.erase(it->key);
-        it = shard.lru.erase(it);
-        ++dropped;
-      } else {
-        ++it;
+    auto cube_it = shard.lattice.find(cube_name);
+    if (cube_it == shard.lattice.end()) continue;
+    EpochBuckets& epochs = cube_it->second;
+    const auto stale_end = epochs.lower_bound(epoch);
+    for (auto bucket = epochs.begin(); bucket != stale_end; ++bucket) {
+      for (const NodeBucket& node : bucket->second) {
+        for (const auto& [hash, it] : node.by_predicates) {
+          shard.bytes -= it->bytes;
+          shard.index.erase(it->key);
+          shard.lru.erase(it);
+          ++dropped;
+        }
       }
     }
+    epochs.erase(epochs.begin(), stale_end);
+    if (epochs.empty()) shard.lattice.erase(cube_it);
   }
   if (dropped > 0) {
     epoch_invalidations_.fetch_add(dropped, std::memory_order_relaxed);
@@ -151,6 +278,8 @@ CacheStats CubeResultCache::stats() const {
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.epoch_invalidations =
       epoch_invalidations_.load(std::memory_order_relaxed);
+  stats.subsumption_probes =
+      subsumption_probes_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     stats.bytes_resident += shard.bytes;
@@ -159,29 +288,19 @@ CacheStats CubeResultCache::stats() const {
   return stats;
 }
 
-bool RollupAnswersQuery(const CubeSchema& schema, const CubeQuery& query,
-                        const GroupBySet& source_group_by) {
-  // Measures must re-aggregate losslessly.
-  for (int m : query.measures) {
-    if (schema.measure(m).op == AggOp::kAvg) return false;
-  }
-  // Per hierarchy: the finest level the query touches must be rolled up to
-  // from the source's level for that hierarchy.
-  for (int h = 0; h < schema.hierarchy_count(); ++h) {
-    int finest_needed = -1;  // -1: hierarchy untouched.
-    if (query.group_by.HasHierarchy(h)) {
-      finest_needed = query.group_by.LevelOf(h);
+size_t CubeResultCache::IndexedEntries() const {
+  size_t entries = 0;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    for (const auto& [cube, epochs] : shard.lattice) {
+      for (const auto& [epoch, nodes] : epochs) {
+        for (const NodeBucket& node : nodes) {
+          entries += node.by_predicates.size();
+        }
+      }
     }
-    for (const Predicate& p : query.predicates) {
-      if (p.hierarchy != h) continue;
-      finest_needed =
-          finest_needed < 0 ? p.level : std::min(finest_needed, p.level);
-    }
-    if (finest_needed < 0) continue;
-    if (!source_group_by.HasHierarchy(h)) return false;
-    if (source_group_by.LevelOf(h) > finest_needed) return false;
   }
-  return true;
+  return entries;
 }
 
 bool EntryAnswersQuery(const CubeSchema& schema, const CanonicalQuery& want,
@@ -196,24 +315,34 @@ bool EntryAnswersQuery(const CubeSchema& schema, const CanonicalQuery& want,
   // The entry's predicate conjunction must be implied by the request's:
   // every entry predicate appears canonically in the request, so the
   // entry's rows are a superset of the rows the request needs.
-  std::unordered_set<std::string> want_keys;
-  for (const Predicate& p : want.predicates) want_keys.insert(PredicateKey(p));
-  std::unordered_set<std::string> entry_keys;
-  for (const Predicate& p : entry.predicates) {
-    const std::string key = PredicateKey(p);
-    if (!want_keys.count(key)) return false;
-    entry_keys.insert(key);
+  if (!std::includes(want.predicate_keys.begin(), want.predicate_keys.end(),
+                     entry.predicate_keys.begin(),
+                     entry.predicate_keys.end())) {
+    return false;
   }
-  // The residual request (its group-by plus the extra predicates the entry
-  // has not already applied) must be answerable by rolling the entry up.
-  CubeQuery residual;
-  residual.cube_name = want.cube_name;
-  residual.group_by = want.group_by;
-  residual.measures = want.measures;
-  for (const Predicate& p : want.predicates) {
-    if (!entry_keys.count(PredicateKey(p))) residual.predicates.push_back(p);
+  // The residual request — its group-by plus the extra predicates the entry
+  // has not already applied — must be answerable by rolling the entry up:
+  // measures re-aggregate losslessly (avg does not), and every level the
+  // residual touches is available at a finer-or-equal level in the entry.
+  for (int m : want.measures) {
+    if (schema.measure(m).op == AggOp::kAvg) return false;
   }
-  return RollupAnswersQuery(schema, residual, entry.group_by);
+  const GroupBySet& source = entry.group_by;
+  if (!source.RollsUpTo(want.group_by, schema)) return false;
+  for (size_t i = 0; i < want.predicates.size(); ++i) {
+    if (std::binary_search(entry.predicate_keys.begin(),
+                           entry.predicate_keys.end(),
+                           want.predicate_keys[i])) {
+      continue;  // applied by the entry already
+    }
+    const Predicate& p = want.predicates[i];
+    if (p.hierarchy < 0 || p.hierarchy >= source.hierarchy_count()) {
+      return false;
+    }
+    if (!source.HasHierarchy(p.hierarchy)) return false;
+    if (source.LevelOf(p.hierarchy) > p.level) return false;
+  }
+  return true;
 }
 
 const CubeEntry* SmallestAnsweringEntry(const CubeSchema& schema,

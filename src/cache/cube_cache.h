@@ -3,10 +3,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -49,6 +53,9 @@ struct CacheStats {
   uint64_t insertions = 0;         ///< entries stored (replacements included)
   uint64_t evictions = 0;          ///< entries dropped by the byte budget
   uint64_t epoch_invalidations = 0;  ///< entries swept by InvalidateEpochsBefore
+  /// Entries on which FindSubsuming ran the answerability test: the
+  /// candidates its lattice index reached. Deterministic work per miss.
+  uint64_t subsumption_probes = 0;
   size_t bytes_resident = 0;       ///< estimated bytes currently held
   size_t entries = 0;              ///< entries currently held
 
@@ -61,6 +68,12 @@ struct CacheStats {
 /// canonical query fingerprint; lookups either match exactly or find a
 /// finer-grained entry whose result subsumes the request (EntryAnswersQuery,
 /// the same rule that picks a view) for client-side re-aggregation.
+///
+/// The subsumption lookup is indexed by the group-by lattice: each shard
+/// files its entries under (cube, epoch, group-by node, predicate set), so a
+/// lookup reaches only entries of the request's cube and epoch, at nodes
+/// that roll up to the requested group-by, whose predicate set is a subset
+/// of the request's.
 ///
 /// Mutable fact tables are handled by epoch keying: the engine stamps every
 /// entry with the fact epoch it was computed at (part of the fingerprint,
@@ -81,17 +94,20 @@ class CubeResultCache {
   bool Contains(const std::string& key) const;
 
   /// \brief Subsumption lookup: among entries on `want.cube_name`, returns
-  /// a copy of the smallest (fewest rows) entry that answers `want` per
-  /// EntryAnswersQuery, or nullopt. Only the returned entry is bumped to
-  /// most-recently-used. Call after FindExact missed; counts the
-  /// subsumption hit or the overall miss.
+  /// a copy of the smallest entry that answers `want` per EntryAnswersQuery,
+  /// or nullopt. Smallest is fewest rows, then the smallest fingerprint key,
+  /// so the winner depends only on what is resident, not on shard placement
+  /// or LRU order. Only the returned entry is bumped to most-recently-used
+  /// and copied. Call after FindExact missed; counts the subsumption hit or
+  /// the overall miss, and the candidates tested (subsumption_probes).
   std::optional<CubeEntry> FindSubsuming(const CubeSchema& schema,
                                          const CanonicalQuery& want);
 
   /// \brief Stores `cube` as the result of `query` under `key`, replacing
   /// any previous entry, then evicts least-recently-used entries until the
   /// shard is back under budget. Entries bigger than a whole shard's budget
-  /// are not stored (they would only thrash the LRU list).
+  /// are not stored (they would only thrash the LRU list). `query` must come
+  /// from CanonicalizeQuery (the index reads its predicate keys).
   void Insert(const std::string& key, CanonicalQuery query, const Cube& cube);
 
   /// \brief Drops every entry.
@@ -100,7 +116,8 @@ class CubeResultCache {
   /// \brief Sweeps entries of `cube_name` whose epoch predates `epoch` —
   /// the ingest commit's eager reclamation of results its append just made
   /// stale. Pure memory hygiene: epoch keying already makes such entries
-  /// unreachable. Returns the number of entries dropped (also counted in
+  /// unreachable. Drops whole (cube, epoch) index buckets without visiting
+  /// any other entry. Returns the number of entries dropped (also counted in
   /// stats().epoch_invalidations).
   size_t InvalidateEpochsBefore(std::string_view cube_name, uint64_t epoch);
 
@@ -108,21 +125,44 @@ class CubeResultCache {
 
   size_t budget_bytes() const { return budget_bytes_; }
 
+  /// \brief Entries reachable through the subsumption index. Equals
+  /// stats().entries whenever no call is in flight; tests check that the
+  /// index and the LRU list stay in step.
+  size_t IndexedEntries() const;
+
  private:
   struct Entry {
     std::string key;
-    CubeEntry entry;
+    // Shared so a lookup can hold its best candidate across shard locks and
+    // copy only the winner, once, outside every lock.
+    std::shared_ptr<const CubeEntry> entry;
     size_t bytes = 0;
+    uint64_t predicate_set_hash = 0;  // PredicateSetHash of the query's keys
   };
+  using LruList = std::list<Entry>;
+
+  // The entries of one (cube, epoch) at one group-by node, by the hash of
+  // their predicate set.
+  struct NodeBucket {
+    GroupBySet group_by;
+    std::unordered_multimap<uint64_t, LruList::iterator> by_predicates;
+  };
+  // Per cube: epoch -> resident group-by nodes. Ordered by epoch, so stale
+  // epochs are one prefix.
+  using EpochBuckets = std::map<uint64_t, std::vector<NodeBucket>>;
 
   struct Shard {
     mutable std::mutex mutex;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
+    LruList lru;  // front = most recently used
+    std::unordered_map<std::string, LruList::iterator> index;
+    std::map<std::string, EpochBuckets, std::less<>> lattice;
     size_t bytes = 0;
   };
 
   Shard& ShardFor(const std::string& key);
+  // Both run under the shard's lock.
+  static void AddToLattice(Shard& shard, LruList::iterator it);
+  static void Erase(Shard& shard, LruList::iterator it);
 
   size_t budget_bytes_;
   size_t shard_budget_;
@@ -135,31 +175,27 @@ class CubeResultCache {
   mutable std::atomic<uint64_t> insertions_{0};
   mutable std::atomic<uint64_t> evictions_{0};
   mutable std::atomic<uint64_t> epoch_invalidations_{0};
+  mutable std::atomic<uint64_t> subsumption_probes_{0};
 };
-
-/// \brief True when `query` can be answered by re-aggregating any
-/// selection-free result pre-aggregated at `source_group_by`: every level
-/// the query needs (group-by or predicate) is available at a finer-or-equal
-/// level in the source, and all query measures re-aggregate losslessly
-/// (sum/min/max/count; avg is not distributive and disqualifies the
-/// source). The group-by half of EntryAnswersQuery.
-bool RollupAnswersQuery(const CubeSchema& schema, const CubeQuery& query,
-                        const GroupBySet& source_group_by);
 
 /// \brief True when `entry` (a cached result or a materialized view) can
 /// answer `want` by client-side re-aggregation: same cube; the entry's
 /// predicates are a subset of the request's (so the request's conjunction
 /// implies the entry's and the entry's rows are a superset of the rows
 /// needed); the request's group-by and every *extra* request predicate are
-/// reachable by rolling the entry's group-by up (RollupAnswersQuery, which
-/// also enforces that avg measures disqualify); and the requested measures
+/// reachable by rolling the entry's group-by up (every level they touch is
+/// present in the entry at a finer-or-equal level, and no requested measure
+/// is an avg, which does not re-aggregate); and the requested measures
 /// are a subset of the entry's. Entries from a different fact epoch never
-/// answer: their cube had different contents.
+/// answer: their cube had different contents. Both queries must come from
+/// CanonicalizeQuery; the test compares their sorted predicate keys and
+/// allocates nothing.
 bool EntryAnswersQuery(const CubeSchema& schema, const CanonicalQuery& want,
                        const CanonicalQuery& entry);
 
 /// \brief The smallest (fewest rows; the first on ties) entry of `entries`
-/// that answers `want` per EntryAnswersQuery, or nullptr when none does.
+/// that answers `want` per EntryAnswersQuery, or nullptr when none does. A
+/// linear walk: it serves a cube's handful of materialized views.
 const CubeEntry* SmallestAnsweringEntry(const CubeSchema& schema,
                                         const CanonicalQuery& want,
                                         const std::vector<CubeEntry>& entries);

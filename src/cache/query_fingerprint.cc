@@ -1,6 +1,7 @@
 #include "cache/query_fingerprint.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace assess {
 
@@ -33,8 +34,10 @@ CanonicalQuery CanonicalizeQuery(const CubeQuery& query) {
   canon.cube_name = query.cube_name;
   canon.group_by = query.group_by;
 
-  canon.predicates = query.predicates;
-  for (Predicate& p : canon.predicates) {
+  // Normalize each predicate, key it once, then sort and deduplicate by key.
+  std::vector<std::pair<std::string, Predicate>> keyed;
+  keyed.reserve(query.predicates.size());
+  for (Predicate p : query.predicates) {
     // IN member order is immaterial; BETWEEN bounds are positional.
     if (p.op == PredicateOp::kIn) {
       std::sort(p.members.begin(), p.members.end());
@@ -42,17 +45,22 @@ CanonicalQuery CanonicalizeQuery(const CubeQuery& query) {
                       p.members.end());
       if (p.members.size() == 1) p.op = PredicateOp::kEquals;
     }
+    std::string key = PredicateKey(p);
+    keyed.emplace_back(std::move(key), std::move(p));
   }
-  std::sort(canon.predicates.begin(), canon.predicates.end(),
-            [](const Predicate& a, const Predicate& b) {
-              return PredicateKey(a) < PredicateKey(b);
-            });
-  canon.predicates.erase(
-      std::unique(canon.predicates.begin(), canon.predicates.end(),
-                  [](const Predicate& a, const Predicate& b) {
-                    return PredicateKey(a) == PredicateKey(b);
-                  }),
-      canon.predicates.end());
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  keyed.erase(std::unique(keyed.begin(), keyed.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.first == b.first;
+                          }),
+              keyed.end());
+  canon.predicates.reserve(keyed.size());
+  canon.predicate_keys.reserve(keyed.size());
+  for (auto& [key, p] : keyed) {
+    canon.predicate_keys.push_back(std::move(key));
+    canon.predicates.push_back(std::move(p));
+  }
 
   canon.measures = query.measures;
   std::sort(canon.measures.begin(), canon.measures.end());
@@ -74,7 +82,7 @@ std::string FingerprintKey(const CanonicalQuery& query) {
     key.append(std::to_string(query.group_by.LevelOf(h)));
     key.push_back(';');
   }
-  for (const Predicate& p : query.predicates) key.append(PredicateKey(p));
+  for (const std::string& p : query.predicate_keys) key.append(p);
   key.push_back('m');
   for (int m : query.measures) {
     key.append(std::to_string(m));

@@ -16,9 +16,10 @@ namespace assess {
 /// to the same value.
 ///
 /// Normalizations applied:
-///  - predicates are sorted by (hierarchy, level, op, members); IN member
-///    lists are sorted and deduplicated; a one-member IN collapses to =;
-///    duplicate predicates are dropped (conjunction is idempotent);
+///  - IN member lists are sorted and deduplicated; a one-member IN
+///    collapses to =; predicates are then sorted by PredicateKey and
+///    duplicates dropped (conjunction is idempotent); each key is computed
+///    once and kept, in the same order, in `predicate_keys`;
 ///  - measures are sorted and deduplicated (the cached cube carries named
 ///    columns, so any requested order can be projected back out);
 ///  - the alias is dropped (renaming happens client-side, after the get).
@@ -26,6 +27,10 @@ struct CanonicalQuery {
   std::string cube_name;
   GroupBySet group_by;
   std::vector<Predicate> predicates;
+  /// PredicateKey of each predicate, parallel to `predicates` and sorted
+  /// ascending: predicate-set containment is std::includes over two of
+  /// these, with no key rebuilt per test.
+  std::vector<std::string> predicate_keys;
   std::vector<int> measures;
   /// The fact-table epoch the result was computed at. Not part of query
   /// canonicalization (CanonicalizeQuery leaves it 0); the engine stamps it

@@ -37,7 +37,7 @@ namespace assess {
 ///   - LatticeHeat: rolls per-fingerprint stats up the roll-up lattice of
 ///     one cube. A query's *candidate node* is the finest level it touches
 ///     per hierarchy (group-by or selection) — exactly the applicability
-///     condition of RollupAnswersQuery (cache/cube_cache.h), so a view
+///     condition of EntryAnswersQuery (cache/cube_cache.h), so a view
 ///     materialized at a candidate node is guaranteed to answer the queries
 ///     that heated it.
 ///
@@ -311,7 +311,7 @@ class WorkloadProfiler {
 
 /// \brief The candidate lattice node of one canonical query: per hierarchy,
 /// the finest level touched by its group-by or predicates, -1 for ALL.
-/// Matches RollupAnswersQuery's applicability condition, so a view at this
+/// Matches EntryAnswersQuery's roll-up condition, so a view at this
 /// node always answers the query.
 std::vector<int> CandidateNode(const CubeSchema& schema,
                                const CanonicalQuery& canon);

@@ -916,6 +916,7 @@ ServerStats AssessServer::Snapshot() const {
     stats.cache_entries = cache.entries;
     stats.cache_bytes = cache.bytes_resident;
     stats.cache_epoch_invalidations = cache.epoch_invalidations;
+    stats.cache_subsumption_probes = cache.subsumption_probes;
   }
   if (options_.engine.pool) {
     TaskPoolStats pool = options_.engine.pool->stats();

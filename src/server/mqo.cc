@@ -75,8 +75,8 @@ Result<std::vector<MqoCollector::PlannedGet>> MqoCollector::PlanStatement(
     get.fingerprint = FingerprintKey(get.canon);
     get.group_key = get.canon.cube_name;
     get.group_key.push_back('\0');
-    for (const Predicate& p : get.canon.predicates) {
-      get.group_key += PredicateKey(p);
+    for (const std::string& key : get.canon.predicate_keys) {
+      get.group_key += key;
     }
     get.group_key.push_back('\0');
     get.group_key += std::to_string(get.canon.epoch);

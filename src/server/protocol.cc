@@ -458,6 +458,9 @@ constexpr StatsField kStatsFields[] = {
     {"cache", "assess_cache_epoch_invalidations_total",
      "Cached results swept because their cube advanced past their epoch",
      kCounter, &S::cache_epoch_invalidations},
+    {"cache", "assessd_cache_subsumption_probes_total",
+     "Cache entries the subsumption lookup tested as candidates", kCounter,
+     &S::cache_subsumption_probes},
     {"engine", "assessd_pool_workers", "Shared task pool worker threads",
      kGauge, &S::pool_workers},
     {"engine", "assessd_pool_queue_depth", "Scan jobs with unclaimed morsels",

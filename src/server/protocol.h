@@ -238,6 +238,7 @@ struct ServerStats {
   uint64_t ingest_rows = 0;     ///< fact rows appended via kIngest
   uint64_t ingest_batches = 0;  ///< epoch-stamped commits those rows made
   uint64_t cache_epoch_invalidations = 0;  ///< stale-epoch entries swept
+  uint64_t cache_subsumption_probes = 0;  ///< entries subsumption tested
   // Durability counters (zero on a server without --data-dir).
   uint64_t wal_appends = 0;     ///< WAL records appended
   uint64_t wal_fsyncs = 0;      ///< fsync(2) calls the WAL issued (group

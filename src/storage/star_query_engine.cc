@@ -6,7 +6,6 @@
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 
 #include "algebra/operators.h"
@@ -1133,13 +1132,13 @@ Result<Cube> StarQueryEngine::ExecuteGet(const BoundCube& bound,
   if (source != nullptr) {
     // Re-aggregate the source client-side, applying only the predicates it
     // has not already applied.
-    std::unordered_set<std::string> applied;
-    for (const Predicate& p : source->query.predicates) {
-      applied.insert(PredicateKey(p));
-    }
+    const std::vector<std::string>& applied = source->query.predicate_keys;
     std::vector<Predicate> extra;
-    for (const Predicate& p : canon.predicates) {
-      if (!applied.count(PredicateKey(p))) extra.push_back(p);
+    for (size_t i = 0; i < canon.predicates.size(); ++i) {
+      if (!std::binary_search(applied.begin(), applied.end(),
+                              canon.predicate_keys[i])) {
+        extra.push_back(canon.predicates[i]);
+      }
     }
     Span span("engine.rollup");
     if (span.active()) {
@@ -1219,7 +1218,7 @@ Result<std::vector<Cube>> StarQueryEngine::ExecuteSharedScan(
   // conjunction. Violations are collector bugs, not user errors.
   std::vector<CanonicalQuery> canons;
   canons.reserve(queries.size());
-  std::string shared_pred_key;
+  std::vector<std::string> shared_pred_keys;
   for (size_t i = 0; i < queries.size(); ++i) {
     const CubeQuery& q = queries[i];
     if (q.cube_name != queries[0].cube_name) {
@@ -1227,11 +1226,9 @@ Result<std::vector<Cube>> StarQueryEngine::ExecuteSharedScan(
     }
     ASSESS_RETURN_NOT_OK(PartitionPredicates(schema, q.predicates).status());
     CanonicalQuery canon = CanonicalizeQuery(q);
-    std::string pred_key;
-    for (const Predicate& p : canon.predicates) pred_key += PredicateKey(p);
     if (i == 0) {
-      shared_pred_key = std::move(pred_key);
-    } else if (pred_key != shared_pred_key) {
+      shared_pred_keys = canon.predicate_keys;
+    } else if (canon.predicate_keys != shared_pred_keys) {
       return Status::Internal("shared scan mixes predicate conjunctions");
     }
     canons.push_back(std::move(canon));

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
+#include <set>
 #include <thread>
 
 #include "assess/session.h"
@@ -510,6 +512,251 @@ TEST_F(CacheTest, ConcurrentSessionsOnOneCacheAgree) {
   for (std::thread& t : pool) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(shared->stats().hits(), 0u);
+}
+
+
+// --- The lattice index ----------------------------------------------------
+
+// A cube of `rows` cells with no axes: the index and the answerability test
+// read an entry's query and row count only.
+Cube CubeOfRows(int64_t rows) {
+  return Cube::FromColumns({}, {}, {"quantity"},
+                           {std::vector<double>(static_cast<size_t>(rows))});
+}
+
+// The mini schema's lattice: date(date, month, year), product(product,
+// type), store(store, country); measures quantity, sales.
+CubeQuery RawQuery(const std::vector<std::pair<int, int>>& by,
+                   std::vector<Predicate> preds, std::vector<int> measures) {
+  CubeQuery q;
+  q.cube_name = "SALES";
+  q.group_by = GroupBySet(3);
+  for (const auto& [h, level] : by) q.group_by.SetLevel(h, level);
+  q.predicates = std::move(preds);
+  q.measures = std::move(measures);
+  return q;
+}
+
+// The work of a miss depends on the entries that could answer it, not on
+// how many are resident: an explore-shaped session (every entry its own
+// date range) adds entries no later request can use.
+TEST_F(CacheTest, SubsumptionProbesPerMissDoNotGrowWithEntries) {
+  auto probes_per_miss = [&](int entries) {
+    CubeResultCache cache;
+    // Two unpredicated entries: one at a node the requests roll up from
+    // (reached, but it cannot evaluate a date-level range), one at a node
+    // they do not (never reached).
+    std::vector<CubeQuery> background = {
+        RawQuery({{0, 1}, {1, 0}, {2, 1}}, {}, {0}),
+        RawQuery({{0, 2}}, {}, {0}),
+    };
+    for (const CubeQuery& q : background) {
+      CanonicalQuery canon = CanonicalizeQuery(q);
+      cache.Insert(FingerprintKey(canon), canon, CubeOfRows(50));
+    }
+    auto range = [](int i) {
+      return Predicate{0, 0, PredicateOp::kBetween,
+                       {"d" + std::to_string(10000 + 2 * i),
+                        "d" + std::to_string(10001 + 2 * i)}};
+    };
+    for (int i = 0; i < entries; ++i) {
+      CanonicalQuery canon = CanonicalizeQuery(RawQuery(
+          {{1, 1}, {2, 1}},
+          {range(i), {2, 1, PredicateOp::kIn, {"France", "Italy"}}}, {0}));
+      cache.Insert(FingerprintKey(canon), canon, CubeOfRows(20 + i % 7));
+    }
+    EXPECT_EQ(cache.stats().entries, static_cast<size_t>(entries) + 2);
+    constexpr int kMisses = 20;
+    for (int i = 0; i < kMisses; ++i) {
+      const Predicate italy{2, 1, PredicateOp::kEquals, {"Italy"}};
+      CanonicalQuery want = CanonicalizeQuery(
+          RawQuery({{1, 1}}, {range(entries + i), italy}, {0}));
+      EXPECT_FALSE(cache.FindSubsuming(*mini_.schema, want).has_value());
+    }
+    CacheStats stats = cache.stats();
+    EXPECT_EQ(stats.misses, static_cast<uint64_t>(kMisses));
+    EXPECT_EQ(stats.subsumption_hits, 0u);
+    return static_cast<double>(stats.subsumption_probes) / kMisses;
+  };
+  const double at_100 = probes_per_miss(100);
+  const double at_1000 = probes_per_miss(1000);
+  EXPECT_EQ(at_100, 1.0);  // the one reachable background entry
+  EXPECT_EQ(at_1000, at_100);
+}
+
+// The reference rule, written from the definition rather than from the
+// cache's code: same cube and epoch; requested measures ⊆ entry measures;
+// entry predicates ⊆ request predicates; no avg measure; and per hierarchy,
+// the entry's level is finer-or-equal than the finest level the request's
+// group-by or unapplied predicates touch.
+bool ReferenceAnswers(const CubeSchema& schema, const CanonicalQuery& want,
+                      const CanonicalQuery& entry) {
+  if (want.cube_name != entry.cube_name || want.epoch != entry.epoch) {
+    return false;
+  }
+  std::set<int> have(entry.measures.begin(), entry.measures.end());
+  for (int m : want.measures) {
+    if (!have.count(m) || schema.measure(m).op == AggOp::kAvg) return false;
+  }
+  std::set<std::string> wanted;
+  for (const Predicate& p : want.predicates) wanted.insert(PredicateKey(p));
+  std::set<std::string> applied;
+  for (const Predicate& p : entry.predicates) {
+    if (!wanted.count(PredicateKey(p))) return false;
+    applied.insert(PredicateKey(p));
+  }
+  for (int h = 0; h < schema.hierarchy_count(); ++h) {
+    int finest = want.group_by.HasHierarchy(h) ? want.group_by.LevelOf(h) : -1;
+    for (const Predicate& p : want.predicates) {
+      if (p.hierarchy != h || applied.count(PredicateKey(p))) continue;
+      finest = finest < 0 ? p.level : std::min(finest, p.level);
+    }
+    if (finest < 0) continue;
+    if (!entry.group_by.HasHierarchy(h) || entry.group_by.LevelOf(h) > finest) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Randomized differential check of the indexed lookup against a brute-force
+// walk over everything resident, with the documented tie-break (fewest
+// rows, then smallest fingerprint key). Row counts come from a narrow range
+// so ties are common; the predicate pool is large enough that some requests
+// exceed the subset-probe cap and take the node-walk path; epoch sweeps
+// interleave with inserts and lookups.
+TEST_F(CacheTest, IndexedSubsumptionMatchesBruteForce) {
+  const std::vector<Predicate> pool = {
+      {0, 0, PredicateOp::kBetween, {"1997-01-01", "1997-03-31"}},
+      {0, 1, PredicateOp::kIn, {"1997-01", "1997-02"}},
+      {0, 2, PredicateOp::kEquals, {"1997"}},
+      {1, 0, PredicateOp::kEquals, {"Apple"}},
+      {1, 1, PredicateOp::kEquals, {"Fresh Fruit"}},
+      {2, 0, PredicateOp::kIn, {"S1", "S2"}},
+      {2, 1, PredicateOp::kEquals, {"Italy"}},
+      {2, 1, PredicateOp::kEquals, {"France"}},
+  };
+  const int levels[] = {3, 2, 2};
+  Rng rng(20260418);
+  auto random_query = [&](int max_preds) {
+    CubeQuery q = RawQuery({}, {}, {});
+    for (int h = 0; h < 3; ++h) {
+      const int level = static_cast<int>(rng.Uniform(levels[h] + 1)) - 1;
+      if (level >= 0) q.group_by.SetLevel(h, level);
+    }
+    const int preds = static_cast<int>(rng.Uniform(max_preds + 1));
+    for (int i = 0; i < preds; ++i) {
+      q.predicates.push_back(pool[rng.Uniform(pool.size())]);
+    }
+    const uint64_t measures = 1 + rng.Uniform(3);  // {q}, {s} or {q, s}
+    if (measures & 1) q.measures.push_back(0);
+    if (measures & 2) q.measures.push_back(1);
+    return q;
+  };
+
+  struct Resident {
+    CanonicalQuery query;
+    int64_t rows;
+  };
+  CubeResultCache cache;  // 64 MB: nothing is evicted
+  std::map<std::string, Resident> resident;
+  uint64_t epoch = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const uint64_t op = rng.Uniform(100);
+    if (op < 45) {
+      CanonicalQuery canon = CanonicalizeQuery(random_query(3));
+      canon.epoch = epoch - rng.Uniform(std::min<uint64_t>(epoch, 2) + 1);
+      const int64_t rows = 1 + static_cast<int64_t>(rng.Uniform(4));
+      const std::string key = FingerprintKey(canon);
+      cache.Insert(key, canon, CubeOfRows(rows));
+      resident[key] = Resident{canon, rows};
+    } else if (op < 97) {
+      CanonicalQuery want = CanonicalizeQuery(random_query(12));
+      want.epoch = epoch - rng.Uniform(std::min<uint64_t>(epoch, 1) + 1);
+      const std::string* expected = nullptr;
+      int64_t expected_rows = 0;
+      for (const auto& [key, r] : resident) {
+        if (!ReferenceAnswers(*mini_.schema, want, r.query)) continue;
+        if (expected == nullptr || r.rows < expected_rows) {
+          expected = &key;  // keys ascend, so the first on ties is smallest
+          expected_rows = r.rows;
+        }
+      }
+      std::optional<CubeEntry> found = cache.FindSubsuming(*mini_.schema, want);
+      ASSERT_EQ(found.has_value(), expected != nullptr) << "step " << step;
+      if (found) {
+        EXPECT_EQ(FingerprintKey(found->query), *expected) << "step " << step;
+        EXPECT_EQ(found->cube.NumRows(), expected_rows);
+      }
+    } else {
+      ++epoch;
+      size_t stale = 0;
+      for (auto it = resident.begin(); it != resident.end();) {
+        if (it->second.query.epoch + 1 < epoch) {
+          it = resident.erase(it);
+          ++stale;
+        } else {
+          ++it;
+        }
+      }
+      EXPECT_EQ(cache.InvalidateEpochsBefore("SALES", epoch - 1), stale);
+    }
+  }
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, resident.size());
+  EXPECT_EQ(cache.IndexedEntries(), resident.size());
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_GT(stats.subsumption_hits, 100u);
+  EXPECT_GT(stats.misses, 100u);
+  EXPECT_GT(epoch, 5u);
+}
+
+// Insert, lookup, eviction and epoch sweeps racing on one small cache leave
+// the lattice index and the LRU list the same size and the budget honored.
+TEST_F(CacheTest, ConcurrentIndexAndLruStayInStep) {
+  CacheOptions options;
+  options.shards = 4;
+  // Room for about 25 of the 72 distinct queries per epoch: always evicts.
+  options.budget_bytes = 16 * 1024;
+  CubeResultCache cache(options);
+  std::atomic<uint64_t> epoch{1};
+  constexpr int kThreads = 6;
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t]() {
+      Rng rng(t + 7);
+      for (int i = 0; i < 3000; ++i) {
+        CubeQuery q = RawQuery({}, {}, {0});
+        for (int h = 0; h < 3; ++h) {
+          if (rng.Uniform(2) == 0) q.group_by.SetLevel(h, 0);
+        }
+        if (rng.Uniform(2) == 0) {
+          const std::string country = "c" + std::to_string(rng.Uniform(8));
+          q.predicates.push_back({2, 1, PredicateOp::kEquals, {country}});
+        }
+        CanonicalQuery canon = CanonicalizeQuery(q);
+        canon.epoch = epoch.load();
+        const uint64_t op = rng.Uniform(100);
+        if (op < 50) {
+          cache.Insert(FingerprintKey(canon), canon,
+                       CubeOfRows(1 + static_cast<int64_t>(rng.Uniform(64))));
+        } else if (op < 98) {
+          (void)cache.FindSubsuming(*mini_.schema, canon);
+        } else {
+          cache.InvalidateEpochsBefore("SALES", epoch.fetch_add(1));
+        }
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  CacheStats stats = cache.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.epoch_invalidations, 0u);
+  EXPECT_EQ(cache.IndexedEntries(), stats.entries);
+  // Replacing an entry under its own key is the one uncounted removal.
+  EXPECT_LE(stats.entries + stats.evictions + stats.epoch_invalidations,
+            stats.insertions);
+  EXPECT_LE(stats.bytes_resident, options.budget_bytes);
 }
 
 }  // namespace
