@@ -4,7 +4,8 @@
 //
 //   1. Kernel micro-bench on the real SSB columns: the seed engine's
 //      per-row hash-aggregate loop (FlatMap64 + per-row key construction)
-//      against the fused dense kernel at every compiled-in tier. This is
+//      against the fused dense kernel at each tier (scalar, and AVX2 when
+//      the CPU has it). This is
 //      the apples-to-apples number for the "fused kernels at 1 thread"
 //      speedup target — same predicate, same grouping, same memory.
 //   2. Engine-level queries (apex, selective, non-selective, wide
@@ -136,7 +137,10 @@ int main() {
 
   const int reps = RepsFromEnv(5);
   const double sf = BaseScaleFactorFromEnv(0.2);
-  const int best = static_cast<int>(DetectCpuSimdLevel());
+  const SimdLevel best = DetectCpuSimdLevel();
+  // The tiers this CPU can run, scalar (the reference) first.
+  std::vector<SimdLevel> tiers = {SimdLevel::kScalar};
+  if (best == SimdLevel::kAVX2) tiers.push_back(SimdLevel::kAVX2);
 
   SsbScalePoint point;
   point.name = "SSB-simd";
@@ -147,8 +151,7 @@ int main() {
   const int64_t rows = facts.NumRows();
 
   std::printf("simd scan bench: SF %.3g (%lld rows), best tier %s, %d reps\n\n",
-              sf, static_cast<long long>(rows),
-              SimdLevelName(static_cast<SimdLevel>(best)), reps);
+              sf, static_cast<long long>(rows), SimdLevelName(best), reps);
 
   // -- 1. Kernel micro-bench ----------------------------------------------
   // Group by c_nation under year IN {1997, 1998}: the fused-kernel shape of
@@ -197,17 +200,16 @@ int main() {
   std::printf("kernel micro (year IN {1997,1998} by c_nation, 1 thread):\n");
   std::printf("  %-14s %ss\n", "generic-hash", Secs(generic_s).c_str());
 
-  std::vector<double> tier_seconds(best + 1, 0.0);
+  std::vector<double> tier_seconds(tiers.size(), 0.0);
   double scalar_check = 0;
-  for (int level = 0; level <= best; ++level) {
+  for (size_t t = 0; t < tiers.size(); ++t) {
     double check = 0;
-    tier_seconds[level] = RunFusedKernel(static_cast<SimdLevel>(level), args,
-                                         rows, reps, &check);
+    tier_seconds[t] = RunFusedKernel(tiers[t], args, rows, reps, &check);
     // Fused tiers are bit-identical to each other by contract. The generic
     // loop groups across the whole scan while this harness re-seeds groups
     // per morsel (no merge step), so against it only a rounding-tolerance
     // comparison is meaningful.
-    if (level == 0) {
+    if (t == 0) {
       scalar_check = check;
       double diff = check > generic_check ? check - generic_check
                                           : generic_check - check;
@@ -219,14 +221,12 @@ int main() {
       }
     } else if (check != scalar_check) {
       std::fprintf(stderr, "kernel checksum mismatch at tier %s: %f vs %f\n",
-                   SimdLevelName(static_cast<SimdLevel>(level)), check,
-                   scalar_check);
+                   SimdLevelName(tiers[t]), check, scalar_check);
       return 1;
     }
     std::printf("  fused-%-8s %ss  (%.2fx vs generic)\n",
-                SimdLevelName(static_cast<SimdLevel>(level)),
-                Secs(tier_seconds[level]).c_str(),
-                generic_s / tier_seconds[level]);
+                SimdLevelName(tiers[t]), Secs(tier_seconds[t]).c_str(),
+                generic_s / tier_seconds[t]);
   }
 
   // -- 2. Engine-level queries at each tier ---------------------------------
@@ -255,7 +255,7 @@ int main() {
 
   struct EnginePoint {
     const char* query;
-    int tier;
+    SimdLevel tier;
     double seconds;
   };
   std::vector<EnginePoint> engine_points;
@@ -265,8 +265,8 @@ int main() {
   for (const QueryCase& qc : cases) {
     double scalar_s = 0;
     uint64_t want_check = 0;
-    for (int level = 0; level <= best; ++level) {
-      ForceSimdLevelForTest(level);
+    for (SimdLevel tier : tiers) {
+      ForceSimdLevelForTest(static_cast<int>(tier));
       EngineOptions options;
       options.use_views = false;
       options.use_result_cache = false;
@@ -275,18 +275,17 @@ int main() {
       StarQueryEngine engine(db.get(), options);
       uint64_t check = 0;
       double seconds = TimeQuery(engine, qc.query, reps, &check);
-      if (level == 0) {
+      if (tier == SimdLevel::kScalar) {
         scalar_s = seconds;
         want_check = check;
       } else if (check != want_check) {
         std::fprintf(stderr,
                      "engine checksum mismatch: query %s tier %s\n",
-                     qc.name, SimdLevelName(static_cast<SimdLevel>(level)));
+                     qc.name, SimdLevelName(tier));
         return 1;
       }
-      engine_points.push_back({qc.name, level, seconds});
-      std::printf("  %-14s %-8s %ss %9.2fx\n", qc.name,
-                  SimdLevelName(static_cast<SimdLevel>(level)),
+      engine_points.push_back({qc.name, tier, seconds});
+      std::printf("  %-14s %-8s %ss %9.2fx\n", qc.name, SimdLevelName(tier),
                   Secs(seconds).c_str(), scalar_s / seconds);
     }
   }
@@ -308,24 +307,23 @@ int main() {
                "    \"workload\": \"year IN {1997,1998} group by c_nation, "
                "sum revenue, 1 thread\",\n"
                "    \"generic_hash_seconds\": %.6f,\n",
-               sf, static_cast<long long>(rows), reps,
-               SimdLevelName(static_cast<SimdLevel>(best)), generic_s);
-  for (int level = 0; level <= best; ++level) {
+               sf, static_cast<long long>(rows), reps, SimdLevelName(best),
+               generic_s);
+  for (size_t t = 0; t < tiers.size(); ++t) {
     std::fprintf(json, "    \"fused_%s_seconds\": %.6f,\n",
-                 SimdLevelName(static_cast<SimdLevel>(level)),
-                 tier_seconds[level]);
+                 SimdLevelName(tiers[t]), tier_seconds[t]);
   }
   std::fprintf(json,
                "    \"speedup_best_vs_generic\": %.3f\n"
                "  },\n"
                "  \"engine_queries\": [\n",
-               generic_s / tier_seconds[best]);
+               generic_s / tier_seconds.back());
   for (size_t i = 0; i < engine_points.size(); ++i) {
     const EnginePoint& p = engine_points[i];
     std::fprintf(json,
                  "    {\"query\": \"%s\", \"tier\": \"%s\", "
                  "\"seconds\": %.6f}%s\n",
-                 p.query, SimdLevelName(static_cast<SimdLevel>(p.tier)),
+                 p.query, SimdLevelName(p.tier),
                  p.seconds, i + 1 < engine_points.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");

@@ -96,14 +96,15 @@ void CubeResultCache::Erase(Shard& shard, LruList::iterator it) {
   shard.lru.erase(it);
 }
 
-std::optional<Cube> CubeResultCache::FindExact(const std::string& key) {
+std::shared_ptr<const CubeEntry> CubeResultCache::FindExact(
+    const std::string& key) {
   Span span("cache.lookup");
   lookups_.fetch_add(1, std::memory_order_relaxed);
   // A triggered lookup failpoint degrades to a miss: results must be
   // byte-identical with or without the cache's help.
   if (ASSESS_FAILPOINT_TRIGGERED("cache.lookup")) {
     span.AddInt("hit", 0);
-    return std::nullopt;
+    return nullptr;
   }
   std::shared_ptr<const CubeEntry> hit;
   {
@@ -116,9 +117,8 @@ std::optional<Cube> CubeResultCache::FindExact(const std::string& key) {
     }
   }
   span.AddInt("hit", hit ? 1 : 0);
-  if (!hit) return std::nullopt;
-  exact_hits_.fetch_add(1, std::memory_order_relaxed);
-  return hit->cube;
+  if (hit) exact_hits_.fetch_add(1, std::memory_order_relaxed);
+  return hit;
 }
 
 bool CubeResultCache::Contains(const std::string& key) const {

@@ -85,8 +85,9 @@ class CubeResultCache {
   explicit CubeResultCache(CacheOptions options = {});
 
   /// \brief Exact lookup by fingerprint key. Counts a lookup; on hit the
-  /// entry is bumped to most-recently-used and its cube copied out.
-  std::optional<Cube> FindExact(const std::string& key);
+  /// entry is bumped to most-recently-used and returned as the resident,
+  /// immutable entry (shared, not copied), else null.
+  std::shared_ptr<const CubeEntry> FindExact(const std::string& key);
 
   /// \brief Whether an entry exists under `key`, without copying it, bumping
   /// its LRU position or counting a lookup. The MQO collector uses this to

@@ -8,7 +8,7 @@ namespace assess {
 
 namespace {
 
-// Set by CMake only when the per-tier kernel TUs are part of the build
+// Set by CMake only when the AVX2 kernel TU is part of the build
 // (x86-64 targets); other architectures run the scalar fallback.
 #if defined(ASSESS_SIMD_X86)
 constexpr bool kSimdCompiledIn = true;
@@ -34,8 +34,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSSE42:
-      return "sse42";
     case SimdLevel::kAVX2:
       return "avx2";
   }
@@ -46,7 +44,6 @@ SimdLevel DetectCpuSimdLevel() {
   if constexpr (!kSimdCompiledIn) return SimdLevel::kScalar;
 #if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAVX2;
-  if (__builtin_cpu_supports("sse4.2")) return SimdLevel::kSSE42;
 #endif
   return SimdLevel::kScalar;
 }
@@ -54,11 +51,10 @@ SimdLevel DetectCpuSimdLevel() {
 SimdLevel ResolveSimdLevel(const char* spec, SimdLevel detected) {
   if (spec == nullptr) return detected;
   std::string s = ToLower(spec);
-  if (s == "off" || s == "scalar" || s == "0" || s == "none") {
+  // SSE4.2 is a ceiling below the AVX2 tier: only scalar lies under it.
+  if (s == "off" || s == "scalar" || s == "0" || s == "none" ||
+      s == "sse42" || s == "sse4.2") {
     return SimdLevel::kScalar;
-  }
-  if (s == "sse42" || s == "sse4.2") {
-    return detected < SimdLevel::kSSE42 ? detected : SimdLevel::kSSE42;
   }
   if (s == "avx2") {
     return detected < SimdLevel::kAVX2 ? detected : SimdLevel::kAVX2;

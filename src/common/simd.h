@@ -8,23 +8,24 @@
 
 namespace assess {
 
-/// \brief The instruction-set tiers the scan kernels are compiled for.
+/// \brief The instruction-set tiers the scan kernels are compiled for: the
+/// scalar reference and AVX2.
 ///
-/// Dispatch is compile-time per translation unit (each tier's kernels live
-/// in a TU built with the matching -m flags) and runtime per process: the
-/// active tier is the best one that is (a) compiled in, (b) supported by
-/// the CPU, and (c) not ruled out by the ASSESS_SIMD environment variable.
-/// Every tier computes bit-identical results — the scalar fallback mirrors
-/// the vector kernels' lane order exactly — so the choice is purely a
-/// performance knob and CI can pin any tier on any machine.
+/// Dispatch is compile-time per translation unit (the AVX2 kernels live in
+/// a TU built with -mavx2) and runtime per process: the active tier is
+/// AVX2 when it is (a) compiled in, (b) supported by the CPU, and (c) not
+/// ruled out by the ASSESS_SIMD environment variable, else scalar. Both
+/// tiers compute bit-identical results — the AVX2 tier vectorizes only the
+/// integer keys and pass bits, and both add passing rows in row order
+/// through the same code — so the choice is purely a performance knob and
+/// CI can pin either tier on any machine.
 enum class SimdLevel : int {
   kScalar = 0,
-  kSSE42 = 1,
-  kAVX2 = 2,
+  kAVX2 = 1,
 };
 
-/// \brief Lower-case tier name ("scalar", "sse42", "avx2") for spans,
-/// metrics and EXPLAIN ANALYZE.
+/// \brief Lower-case tier name ("scalar", "avx2") for spans, metrics and
+/// EXPLAIN ANALYZE.
 const char* SimdLevelName(SimdLevel level);
 
 /// \brief The best tier this CPU can execute (compiled-in tiers only; on
@@ -33,10 +34,12 @@ SimdLevel DetectCpuSimdLevel();
 
 /// \brief The tier scans actually run at: DetectCpuSimdLevel() clamped by
 /// the ASSESS_SIMD environment variable. Recognized values (case-
-/// insensitive): "off"/"scalar"/"0" force the scalar fallback; "sse42" and
-/// "avx2" cap the tier (requesting a tier the CPU lacks falls back to the
-/// best supported one, never errors); anything else / unset means "auto".
-/// Resolved once per process and cached; ForceSimdLevelForTest overrides.
+/// insensitive): "off"/"scalar"/"0"/"none" force the scalar kernels;
+/// "avx2" caps the tier at AVX2 (requesting a tier the CPU lacks falls back
+/// to the best supported one, never errors); "sse42"/"sse4.2" are ceilings
+/// below AVX2 and so resolve to scalar; anything else / unset means
+/// "auto". Resolved once per process and cached; ForceSimdLevelForTest
+/// overrides.
 SimdLevel ActiveSimdLevel();
 
 /// \brief Test/bench hook: pins ActiveSimdLevel() to `level` (clamped to

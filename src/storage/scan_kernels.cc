@@ -1,17 +1,15 @@
 #include "storage/scan_kernels.h"
 
+#include <limits>
+
 #include "storage/scan_kernels_impl.h"
 
 namespace assess {
 
-// Entry points of the tier TUs (compiled with -msse4.2 / -mavx2; only added
-// to the build on x86-64, see src/CMakeLists.txt).
+// Entry points of the AVX2 TU (compiled with -mavx2; only added to the
+// build on x86-64, see src/CMakeLists.txt).
 #if defined(ASSESS_SIMD_X86)
 namespace simd_detail {
-void FusedScanSse42(const FusedScanArgs& args, int64_t begin, int64_t end,
-                    AggState* state);
-void MinMaxInt32Sse42(const int32_t* values, int64_t n, int32_t* min_out,
-                      int32_t* max_out);
 void FusedScanAvx2(const FusedScanArgs& args, int64_t begin, int64_t end,
                    AggState* state);
 void MinMaxInt32Avx2(const int32_t* values, int64_t n, int32_t* min_out,
@@ -29,13 +27,25 @@ void FusedScanScalar(const FusedScanArgs& args, int64_t begin, int64_t end,
 
 }  // namespace
 
+double InitialAccumulator(AggOp op) {
+  switch (op) {
+    case AggOp::kSum:
+    case AggOp::kAvg:
+    case AggOp::kCount:
+      return 0.0;
+    case AggOp::kMin:
+      return std::numeric_limits<double>::infinity();
+    case AggOp::kMax:
+      return -std::numeric_limits<double>::infinity();
+  }
+  return 0.0;
+}
+
 FusedScanFn GetFusedScanKernel(SimdLevel level) {
 #if defined(ASSESS_SIMD_X86)
   switch (level) {
     case SimdLevel::kAVX2:
       return &simd_detail::FusedScanAvx2;
-    case SimdLevel::kSSE42:
-      return &simd_detail::FusedScanSse42;
     case SimdLevel::kScalar:
       break;
   }
@@ -51,9 +61,6 @@ void MinMaxInt32(SimdLevel level, const int32_t* values, int64_t n,
   switch (level) {
     case SimdLevel::kAVX2:
       simd_detail::MinMaxInt32Avx2(values, n, min_out, max_out);
-      return;
-    case SimdLevel::kSSE42:
-      simd_detail::MinMaxInt32Sse42(values, n, min_out, max_out);
       return;
     case SimdLevel::kScalar:
       break;

@@ -29,12 +29,11 @@ namespace assess {
 /// kDenseKeyLimit, so the sum never reaches the reject bit) and group
 /// lookup is a direct index into a dense key→group array — no hashing.
 ///
-/// Determinism contract: every tier (scalar / SSE4.2 / AVX2) produces
-/// bit-identical output. Vector tiers only compute integer keys and pass
-/// bitmaps; floating-point accumulation is row-sequential in all tiers,
-/// except the no-group-by fast path which uses kAccLanes fixed-lane partial
-/// accumulators with the *same* lane assignment (row→lane (r−begin)&3) and
-/// the same lane merge order in every tier, scalar included.
+/// Determinism contract: both tiers (the scalar reference and AVX2)
+/// produce bit-identical output. The AVX2 tier only vectorizes the integer
+/// keys and pass bitmaps; every passing row is then added into its group by
+/// the one shared accumulate code, in row order, in every tier — a scan
+/// with no group-by included (it is the dense path with key_space 2).
 
 /// \brief Reject marker in a lane table (bit 31; clean lane sums stay far
 /// below it because the key space is capped at kDenseKeyLimit).
@@ -44,12 +43,6 @@ inline constexpr uint32_t kLaneReject = 0x80000000u;
 /// larger group-by spaces fall back to the generic hash kernel. 2^18 keys
 /// = a 1 MiB key→group array per in-flight morsel, freed at morsel end.
 inline constexpr uint32_t kDenseKeyLimit = 1u << 18;
-
-/// \brief Fixed lane count of the no-group-by partial accumulators. ISA-
-/// independent: the AVX2 tier maps it onto one 4-lane register, the SSE4.2
-/// tier onto two 2-lane registers, the scalar tier onto four doubles — all
-/// with rows assigned to lane (r − begin) & 3 and lanes merged 0→3.
-inline constexpr int kAccLanes = 4;
 
 /// \brief One hierarchy's input to the fused kernel. Exactly one of
 /// `packed` (fact scans) / `codes32` (view and cached-result roll-ups) is
@@ -66,6 +59,11 @@ struct KernelGroup {
   uint32_t radix = 0;
   uint32_t card1 = 0;  ///< level cardinality + 1
 };
+
+/// \brief Identity of `op`'s accumulator: 0 for sum/avg/count, +inf for
+/// min, -inf for max. Shared by the fused kernels, the generic hash kernel
+/// and the morsel merge.
+double InitialAccumulator(AggOp op);
 
 struct KernelMeasure {
   const double* source = nullptr;  ///< null: rows contribute 0.0 (count)
@@ -111,10 +109,8 @@ void MinMaxInt32(SimdLevel level, const int32_t* values, int64_t n,
                  int32_t* min_out, int32_t* max_out);
 
 /// \brief Decodes rows [begin, end) of a packed FK column into `out`
-/// (out[i] = code of row begin + i). The multi-consumer shared scan uses
-/// this to gather each packed column once per morsel and feed the same
-/// int32 codes to every consumer's kernel — identical codes, identical
-/// keys, so sharing cannot perturb results.
+/// (out[i] = code of row begin + i) — the codes PackedColumn::CodeAt
+/// reads. The MQO shared scan tests its common predicate over them.
 void DecodePackedCodes(const PackedColumn& packed, int64_t begin, int64_t end,
                        int32_t* out);
 

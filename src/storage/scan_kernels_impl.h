@@ -3,26 +3,23 @@
 
 // Template bodies of the fused scan→aggregate kernels, included by one
 // translation unit per instruction-set tier (scan_kernels.cc for scalar,
-// scan_kernels_sse42.cc / scan_kernels_avx2.cc built with the matching -m
-// flags — the __SSE4_2__/__AVX2__ guards below see those flags).
+// scan_kernels_avx2.cc built with -mavx2 — the __AVX2__ guards below see
+// that flag).
 //
-// The tier-specific code is confined to two primitives:
-//   Isa::ComputeKeys      — group keys + pass bitmap for a run of rows
-//   Isa::LaneAccumulate   — the no-group-by fixed-lane partial accumulators
-// Everything stateful — dense group assignment, first-seen coordinate
-// decode, measure accumulation — is the shared scalar code below, executed
-// in row order in every tier, which is what makes the tiers bit-identical.
+// The tier-specific code is confined to Isa::ComputeKeys (group keys + pass
+// bitmap for a run of rows) and Isa::MinMax. Everything stateful — dense
+// group assignment, first-seen coordinate decode, measure accumulation —
+// is the shared scalar code below, executed in row order in every tier,
+// which is what makes the tiers bit-identical.
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "storage/scan_kernels.h"
 
-#if defined(__SSE4_2__) || defined(__AVX2__)
+#if defined(__AVX2__)
 #include <immintrin.h>
 #endif
 
@@ -30,45 +27,35 @@ namespace assess {
 namespace kernel_detail {
 
 /// Rows per kernel block: key/bitmap buffers live in L1/L2 (16 KiB of keys)
-/// and the block length is a multiple of 64 (whole bitmap words) and of
-/// kAccLanes (lane phase never breaks inside a block).
+/// and the block length is a multiple of 64 (whole bitmap words).
 inline constexpr int64_t kKernelBlock = 4096;
-
-inline double InitialAccumulator(AggOp op) {
-  switch (op) {
-    case AggOp::kSum:
-    case AggOp::kAvg:
-    case AggOp::kCount:
-      return 0.0;
-    case AggOp::kMin:
-      return std::numeric_limits<double>::infinity();
-    case AggOp::kMax:
-      return -std::numeric_limits<double>::infinity();
-  }
-  return 0.0;
-}
 
 inline int32_t CodeOf(const KernelColumn& col, int64_t row) {
   return col.packed != nullptr ? col.packed->CodeAt(row) : col.codes32[row];
 }
 
-/// Scalar reference for keys + pass bits over rows [row0, row0 + n); also
-/// the tail path of the vector tiers, so its integer arithmetic *is* the
-/// kernel's definition of a key. Bits are OR-ed into `bitmap`, which must
-/// be zeroed beforehand.
+/// Key of row `r`, the scalar definition every tier agrees with: 1 plus
+/// the sum of the row's lane entries. Returns false when a lane rejects.
+inline bool RowKey(const std::vector<KernelColumn>& cols, int64_t r,
+                   uint32_t* key) {
+  uint32_t k = 1;
+  uint32_t rej = 0;
+  for (const KernelColumn& c : cols) {
+    const uint32_t lane = c.lane[CodeOf(c, r)];
+    rej |= lane;
+    k += lane;
+  }
+  *key = k;
+  return (rej & kLaneReject) == 0;
+}
+
+/// Keys + pass bits over rows [row0 + i0, row0 + n): the AVX2 tier's tail
+/// path. Bits are OR-ed into `bitmap`, which must be zeroed beforehand.
 inline void ComputeKeysScalar(const std::vector<KernelColumn>& cols,
                               int64_t row0, int64_t i0, int64_t n,
                               uint32_t* keys, uint64_t* bitmap) {
   for (int64_t i = i0; i < n; ++i) {
-    uint32_t key = 1;
-    uint32_t rej = 0;
-    for (const KernelColumn& c : cols) {
-      uint32_t lane = c.lane[CodeOf(c, row0 + i)];
-      rej |= lane;
-      key += lane;
-    }
-    keys[i] = key;
-    if ((rej & kLaneReject) == 0) {
+    if (RowKey(cols, row0 + i, &keys[i])) {
       bitmap[i >> 6] |= uint64_t{1} << (i & 63);
     }
   }
@@ -77,7 +64,7 @@ inline void ComputeKeysScalar(const std::vector<KernelColumn>& cols,
 /// Folds one passing row into `state`: first-seen group assignment through
 /// the dense key→group array, coordinate decode from the key, then the
 /// measure accumulate. The single definition every dense path shares — the
-/// block-staged vector tiers and the single-pass scalar tier both funnel
+/// block-staged AVX2 tier and the single-pass scalar tier both funnel
 /// passing rows through here in row order, which is what makes them
 /// bit-identical.
 inline void AccumulateRow(const FusedScanArgs& args, uint32_t key, int64_t r,
@@ -133,7 +120,7 @@ inline bool SingleSumShape(const FusedScanArgs& args) {
          args.measures[0].source != nullptr;
 }
 
-/// The vector tiers' accumulation phase: walks the pass bitmap in row
+/// The AVX2 tier's accumulation phase: walks the pass bitmap in row
 /// order, handing each passing row to AccumulateRow.
 inline void AccumulateBlock(const FusedScanArgs& args, int64_t row0,
                             int64_t n, const uint32_t* keys,
@@ -178,9 +165,9 @@ inline void AccumulateBlock(const FusedScanArgs& args, int64_t row0,
 
 /// The scalar tier's dense path: one pass, no key/bitmap staging buffers —
 /// without vector key computation the staging costs more than it saves.
-/// Rows flow through the same key arithmetic (ComputeKeysScalar's) and the
+/// Rows flow through the same key arithmetic (RowKey) and the
 /// same AccumulateRow in the same order, so output bits match the staged
-/// vector tiers exactly.
+/// AVX2 tier exactly.
 inline void DenseScanScalar(const FusedScanArgs& args, int64_t begin,
                             int64_t end, AggState* state) {
   if (SingleSumShape(args)) {
@@ -189,14 +176,8 @@ inline void DenseScanScalar(const FusedScanArgs& args, int64_t begin,
     double* acc = state->acc[0].data();
     int64_t passed = 0;
     for (int64_t r = begin; r < end; ++r) {
-      uint32_t key = 1;
-      uint32_t rej = 0;
-      for (const KernelColumn& c : args.columns) {
-        const uint32_t lane = c.lane[CodeOf(c, r)];
-        rej |= lane;
-        key += lane;
-      }
-      if ((rej & kLaneReject) != 0) continue;
+      uint32_t key = 0;
+      if (!RowKey(args.columns, r, &key)) continue;
       ++passed;
       const int32_t group = dense[key];
       if (group >= 0) {
@@ -210,47 +191,10 @@ inline void DenseScanScalar(const FusedScanArgs& args, int64_t begin,
     return;
   }
   for (int64_t r = begin; r < end; ++r) {
-    uint32_t key = 1;
-    uint32_t rej = 0;
-    for (const KernelColumn& c : args.columns) {
-      const uint32_t lane = c.lane[CodeOf(c, r)];
-      rej |= lane;
-      key += lane;
-    }
-    if ((rej & kLaneReject) != 0) continue;
+    uint32_t key = 0;
+    if (!RowKey(args.columns, r, &key)) continue;
     ++state->rows_passed;
     AccumulateRow(args, key, r, state);
-  }
-}
-
-/// Per-measure fixed-lane partials of the no-group-by path.
-struct LaneAcc {
-  std::array<double, kAccLanes> sum{};
-  std::array<int64_t, kAccLanes> count{};
-};
-
-#if defined(__SSE4_2__) || defined(__AVX2__)
-template <class Isa>
-int64_t LaneAccumulateVec(const FusedScanArgs& args, int64_t begin,
-                          int64_t end, std::vector<LaneAcc>* lanes);
-#endif
-
-/// Merges the lane partials into group 0 of `state`, lanes 0→kAccLanes in
-/// order — the deterministic reduction every tier shares.
-inline void FoldLanes(const FusedScanArgs& args,
-                      const std::vector<LaneAcc>& lanes, int64_t passed,
-                      AggState* state) {
-  state->rows_passed += passed;
-  if (passed == 0) return;  // mirror the hash kernel: no row, no group
-  const int num_measures = static_cast<int>(args.measures.size());
-  state->num_groups = 1;
-  for (int m = 0; m < num_measures; ++m) {
-    double total = lanes[m].sum[0];
-    for (int l = 1; l < kAccLanes; ++l) total += lanes[m].sum[l];
-    int64_t count = 0;
-    for (int l = 0; l < kAccLanes; ++l) count += lanes[m].count[l];
-    state->acc[m].push_back(total);
-    state->cnt[m].push_back(count);
   }
 }
 
@@ -258,51 +202,6 @@ inline void FoldLanes(const FusedScanArgs& args,
 
 struct IsaScalar {
   static constexpr SimdLevel kLevel = SimdLevel::kScalar;
-
-  static void ComputeKeys(const std::vector<KernelColumn>& cols, int64_t row0,
-                          int64_t n, uint32_t* keys, uint64_t* bitmap) {
-    std::memset(bitmap, 0, static_cast<size_t>((n + 63) >> 6) * 8);
-    ComputeKeysScalar(cols, row0, 0, n, keys, bitmap);
-  }
-
-  /// The scalar mirror of the vector lane accumulators: same row→lane
-  /// assignment ((r − begin) & 3), same per-lane addition order.
-  static int64_t LaneAccumulate(const FusedScanArgs& args, int64_t begin,
-                                int64_t end, std::vector<LaneAcc>* lanes) {
-    const int num_measures = static_cast<int>(args.measures.size());
-    int64_t passed = 0;
-    for (int64_t r = begin; r < end; ++r) {
-      bool pass = true;
-      for (const KernelColumn& c : args.columns) {
-        if ((c.lane[CodeOf(c, r)] & kLaneReject) != 0) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
-      ++passed;
-      const int lane = static_cast<int>((r - begin) & (kAccLanes - 1));
-      for (int m = 0; m < num_measures; ++m) {
-        const KernelMeasure& km = args.measures[m];
-        switch (km.op) {
-          case AggOp::kSum:
-            (*lanes)[m].sum[lane] += km.source[r];
-            break;
-          case AggOp::kAvg:
-            (*lanes)[m].sum[lane] += km.source[r];
-            (*lanes)[m].count[lane] += 1;
-            break;
-          case AggOp::kCount:
-            (*lanes)[m].sum[lane] += 1.0;
-            break;
-          case AggOp::kMin:
-          case AggOp::kMax:
-            break;  // never lane-accumulated (DensePath handles them)
-        }
-      }
-    }
-    return passed;
-  }
 
   static void MinMax(const int32_t* v, int64_t n, int32_t* lo, int32_t* hi) {
     int32_t mn = v[0];
@@ -315,157 +214,6 @@ struct IsaScalar {
     *hi = mx;
   }
 };
-
-// -- SSE4.2 tier ------------------------------------------------------------
-
-#if defined(__SSE4_2__)
-
-struct IsaSse42 {
-  static constexpr SimdLevel kLevel = SimdLevel::kSSE42;
-
-  static __m128i LoadCodes4(const KernelColumn& col, int64_t row) {
-    if (col.packed == nullptr) {
-      return _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(col.codes32 + row));
-    }
-    const uint8_t* base = col.packed->data();
-    switch (col.packed->width()) {
-      case PackedColumn::Width::kU8: {
-        uint32_t four = 0;
-        std::memcpy(&four, base + row, 4);
-        return _mm_cvtepu8_epi32(_mm_cvtsi32_si128(static_cast<int>(four)));
-      }
-      case PackedColumn::Width::kU16:
-        return _mm_cvtepu16_epi32(_mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(base + row * 2)));
-      case PackedColumn::Width::kU32:
-        return _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(base + row * 4));
-    }
-    return _mm_setzero_si128();
-  }
-
-  /// No gather below AVX2: lane lookups are 4 scalar loads packed back into
-  /// a vector; the adds, reject test and bitmap write stay vectorized.
-  static __m128i GatherLanes(const uint32_t* lane, __m128i codes) {
-    return _mm_set_epi32(
-        static_cast<int>(lane[_mm_extract_epi32(codes, 3)]),
-        static_cast<int>(lane[_mm_extract_epi32(codes, 2)]),
-        static_cast<int>(lane[_mm_extract_epi32(codes, 1)]),
-        static_cast<int>(lane[_mm_extract_epi32(codes, 0)]));
-  }
-
-  static void ComputeKeys(const std::vector<KernelColumn>& cols, int64_t row0,
-                          int64_t n, uint32_t* keys, uint64_t* bitmap) {
-    std::memset(bitmap, 0, static_cast<size_t>((n + 63) >> 6) * 8);
-    int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      __m128i key = _mm_set1_epi32(1);
-      __m128i rej = _mm_setzero_si128();
-      for (const KernelColumn& c : cols) {
-        __m128i lanes = GatherLanes(c.lane, LoadCodes4(c, row0 + i));
-        rej = _mm_or_si128(rej, lanes);
-        key = _mm_add_epi32(key, lanes);
-      }
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(keys + i), key);
-      const uint64_t pass =
-          static_cast<uint64_t>(~_mm_movemask_ps(_mm_castsi128_ps(rej))) &
-          0xF;
-      bitmap[i >> 6] |= pass << (i & 63);
-    }
-    ComputeKeysScalar(cols, row0, i, n, keys, bitmap);
-  }
-
-  static int64_t LaneAccumulate(const FusedScanArgs& args, int64_t begin,
-                                int64_t end, std::vector<LaneAcc>* lanes) {
-    return LaneAccumulateVec<IsaSse42>(args, begin, end, lanes);
-  }
-
-  /// kAccLanes = 4 mapped onto two 2-lane registers: lanes {0,1} and {2,3}.
-  struct LaneRegs {
-    __m128d lo, hi;
-    __m128d cnt_lo, cnt_hi;
-
-    void Load(const LaneAcc& a) {
-      lo = _mm_loadu_pd(a.sum.data());
-      hi = _mm_loadu_pd(a.sum.data() + 2);
-      alignas(16) double c[kAccLanes];
-      for (int l = 0; l < kAccLanes; ++l) {
-        c[l] = static_cast<double>(a.count[l]);
-      }
-      cnt_lo = _mm_loadu_pd(c);
-      cnt_hi = _mm_loadu_pd(c + 2);
-    }
-    void Store(LaneAcc* a) const {
-      _mm_storeu_pd(a->sum.data(), lo);
-      _mm_storeu_pd(a->sum.data() + 2, hi);
-      alignas(16) double c[kAccLanes];
-      _mm_storeu_pd(c, cnt_lo);
-      _mm_storeu_pd(c + 2, cnt_hi);
-      for (int l = 0; l < kAccLanes; ++l) {
-        a->count[l] = static_cast<int64_t>(c[l]);
-      }
-    }
-    void MaskedAdd(const double* src, uint32_t nibble, AggOp op) {
-      const __m128d mask_lo = NibbleMaskLo(nibble);
-      const __m128d mask_hi = NibbleMaskHi(nibble);
-      if (op == AggOp::kSum || op == AggOp::kAvg) {
-        lo = _mm_add_pd(lo, _mm_and_pd(_mm_loadu_pd(src), mask_lo));
-        hi = _mm_add_pd(hi, _mm_and_pd(_mm_loadu_pd(src + 2), mask_hi));
-      }
-      if (op == AggOp::kAvg || op == AggOp::kCount) {
-        const __m128d one = _mm_set1_pd(1.0);
-        __m128d* c_lo = op == AggOp::kCount ? &lo : &cnt_lo;
-        __m128d* c_hi = op == AggOp::kCount ? &hi : &cnt_hi;
-        *c_lo = _mm_add_pd(*c_lo, _mm_and_pd(one, mask_lo));
-        *c_hi = _mm_add_pd(*c_hi, _mm_and_pd(one, mask_hi));
-      }
-    }
-
-   private:
-    static __m128d NibbleMaskLo(uint32_t nibble) {
-      return _mm_castsi128_pd(_mm_set_epi64x(
-          nibble & 2 ? -1 : 0, nibble & 1 ? -1 : 0));
-    }
-    static __m128d NibbleMaskHi(uint32_t nibble) {
-      return _mm_castsi128_pd(_mm_set_epi64x(
-          nibble & 8 ? -1 : 0, nibble & 4 ? -1 : 0));
-    }
-  };
-
-  static void MinMax(const int32_t* v, int64_t n, int32_t* lo, int32_t* hi) {
-    if (n < 8) {
-      IsaScalar::MinMax(v, n, lo, hi);
-      return;
-    }
-    __m128i mn = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v));
-    __m128i mx = mn;
-    int64_t i = 4;
-    for (; i + 4 <= n; i += 4) {
-      __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i));
-      mn = _mm_min_epi32(mn, x);
-      mx = _mm_max_epi32(mx, x);
-    }
-    alignas(16) int32_t mins[4];
-    alignas(16) int32_t maxs[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(mins), mn);
-    _mm_store_si128(reinterpret_cast<__m128i*>(maxs), mx);
-    int32_t best_lo = mins[0];
-    int32_t best_hi = maxs[0];
-    for (int l = 1; l < 4; ++l) {
-      best_lo = std::min(best_lo, mins[l]);
-      best_hi = std::max(best_hi, maxs[l]);
-    }
-    for (; i < n; ++i) {
-      best_lo = std::min(best_lo, v[i]);
-      best_hi = std::max(best_hi, v[i]);
-    }
-    *lo = best_lo;
-    *hi = best_hi;
-  }
-};
-
-#endif  // __SSE4_2__
 
 // -- AVX2 tier --------------------------------------------------------------
 
@@ -517,51 +265,6 @@ struct IsaAvx2 {
     ComputeKeysScalar(cols, row0, i, n, keys, bitmap);
   }
 
-  static int64_t LaneAccumulate(const FusedScanArgs& args, int64_t begin,
-                                int64_t end, std::vector<LaneAcc>* lanes) {
-    return LaneAccumulateVec<IsaAvx2>(args, begin, end, lanes);
-  }
-
-  /// kAccLanes = 4 on one 4-lane register.
-  struct LaneRegs {
-    __m256d sum, cnt;
-
-    void Load(const LaneAcc& a) {
-      sum = _mm256_loadu_pd(a.sum.data());
-      alignas(32) double c[kAccLanes];
-      for (int l = 0; l < kAccLanes; ++l) {
-        c[l] = static_cast<double>(a.count[l]);
-      }
-      cnt = _mm256_loadu_pd(c);
-    }
-    void Store(LaneAcc* a) const {
-      _mm256_storeu_pd(a->sum.data(), sum);
-      alignas(32) double c[kAccLanes];
-      _mm256_storeu_pd(c, cnt);
-      for (int l = 0; l < kAccLanes; ++l) {
-        a->count[l] = static_cast<int64_t>(c[l]);
-      }
-    }
-    void MaskedAdd(const double* src, uint32_t nibble, AggOp op) {
-      const __m256d mask = NibbleMask(nibble);
-      if (op == AggOp::kSum || op == AggOp::kAvg) {
-        sum = _mm256_add_pd(sum, _mm256_and_pd(_mm256_loadu_pd(src), mask));
-      }
-      if (op == AggOp::kCount) {
-        sum = _mm256_add_pd(sum, _mm256_and_pd(_mm256_set1_pd(1.0), mask));
-      } else if (op == AggOp::kAvg) {
-        cnt = _mm256_add_pd(cnt, _mm256_and_pd(_mm256_set1_pd(1.0), mask));
-      }
-    }
-
-   private:
-    static __m256d NibbleMask(uint32_t nibble) {
-      return _mm256_castsi256_pd(_mm256_set_epi64x(
-          nibble & 8 ? -1 : 0, nibble & 4 ? -1 : 0, nibble & 2 ? -1 : 0,
-          nibble & 1 ? -1 : 0));
-    }
-  };
-
   static void MinMax(const int32_t* v, int64_t n, int32_t* lo, int32_t* hi) {
     if (n < 16) {
       IsaScalar::MinMax(v, n, lo, hi);
@@ -597,97 +300,11 @@ struct IsaAvx2 {
 
 #endif  // __AVX2__
 
-// -- shared vector-tier lane loop -------------------------------------------
-
-#if defined(__SSE4_2__) || defined(__AVX2__)
-
-/// The vector no-group-by loop shared by the SSE4.2 and AVX2 tiers: the
-/// tier's ComputeKeys yields the pass bitmap for a block, then each measure
-/// folds 4 rows at a time into its Isa::LaneRegs with masked adds (masked-
-/// out lanes add +0.0 — bit-inert, because a sum accumulator can never hold
-/// -0.0: it starts at +0.0 and x + (−x) rounds to +0.0). The tail (< 4
-/// rows, only at morsel end) continues the same (r − begin) & 3 lane
-/// assignment in scalar code, exactly as the scalar mirror does.
-template <class Isa>
-int64_t LaneAccumulateVec(const FusedScanArgs& args, int64_t begin,
-                          int64_t end, std::vector<LaneAcc>* lanes) {
-  const int num_measures = static_cast<int>(args.measures.size());
-  alignas(kSimdAlign) uint32_t keys[kKernelBlock];
-  alignas(kSimdAlign) uint64_t bitmap[kKernelBlock / 64];
-  int64_t passed = 0;
-  for (int64_t block = begin; block < end; block += kKernelBlock) {
-    const int64_t n = std::min(kKernelBlock, end - block);
-    Isa::ComputeKeys(args.columns, block, n, keys, bitmap);
-    for (int64_t w = 0; w < (n + 63) >> 6; ++w) {
-      passed += std::popcount(bitmap[w]);
-    }
-    const int64_t vec_n = n & ~int64_t{3};
-    for (int m = 0; m < num_measures; ++m) {
-      const KernelMeasure& km = args.measures[m];
-      typename Isa::LaneRegs regs;
-      regs.Load((*lanes)[m]);
-      const double* src = km.source != nullptr ? km.source + block : nullptr;
-      // kCount ignores src; feed a dummy aligned pointer to keep the loop
-      // uniform (the masked add never dereferences it for kCount).
-      alignas(kSimdAlign) static const double kZeros[kAccLanes] = {};
-      for (int64_t i = 0; i < vec_n; i += 4) {
-        const uint32_t nibble =
-            static_cast<uint32_t>(bitmap[i >> 6] >> (i & 63)) & 0xF;
-        if (nibble == 0) continue;
-        regs.MaskedAdd(src != nullptr ? src + i : kZeros, nibble, km.op);
-      }
-      regs.Store(&(*lanes)[m]);
-      // Scalar tail, continuing the lane phase.
-      for (int64_t i = vec_n; i < n; ++i) {
-        if (((bitmap[i >> 6] >> (i & 63)) & 1) == 0) continue;
-        const int lane = static_cast<int>((block + i - begin) &
-                                          (kAccLanes - 1));
-        switch (km.op) {
-          case AggOp::kSum:
-            (*lanes)[m].sum[lane] += km.source[block + i];
-            break;
-          case AggOp::kAvg:
-            (*lanes)[m].sum[lane] += km.source[block + i];
-            (*lanes)[m].count[lane] += 1;
-            break;
-          case AggOp::kCount:
-            (*lanes)[m].sum[lane] += 1.0;
-            break;
-          case AggOp::kMin:
-          case AggOp::kMax:
-            break;
-        }
-      }
-    }
-  }
-  return passed;
-}
-
-#endif  // __SSE4_2__ || __AVX2__
-
-/// Whether the no-group-by lane path applies: nothing grouped and every
-/// measure lane-accumulable (min/max fold through the dense path instead —
-/// their masked-lane identities interact with NaN orderings, and a dense
-/// single-slot accumulate is already cheap).
-inline bool UseLanePath(const FusedScanArgs& args) {
-  if (!args.groups.empty()) return false;
-  for (const KernelMeasure& m : args.measures) {
-    if (m.op == AggOp::kMin || m.op == AggOp::kMax) return false;
-  }
-  return true;
-}
-
 /// The tier-generic fused kernel body.
 template <class Isa>
 void FusedScanImpl(const FusedScanArgs& args, int64_t begin, int64_t end,
                    AggState* state) {
   state->rows_visited += end - begin;
-  if (UseLanePath(args)) {
-    std::vector<LaneAcc> lanes(args.measures.size());
-    const int64_t passed = Isa::LaneAccumulate(args, begin, end, &lanes);
-    FoldLanes(args, lanes, passed, state);
-    return;
-  }
   state->dense.assign(args.key_space, -1);
   if constexpr (Isa::kLevel == SimdLevel::kScalar) {
     DenseScanScalar(args, begin, end, state);

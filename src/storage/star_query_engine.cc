@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -72,20 +71,6 @@ struct MeasureScanPlan {
 // Deepest group-by set any scan accepts (the generic kernel's per-row
 // member buffer).
 constexpr size_t kMaxGroupLevels = 16;
-
-double InitialAccumulator(AggOp op) {
-  switch (op) {
-    case AggOp::kSum:
-    case AggOp::kAvg:
-    case AggOp::kCount:
-      return 0.0;
-    case AggOp::kMin:
-      return std::numeric_limits<double>::infinity();
-    case AggOp::kMax:
-      return -std::numeric_limits<double>::infinity();
-  }
-  return 0.0;
-}
 
 // Aggregates source rows [begin, end) into `state` (the generic hash
 // kernel, used when the mixed-radix key space exceeds kDenseKeyLimit —
@@ -230,9 +215,6 @@ void CountKernelDispatch(const MorselExec& exec) {
   static Counter* const scalar = MetricsRegistry::Instance().GetCounter(
       "assess_kernel_dispatch_scalar_total",
       "Scans aggregated by the fused scalar kernel");
-  static Counter* const sse42 = MetricsRegistry::Instance().GetCounter(
-      "assess_kernel_dispatch_sse42_total",
-      "Scans aggregated by the fused SSE4.2 kernel");
   static Counter* const avx2 = MetricsRegistry::Instance().GetCounter(
       "assess_kernel_dispatch_avx2_total",
       "Scans aggregated by the fused AVX2 kernel");
@@ -243,9 +225,6 @@ void CountKernelDispatch(const MorselExec& exec) {
   switch (exec.simd) {
     case SimdLevel::kScalar:
       scalar->Inc(1);
-      break;
-    case SimdLevel::kSSE42:
-      sse42->Inc(1);
       break;
     case SimdLevel::kAVX2:
       avx2->Inc(1);
@@ -291,38 +270,25 @@ namespace {
 // therefore every output bit — is a function of the data alone, identical
 // across thread counts and across runs.
 //
-// One consumer (a solo get, a view or cache roll-up, a delta merge) has
-// nothing to share: its kernel reads its sources directly at absolute
-// rows, with no scratch decode and no compaction.
-//
 // N consumers (an MQO batch) must share one predicate conjunction (the
 // caller's group contract): the zone-pruned work list is computed from
-// consumer 0 and is valid for every consumer. Per morsel, each packed FK
-// column a fused consumer touches is decoded once into an int32 scratch
-// buffer; every fused consumer then runs over the scratch codes
-// (begin-relative, measure sources shifted to match). The decoded codes are
-// exactly what the solo kernel reads through PackedColumn::CodeAt, the
-// accumulation stays row-sequential per consumer, and each consumer's
-// partials merge in morsel index order — so every output is bit-identical
-// to running that consumer alone. Consumers whose key space exceeds the
-// dense limit fall back to the generic hash kernel at absolute rows,
-// sharing the pass over the morsel but not the gather.
+// consumer 0 and is valid for every consumer. Without a predicate, or with
+// one consumer (a solo get, a view or cache roll-up, a delta merge), each
+// consumer runs exactly its solo kernel over the morsel at absolute rows.
 //
-// The same contract pays for the batch's real sharing: the conjunction is
-// evaluated ONCE per morsel and the passing rows compacted — codes and
-// measure values alike — so each grouped consumer aggregates only the
-// selected rows instead of re-testing the whole morsel. Under a selective
+// A predicated batch shares the conjunction's evaluation: it is tested ONCE
+// per morsel and the passing rows' positions collected in order; every
+// fused consumer then aggregates only those rows, reading codes and measure
+// values gathered once per morsel per distinct source. Under a selective
 // predicate N consumers cost about one scan plus N tiny aggregations, not
-// N scans. Compaction preserves the relative order of passing rows and the
-// grouped kernels accumulate row-sequentially, so results stay
-// bit-identical; no-group-by consumers are exempted (their fast path
-// assigns rows to fixed accumulator lanes by (row − begin) & 3, which
-// renumbering would perturb) and run over the full morsel.
+// N scans. Compaction keeps the passing rows in order and the kernels add
+// them in row order, so every output is bit-identical to running that
+// consumer alone. Consumers whose key space exceeds the dense limit run
+// the generic hash kernel at absolute rows.
 Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
                                         std::vector<ScanConsumer>& consumers,
                                         MorselExec* exec) {
   const int num_consumers = static_cast<int>(consumers.size());
-  const bool solo = num_consumers == 1;
   const int64_t rows = end - begin;
 
   struct Compiled {
@@ -331,21 +297,13 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
     std::vector<std::vector<uint32_t>> lane_tables;
     FusedScanArgs args;
     bool fused = false;
-    // Eligible for the shared-selection compacted path (fused AND grouped
-    // AND batched; see the bit-identity note above).
-    bool compact = false;
-    // Per fused column: index into the shared decode list, or -1 when the
-    // source is already int32 (then codes32 is shifted by the morsel base).
-    std::vector<int> scratch_of;
-    // Per fused column: index into the shared direct-source compaction
-    // list when scratch_of is -1 (compacted path only).
-    std::vector<int> direct_of;
-    // Per measure: index into the shared measure compaction list, or -1
-    // for null sources (count).
+    // Compacted path only: per fused column, index into the shared code-
+    // source list; per measure, index into the shared measure-source list,
+    // or -1 for null sources (count).
+    std::vector<int> code_of;
     std::vector<int> msource_of;
   };
   std::vector<Compiled> compiled(num_consumers);
-  std::vector<const PackedColumn*> decode;  // shared gather list
 
   for (int c = 0; c < num_consumers; ++c) {
     Compiled& comp = compiled[c];
@@ -402,17 +360,6 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
       if (h->packed == nullptr) col.codes32 = h->codes;
       col.lane = comp.lane_tables.back().data();
       comp.args.columns.push_back(col);
-      int scratch = -1;
-      if (h->packed != nullptr && !solo) {
-        for (size_t d = 0; d < decode.size(); ++d) {
-          if (decode[d] == h->packed) scratch = static_cast<int>(d);
-        }
-        if (scratch < 0) {
-          scratch = static_cast<int>(decode.size());
-          decode.push_back(h->packed);
-        }
-      }
-      comp.scratch_of.push_back(scratch);
       if (h->grouped) {
         comp.args.groups.push_back(KernelGroup{
             static_cast<uint32_t>(h->radix),
@@ -435,24 +382,16 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
     fused_fn = GetFusedScanKernel(exec->simd);
   }
 
-  // Shared-selection setup: the columns the group's common conjunction
-  // tests (evaluated once per morsel), plus dedup lists for everything the
-  // compacted consumers read — direct int32 code sources and measure
-  // sources are each gathered once per morsel, like the packed decode.
+  // Shared-selection setup for a predicated batch: the columns the common
+  // conjunction tests, plus dedup lists of the code and measure sources the
+  // compacted consumers read.
   struct SelColumn {
     const PackedColumn* packed = nullptr;    // packed source, or
     const int32_t* codes = nullptr;          // absolute int32 source
     const std::vector<uint8_t>* pass = nullptr;
   };
   std::vector<SelColumn> sel_columns;
-  std::vector<const int32_t*> direct;    // codes32 sources to compact
-  std::vector<const double*> msources;   // measure sources to compact
-  bool any_compact = false;
-  for (Compiled& comp : compiled) {
-    comp.compact = !solo && comp.fused && !comp.args.groups.empty();
-    any_compact |= comp.compact;
-  }
-  if (any_compact) {
+  if (num_consumers > 1 && any_fused) {
     for (HierScanPlan& h : consumers[0].hiers) {
       if (h.pass.empty()) continue;
       SelColumn sc;
@@ -464,58 +403,28 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
       }
       sel_columns.push_back(sc);
     }
-    // No shared predicate: nothing to select on, keep the plain path.
-    if (sel_columns.empty()) {
-      any_compact = false;
-      for (Compiled& comp : compiled) comp.compact = false;
-    }
   }
-  if (any_compact) {
+  const bool compact = !sel_columns.empty();
+  using CodeSource = std::pair<const PackedColumn*, const int32_t*>;
+  std::vector<CodeSource> code_sources;
+  std::vector<const double*> msources;
+  auto intern = [](auto& list, const auto& item) {
+    for (size_t d = 0; d < list.size(); ++d) {
+      if (list[d] == item) return static_cast<int>(d);
+    }
+    list.push_back(item);
+    return static_cast<int>(list.size() - 1);
+  };
+  if (compact) {
     for (Compiled& comp : compiled) {
-      if (!comp.compact) continue;
-      comp.direct_of.assign(comp.args.columns.size(), -1);
-      for (size_t j = 0; j < comp.args.columns.size(); ++j) {
-        if (comp.scratch_of[j] >= 0) continue;
-        const int32_t* src = comp.args.columns[j].codes32;
-        int idx = -1;
-        for (size_t d = 0; d < direct.size(); ++d) {
-          if (direct[d] == src) idx = static_cast<int>(d);
-        }
-        if (idx < 0) {
-          idx = static_cast<int>(direct.size());
-          direct.push_back(src);
-        }
-        comp.direct_of[j] = idx;
+      if (!comp.fused) continue;
+      for (const KernelColumn& col : comp.args.columns) {
+        comp.code_of.push_back(
+            intern(code_sources, CodeSource{col.packed, col.codes32}));
       }
-      comp.msource_of.assign(comp.args.measures.size(), -1);
-      for (size_t m = 0; m < comp.args.measures.size(); ++m) {
-        const double* src = comp.args.measures[m].source;
-        if (src == nullptr) continue;
-        int idx = -1;
-        for (size_t d = 0; d < msources.size(); ++d) {
-          if (msources[d] == src) idx = static_cast<int>(d);
-        }
-        if (idx < 0) {
-          idx = static_cast<int>(msources.size());
-          msources.push_back(src);
-        }
-        comp.msource_of[m] = idx;
-      }
-    }
-  }
-  // Which decode-list columns actually need a full-morsel gather: those a
-  // non-compacted fused consumer runs over. The shared conjunction is
-  // tested in L1-sized decode chunks (never materialized morsel-wide) and
-  // columns only compacted consumers read are point-gathered at the (few)
-  // selected rows — under a selective predicate this is the difference
-  // between touching every packed byte per consumer column and touching
-  // almost none.
-  std::vector<uint8_t> decode_full(decode.size(), any_compact ? 0 : 1);
-  if (any_compact) {
-    for (const Compiled& comp : compiled) {
-      if (!comp.fused || comp.compact) continue;
-      for (int idx : comp.scratch_of) {
-        if (idx >= 0) decode_full[idx] = 1;
+      for (const KernelMeasure& km : comp.args.measures) {
+        comp.msource_of.push_back(
+            km.source != nullptr ? intern(msources, km.source) : -1);
       }
     }
   }
@@ -593,28 +502,16 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
       const int64_t mbegin = begin + work[i] * kMorselRows;
       const int64_t mend = std::min(end, mbegin + kMorselRows);
       const int64_t n = mend - mbegin;
-      // One gather per packed FK column, shared by every fused consumer.
-      // Columns only compacted consumers read skip the full gather (see
-      // decode_full) and are point-decoded at the selected rows below.
-      std::vector<std::vector<int32_t>> scratch(decode.size());
-      for (size_t d = 0; d < decode.size(); ++d) {
-        if (!decode_full[d]) continue;
-        scratch[d].resize(static_cast<size_t>(n));
-        DecodePackedCodes(*decode[d], mbegin, mend, scratch[d].data());
-      }
       // The shared conjunction, tested once: `sel` holds the morsel-relative
       // indices of passing rows, in order. Everything a compacted consumer
       // reads is then gathered down to those rows once.
-      std::unique_ptr<int32_t[]> sel_storage;  // default-init, no memset
-      const int32_t* sel = nullptr;
-      std::vector<std::vector<int32_t>> cscratch;
-      std::vector<std::vector<int32_t>> cdirect;
+      std::vector<std::vector<int32_t>> ccodes;
       std::vector<std::vector<double>> cmeas;
       int64_t n_pass = 0;
-      if (any_compact) {
-        sel_storage.reset(new int32_t[static_cast<size_t>(n)]);
-        int32_t* out = sel_storage.get();
-        sel = out;
+      if (compact) {
+        // Default-initialized: no memset of a buffer about to be written.
+        std::unique_ptr<int32_t[]> sel(new int32_t[static_cast<size_t>(n)]);
+        int32_t* out = sel.get();
         // Chunked test: packed sel columns decode into an L1-resident
         // buffer, so the conjunction pass streams the packed bytes once
         // without a morsel-wide scratch round trip.
@@ -665,24 +562,13 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
           }
         }
         const size_t np = static_cast<size_t>(n_pass);
-        cscratch.resize(decode.size());
-        for (size_t d = 0; d < decode.size(); ++d) {
-          cscratch[d].resize(np);
-          if (decode_full[d]) {
-            for (size_t k = 0; k < np; ++k) {
-              cscratch[d][k] = scratch[d][sel[k]];
-            }
-          } else {
-            for (size_t k = 0; k < np; ++k) {
-              cscratch[d][k] = decode[d]->CodeAt(mbegin + sel[k]);
-            }
-          }
-        }
-        cdirect.resize(direct.size());
-        for (size_t d = 0; d < direct.size(); ++d) {
-          cdirect[d].resize(np);
+        ccodes.resize(code_sources.size());
+        for (size_t d = 0; d < code_sources.size(); ++d) {
+          const auto [packed, codes] = code_sources[d];
+          ccodes[d].resize(np);
           for (size_t k = 0; k < np; ++k) {
-            cdirect[d][k] = direct[d][mbegin + sel[k]];
+            const int64_t r = mbegin + sel[k];
+            ccodes[d][k] = packed != nullptr ? packed->CodeAt(r) : codes[r];
           }
         }
         cmeas.resize(msources.size());
@@ -698,17 +584,14 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
         if (!comp.fused) {
           AggregateRange(mbegin, mend, comp.needed, comp.grouped,
                          consumers[c].measures, &partials[c][i]);
-        } else if (solo) {
+        } else if (!compact) {
           fused_fn(comp.args, mbegin, mend, &partials[c][i]);
-        } else if (comp.compact) {
+        } else {
           if (n_pass > 0) {
             FusedScanArgs args = comp.args;
             for (size_t j = 0; j < args.columns.size(); ++j) {
               args.columns[j].packed = nullptr;
-              args.columns[j].codes32 =
-                  comp.scratch_of[j] >= 0
-                      ? cscratch[comp.scratch_of[j]].data()
-                      : cdirect[comp.direct_of[j]].data();
+              args.columns[j].codes32 = ccodes[comp.code_of[j]].data();
             }
             for (size_t m = 0; m < args.measures.size(); ++m) {
               if (comp.msource_of[m] >= 0) {
@@ -723,20 +606,6 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
             partials[0][i].rows_visited += n - n_pass;
             partials[0][i].rows_passed = n_pass;
           }
-        } else {
-          FusedScanArgs args = comp.args;
-          for (size_t j = 0; j < args.columns.size(); ++j) {
-            if (comp.scratch_of[j] >= 0) {
-              args.columns[j].packed = nullptr;
-              args.columns[j].codes32 = scratch[comp.scratch_of[j]].data();
-            } else {
-              args.columns[j].codes32 += mbegin;
-            }
-          }
-          for (KernelMeasure& km : args.measures) {
-            if (km.source != nullptr) km.source += mbegin;
-          }
-          fused_fn(args, 0, n, &partials[c][i]);
         }
       }
       return Status::OK();
@@ -1043,7 +912,9 @@ Result<Cube> StarQueryEngine::ExecuteInternal(const BoundCube& bound,
   const uint64_t scanned_before = tl_morsels_scanned;
   const uint64_t skipped_before = tl_morsels_skipped;
   Stopwatch watch;
-  Result<Cube> result = ExecuteGet(bound, query);
+  std::optional<CanonicalQuery> canon;
+  Result<Cube> result =
+      ExecuteGet(bound, query, profiler != nullptr ? &canon : nullptr);
   if (span.active()) {
     span.AddString("outcome", CacheOutcomeName(last_cache_outcome_));
     if (result.ok()) span.AddInt("rows", result->NumRows());
@@ -1068,8 +939,9 @@ Result<Cube> StarQueryEngine::ExecuteInternal(const BoundCube& bound,
         break;
     }
     const FactSnapshot snap = bound.facts().Snapshot();
+    if (!canon) canon = CanonicalizeQuery(query);
     WorkloadProfiler::Seen seen = profiler->RecordQuery(
-        bound.schema(), CanonicalizeQuery(query), outcome, ms,
+        bound.schema(), *canon, outcome, ms,
         scanned * static_cast<uint64_t>(kMorselRows), skipped, snap.rows);
     if (span.active() && seen.count > 0) {
       span.AddString("lattice", seen.lattice);
@@ -1079,8 +951,9 @@ Result<Cube> StarQueryEngine::ExecuteInternal(const BoundCube& bound,
   return result;
 }
 
-Result<Cube> StarQueryEngine::ExecuteGet(const BoundCube& bound,
-                                         const CubeQuery& query) const {
+Result<Cube> StarQueryEngine::ExecuteGet(
+    const BoundCube& bound, const CubeQuery& query,
+    std::optional<CanonicalQuery>* canon_out) const {
   ASSESS_FAILPOINT("storage.group_by");
   last_used_view_ = false;
   last_cache_outcome_ =
@@ -1112,9 +985,10 @@ Result<Cube> StarQueryEngine::ExecuteGet(const BoundCube& bound,
   const CubeEntry* source = nullptr;
   if (cache_ != nullptr) {
     key = FingerprintKey(canon);
-    if (std::optional<Cube> hit = cache_->FindExact(key)) {
+    if (std::shared_ptr<const CubeEntry> hit = cache_->FindExact(key)) {
       last_cache_outcome_ = CacheOutcome::kExactHit;
-      return ProjectMeasures(*hit, schema, query.measures);
+      if (canon_out != nullptr) *canon_out = std::move(canon);
+      return ProjectMeasures(hit->cube, schema, query.measures);
     }
     cached = cache_->FindSubsuming(schema, canon);
     if (cached) {
@@ -1155,6 +1029,7 @@ Result<Cube> StarQueryEngine::ExecuteGet(const BoundCube& bound,
   } else {
     ASSESS_ASSIGN_OR_RETURN(cube, ExecuteUncached(bound, query, &snap));
   }
+  if (canon_out != nullptr) *canon_out = canon;
   if (cache_ != nullptr) cache_->Insert(key, std::move(canon), cube);
   return cube;
 }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -147,8 +148,10 @@ class StarQueryEngine {
   /// \brief Multi-query shared scan (the server's MQO layer): executes every
   /// query in `queries` — all on one cube, all with the same canonical
   /// predicate conjunction, group-bys free to differ — in a single fused
-  /// morsel pass over the fact table. Each packed FK column is gathered once
-  /// per morsel and feeds every consumer's accumulator set; per-consumer
+  /// morsel pass over the fact table. A predicated batch tests the shared
+  /// conjunction once per morsel and every consumer aggregates only the
+  /// passing rows; an unpredicated one runs each consumer's solo kernel over
+  /// the morsel. Either way rows are added in row order and per-consumer
   /// partials merge in morsel index order, so each result is bit-identical
   /// to running that query alone through Execute() against the same
   /// snapshot. Results are inserted into the result cache (when enabled)
@@ -220,9 +223,11 @@ class StarQueryEngine {
   /// ExecuteInternal minus the "engine.get" span: the one get path. Answers
   /// from, in order, an exact cache hit, the smallest answering cache entry,
   /// the smallest answering view (when use_views), else a fact scan; the
-  /// two finer-aggregate sources share one roll-up.
-  Result<Cube> ExecuteGet(const BoundCube& bound,
-                          const CubeQuery& query) const;
+  /// two finer-aggregate sources share one roll-up. When `canon_out` is
+  /// set and the get canonicalized `query`, the canonical form is left
+  /// there for the workload profiler.
+  Result<Cube> ExecuteGet(const BoundCube& bound, const CubeQuery& query,
+                          std::optional<CanonicalQuery>* canon_out) const;
   /// The fact scan at admission snapshot `snap` (the epoch the get answers
   /// at, so cache keys and scanned rows agree); extends its derived
   /// accelerators in place.

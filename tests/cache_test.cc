@@ -371,8 +371,8 @@ TEST_F(CacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   EXPECT_LE(stats.bytes_resident, options.budget_bytes);
   EXPECT_EQ(stats.entries + stats.evictions, stats.insertions);
   // The survivors are the most recently inserted keys.
-  EXPECT_TRUE(cache.FindExact("key7").has_value());
-  EXPECT_FALSE(cache.FindExact("key0").has_value());
+  EXPECT_NE(cache.FindExact("key7"), nullptr);
+  EXPECT_EQ(cache.FindExact("key0"), nullptr);
 }
 
 // Only the winner of a subsumption lookup is bumped to most-recently-used:

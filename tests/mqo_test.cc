@@ -115,8 +115,8 @@ TEST_F(SharedScanTest, BitIdenticalToSoloExecute) {
   const std::vector<std::vector<CubeQuery>> batches = {
       // Predicated, grouped, dense-kernel consumers: the compacted path.
       CorrelatedBatch(),
-      // A no-group-by consumer rides along: the full-range fused path,
-      // exempt from compaction.
+      // A no-group-by consumer rides along, compacted like the others: it
+      // is the dense kernel with a two-slot key space.
       {
           Query({"month"}, preds, {"quantity"}),
           Query({}, preds, {"quantity", "storeSales"}),
@@ -128,7 +128,8 @@ TEST_F(SharedScanTest, BitIdenticalToSoloExecute) {
           Query({"date", "customer", "country"}, preds, {"storeSales"}),
           Query({"year"}, preds, {"quantity", "storeSales"}),
       },
-      // No predicate: no shared selection, every consumer scans every row.
+      // No predicate: no shared selection, every consumer runs its solo
+      // kernel over every row.
       {
           Query({"month"}, {}, {"quantity"}),
           Query({"product", "country"}, {}, {"storeSales", "storeCost"}),

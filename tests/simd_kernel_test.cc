@@ -1,6 +1,6 @@
-// The vectorized-scan determinism contract: every SIMD tier (scalar /
-// SSE4.2 / AVX2), every thread count and every run must produce
-// bit-identical cubes — the tier is a pure performance knob. Plus the
+// The vectorized-scan determinism contract: both SIMD tiers (scalar /
+// AVX2), every thread count and every run must produce bit-identical
+// cubes — the tier is a pure performance knob. Plus the
 // packed-column representation, the vectorized zone-map min/max, tail
 // handling at every alignment boundary, and incremental extension of
 // derived scan structures after appends.
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -116,20 +117,19 @@ class SimdKernelTest : public ::testing::Test {
 
 TEST_F(SimdKernelTest, ResolveSimdLevelParsesTheKnob) {
   const SimdLevel avx2 = SimdLevel::kAVX2;
-  const SimdLevel sse42 = SimdLevel::kSSE42;
   const SimdLevel scalar = SimdLevel::kScalar;
   EXPECT_EQ(ResolveSimdLevel(nullptr, avx2), avx2);
   for (const char* off : {"off", "OFF", "scalar", "0", "none"}) {
     EXPECT_EQ(ResolveSimdLevel(off, avx2), scalar) << off;
   }
-  EXPECT_EQ(ResolveSimdLevel("sse42", avx2), sse42);
-  EXPECT_EQ(ResolveSimdLevel("SSE4.2", avx2), sse42);
+  // SSE4.2 is a ceiling below AVX2, and only the scalar tier lies under it.
+  EXPECT_EQ(ResolveSimdLevel("sse42", avx2), scalar);
+  EXPECT_EQ(ResolveSimdLevel("SSE4.2", avx2), scalar);
   // The knob is a ceiling: asking for a tier the CPU lacks falls back.
-  EXPECT_EQ(ResolveSimdLevel("avx2", sse42), sse42);
-  EXPECT_EQ(ResolveSimdLevel("sse42", scalar), scalar);
+  EXPECT_EQ(ResolveSimdLevel("avx2", scalar), scalar);
   EXPECT_EQ(ResolveSimdLevel("avx2", avx2), avx2);
   EXPECT_EQ(ResolveSimdLevel("auto", avx2), avx2);
-  EXPECT_EQ(ResolveSimdLevel("definitely-not-a-tier", sse42), sse42);
+  EXPECT_EQ(ResolveSimdLevel("definitely-not-a-tier", scalar), scalar);
 }
 
 TEST_F(SimdKernelTest, PackedColumnPicksNarrowestWidth) {
@@ -373,6 +373,70 @@ TEST_F(SimdKernelTest, TailRowCountsAreExact) {
           << "rows=" << rows << " tier=" << level;
       EXPECT_EQ(counts.begin()->second, static_cast<double>(want_count))
           << "rows=" << rows << " tier=" << level;
+    }
+  }
+}
+
+// A scan with no group-by adds its passing rows in row order, like every
+// other scan: within one morsel, a predicated SUM equals a row-order
+// std::accumulate of the passing values bit for bit, AVG is that sum over
+// the count, and COUNT is exact — at every tier. Values span eight decades
+// and both signs, so any reordering of the adds shows in the low bits.
+TEST_F(SimdKernelTest, NoGroupBySumsAddInRowOrder) {
+  const int best = static_cast<int>(DetectCpuSimdLevel());
+  auto hier = std::make_shared<Hierarchy>("H");
+  hier->AddLevel("k");
+  constexpr int kCard = 5;
+  DimensionTable dim("K", hier);
+  for (int g = 0; g < kCard; ++g) {
+    dim.AddRow({hier->AddMember(0, "g" + std::to_string(g))});
+  }
+  auto schema = std::make_shared<CubeSchema>("T");
+  schema->AddHierarchy(hier);
+  schema->AddMeasure({"s", AggOp::kSum});
+  schema->AddMeasure({"a", AggOp::kAvg});
+  schema->AddMeasure({"n", AggOp::kCount});
+  constexpr int64_t kRows = 10007;
+  static_assert(kRows < kMorselRows);
+  FactTable facts("T", 1, 3);
+  facts.Reserve(kRows);
+  Rng rng(31);
+  std::vector<double> passing;
+  for (int64_t i = 0; i < kRows; ++i) {
+    const int32_t code = static_cast<int32_t>(rng.Uniform(kCard));
+    double v = (rng.NextDouble() - 0.5);
+    for (uint64_t e = rng.Uniform(8); e > 0; --e) v *= 10.0;
+    facts.AddRow({code}, {v, v, v});
+    if (code != 1 && code != 3) passing.push_back(v);  // the predicate below
+  }
+  const double want_sum = std::accumulate(passing.begin(), passing.end(), 0.0);
+  const double want_count = static_cast<double>(passing.size());
+  const double want_avg = want_sum / want_count;
+  StarDatabase db;
+  ASSERT_TRUE(db.Register("T", std::make_unique<BoundCube>(
+                                   schema, std::vector<DimensionTable>{dim},
+                                   std::move(facts)))
+                  .ok());
+  CubeQuery q = *CubeQuery::Make(
+      *schema, "T", {}, {{0, 0, PredicateOp::kIn, {"g0", "g2", "g4"}}},
+      {"s", "a", "n"});
+  auto bits = [](double v) {
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  for (int level = 0; level <= best; ++level) {
+    for (int threads : {1, 4}) {
+      ForceSimdLevelForTest(level);
+      StarQueryEngine engine(&db, false, threads);
+      Cube cube = *engine.Execute(q);
+      ASSERT_EQ(cube.NumRows(), 1) << "tier=" << level;
+      EXPECT_EQ(bits(CellMap(cube, "s").begin()->second), bits(want_sum))
+          << "tier=" << level << " threads=" << threads;
+      EXPECT_EQ(bits(CellMap(cube, "a").begin()->second), bits(want_avg))
+          << "tier=" << level << " threads=" << threads;
+      EXPECT_EQ(CellMap(cube, "n").begin()->second, want_count)
+          << "tier=" << level << " threads=" << threads;
     }
   }
 }
