@@ -23,7 +23,7 @@ int main() {
 
   for (const SsbScalePoint& point : scales) {
     auto db = BuildScale(point);
-    AssessSession session(db.get());
+    AssessSession session(db.get(), PlanBenchOptions());
     for (const WorkloadStatement& stmt : workload) {
       auto analyzed = session.Prepare(stmt.text);
       if (!analyzed.ok()) {

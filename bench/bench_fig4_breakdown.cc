@@ -22,7 +22,7 @@ int main() {
 
   for (const SsbScalePoint& point : scales) {
     auto db = BuildScale(point, /*include_budget=*/false);
-    AssessSession session(db.get());
+    AssessSession session(db.get(), PlanBenchOptions());
     auto analyzed = session.Prepare(past.text);
     if (!analyzed.ok()) {
       std::fprintf(stderr, "%s\n", analyzed.status().ToString().c_str());

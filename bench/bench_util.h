@@ -31,7 +31,9 @@ inline int RepsFromEnv(int fallback = 3) {
 inline double DefaultBaseSf() { return BaseScaleFactorFromEnv(0.02); }
 
 /// Builds one scale point of the series, reporting progress on stderr so
-/// long generations are visible.
+/// long generations are visible. The fact tables' scan accelerators (packed
+/// columns, zone maps) are built here too: they are built lazily by the
+/// first scan, and a timed run should not pay for it.
 inline std::unique_ptr<StarDatabase> BuildScale(const SsbScalePoint& point,
                                                 bool include_budget = true) {
   std::fprintf(stderr, "[bench] generating %s (SF %.3g, %lld lineorders)...\n",
@@ -46,7 +48,20 @@ inline std::unique_ptr<StarDatabase> BuildScale(const SsbScalePoint& point,
                  db.status().ToString().c_str());
     std::exit(1);
   }
+  for (const std::string& name : (*db)->CubeNames()) {
+    (void)(*(*db)->Find(name))->facts().SnapshotWithDerived();
+  }
   return std::move(db).value();
+}
+
+/// Engine options of the paper's plan benches: no result cache. The plans
+/// of one statement issue overlapping gets (NP's get C is JOP's left input),
+/// so with a cache every plan after the first would be timed answering from
+/// its predecessors' results instead of running its own gets.
+inline ExecutorOptions PlanBenchOptions() {
+  ExecutorOptions options;
+  options.use_result_cache = false;
+  return options;
 }
 
 struct RunStats {

@@ -127,12 +127,12 @@ bool CubeResultCache::Contains(const std::string& key) const {
   return shard.index.count(key) > 0;
 }
 
-std::optional<CubeEntry> CubeResultCache::FindSubsuming(
+std::shared_ptr<const CubeEntry> CubeResultCache::FindSubsuming(
     const CubeSchema& schema, const CanonicalQuery& want) {
   Span span("cache.subsume");
   if (ASSESS_FAILPOINT_TRIGGERED("cache.lookup")) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    return nullptr;
   }
   // An answering entry's predicates are a subset of the request's. With few
   // enough request predicates, hash every subset once; each visited node is
@@ -189,7 +189,7 @@ std::optional<CubeEntry> CubeResultCache::FindSubsuming(
   span.AddInt("hit", best ? 1 : 0);
   if (!best) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    return nullptr;
   }
   {
     // Bump the winner only: candidates it beat must stay evictable.
@@ -201,7 +201,7 @@ std::optional<CubeEntry> CubeResultCache::FindSubsuming(
     }
   }
   subsumption_hits_.fetch_add(1, std::memory_order_relaxed);
-  return *best;
+  return best;
 }
 
 void CubeResultCache::Insert(const std::string& key, CanonicalQuery query,

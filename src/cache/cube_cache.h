@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -95,14 +94,15 @@ class CubeResultCache {
   bool Contains(const std::string& key) const;
 
   /// \brief Subsumption lookup: among entries on `want.cube_name`, returns
-  /// a copy of the smallest entry that answers `want` per EntryAnswersQuery,
-  /// or nullopt. Smallest is fewest rows, then the smallest fingerprint key,
-  /// so the winner depends only on what is resident, not on shard placement
-  /// or LRU order. Only the returned entry is bumped to most-recently-used
-  /// and copied. Call after FindExact missed; counts the subsumption hit or
-  /// the overall miss, and the candidates tested (subsumption_probes).
-  std::optional<CubeEntry> FindSubsuming(const CubeSchema& schema,
-                                         const CanonicalQuery& want);
+  /// the smallest entry that answers `want` per EntryAnswersQuery, as the
+  /// resident, immutable entry (shared, not copied), or null. Smallest is
+  /// fewest rows, then the smallest fingerprint key, so the winner depends
+  /// only on what is resident, not on shard placement or LRU order. Only
+  /// the returned entry is bumped to most-recently-used. Call after
+  /// FindExact missed; counts the subsumption hit or the overall miss, and
+  /// the candidates tested (subsumption_probes).
+  std::shared_ptr<const CubeEntry> FindSubsuming(const CubeSchema& schema,
+                                                 const CanonicalQuery& want);
 
   /// \brief Stores `cube` as the result of `query` under `key`, replacing
   /// any previous entry, then evicts least-recently-used entries until the

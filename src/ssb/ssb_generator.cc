@@ -235,43 +235,71 @@ Result<std::unique_ptr<StarDatabase>> BuildSsbDatabase(
   schema->AddMeasure({"supplycost", AggOp::kSum});
 
   const int32_t n_dates = static_cast<int32_t>(dates.NumRows());
-  auto generate_facts = [&](FactTable* facts, int64_t rows, bool budget,
+  // Bulk-loads one fact table in stable order of the date code (see
+  // BuildSsbDatabase in the header), without a row permutation or a second
+  // copy of the columns.
+  auto generate_facts = [&](std::string name, int64_t rows, bool budget,
                             Rng* gen) {
-    facts->Reserve(rows);
-    std::vector<int32_t> fks(4);
-    std::vector<double> measures(budget ? 1 : 3);
-    for (int64_t i = 0; i < rows; ++i) {
-      fks[0] = static_cast<int32_t>(gen->Uniform(n_dates));
-      fks[1] = static_cast<int32_t>(gen->Uniform(shape.customers));
+    const int n_measures = budget ? 1 : 3;
+    int32_t fks[4];
+    double measures[3];
+    // One draw definition for both passes, so their draw counts match.
+    auto draw_row = [&](Rng* r) {
+      fks[0] = static_cast<int32_t>(r->Uniform(n_dates));
+      fks[1] = static_cast<int32_t>(r->Uniform(shape.customers));
       if (budget && fks[1] % 5 == 0) {
         // One customer in five has no budget lines, so the external join
         // genuinely drops (assess) or null-labels (assess*) target cells.
         fks[1] = static_cast<int32_t>((fks[1] + 1) % shape.customers);
         if (fks[1] % 5 == 0) fks[1] += 1;
       }
-      fks[2] = static_cast<int32_t>(gen->Skewed(shape.parts));
-      fks[3] = static_cast<int32_t>(gen->Uniform(shape.suppliers));
-      double quantity = 1.0 + static_cast<double>(gen->Uniform(50));
+      fks[2] = static_cast<int32_t>(r->Skewed(shape.parts));
+      fks[3] = static_cast<int32_t>(r->Uniform(shape.suppliers));
+      double quantity = 1.0 + static_cast<double>(r->Uniform(50));
       double price = 1000.0 + static_cast<double>(fks[2] % 9000);
-      double discount = static_cast<double>(gen->Uniform(11)) / 100.0;
+      double discount = static_cast<double>(r->Uniform(11)) / 100.0;
       double revenue = quantity * price * (1.0 - discount);
       if (budget) {
         // Planned revenue: the expected value with planning noise.
-        measures[0] = revenue * (0.9 + 0.2 * gen->NextDouble());
+        measures[0] = revenue * (0.9 + 0.2 * r->NextDouble());
       } else {
         measures[0] = quantity;
         measures[1] = revenue;
-        measures[2] = revenue * (0.55 + 0.2 * gen->NextDouble());
+        measures[2] = revenue * (0.55 + 0.2 * r->NextDouble());
       }
-      facts->AddRow(fks, measures);
+    };
+    // Count pass on a copy of the generator: next_row[d] becomes the first
+    // row of date d, then advances as the placing pass fills that date.
+    std::vector<int64_t> next_row(n_dates + 1, 0);
+    Rng counter = *gen;
+    for (int64_t i = 0; i < rows; ++i) {
+      draw_row(&counter);
+      ++next_row[fks[0] + 1];
     }
+    for (int32_t d = 0; d < n_dates; ++d) next_row[d + 1] += next_row[d];
+    // Placing pass: each row goes straight into its final slot. Columns
+    // are sized in place, not copied from a prototype: freeing a large
+    // temporary raises glibc's dynamic mmap threshold, and later column
+    // growth then lands on the heap, where freed banks are not returned.
+    std::vector<std::vector<int32_t>> fk_cols(4);
+    for (std::vector<int32_t>& col : fk_cols) col.resize(rows);
+    std::vector<std::vector<double>> measure_cols(n_measures);
+    for (std::vector<double>& col : measure_cols) col.resize(rows);
+    for (int64_t i = 0; i < rows; ++i) {
+      draw_row(gen);
+      const int64_t at = next_row[fks[0]]++;
+      for (int d = 0; d < 4; ++d) fk_cols[d][at] = fks[d];
+      for (int m = 0; m < n_measures; ++m) measure_cols[m][at] = measures[m];
+    }
+    return FactTable::FromColumns(std::move(name), std::move(fk_cols),
+                                  std::move(measure_cols));
   };
 
   auto db = std::make_unique<StarDatabase>();
 
   {
-    FactTable facts("SSB", 4, 3);
-    generate_facts(&facts, shape.facts, /*budget=*/false, &rng);
+    FactTable facts = generate_facts("SSB", shape.facts, /*budget=*/false,
+                                     &rng);
     std::vector<DimensionTable> dims = {dates, customers, parts, suppliers};
     auto bound = std::make_unique<BoundCube>(schema, std::move(dims),
                                              std::move(facts));
@@ -286,8 +314,8 @@ Result<std::unique_ptr<StarDatabase>> BuildSsbDatabase(
     budget_schema->AddHierarchy(h.supplier);
     budget_schema->AddMeasure({"plannedRevenue", AggOp::kSum});
     Rng budget_rng(config.seed ^ 0xB0D6E7ULL);
-    FactTable facts("BUDGET", 4, 1);
-    generate_facts(&facts, shape.facts / 2, /*budget=*/true, &budget_rng);
+    FactTable facts = generate_facts("BUDGET", shape.facts / 2,
+                                     /*budget=*/true, &budget_rng);
     std::vector<DimensionTable> dims = {dates, customers, parts, suppliers};
     auto bound = std::make_unique<BoundCube>(budget_schema, std::move(dims),
                                              std::move(facts));

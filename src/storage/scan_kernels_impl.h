@@ -11,6 +11,11 @@
 // group assignment, first-seen coordinate decode, measure accumulation —
 // is the shared scalar code below, executed in row order in every tier,
 // which is what makes the tiers bit-identical.
+//
+// Everything here lives in an unnamed namespace, so each tier's TU gets its
+// own internal-linkage copy. With external linkage the scalar and AVX2 TUs
+// would each emit weak definitions of the same helpers (whenever a call is
+// not inlined), and the linker could keep the -mavx2 copy for both tiers.
 
 #include <algorithm>
 #include <bit>
@@ -25,6 +30,7 @@
 
 namespace assess {
 namespace kernel_detail {
+namespace {
 
 /// Rows per kernel block: key/bitmap buffers live in L1/L2 (16 KiB of keys)
 /// and the block length is a multiple of 64 (whole bitmap words).
@@ -322,6 +328,7 @@ void FusedScanImpl(const FusedScanArgs& args, int64_t begin, int64_t end,
   state->dense = std::vector<int32_t>();
 }
 
+}  // namespace
 }  // namespace kernel_detail
 }  // namespace assess
 

@@ -980,7 +980,7 @@ Result<Cube> StarQueryEngine::ExecuteGet(
   // cached result, the smallest answering cache entry, the smallest
   // answering view; else the fact scan.
   std::string key;
-  std::optional<CubeEntry> cached;
+  std::shared_ptr<const CubeEntry> cached;
   std::shared_ptr<const std::vector<CubeEntry>> views;
   const CubeEntry* source = nullptr;
   if (cache_ != nullptr) {
@@ -992,7 +992,7 @@ Result<Cube> StarQueryEngine::ExecuteGet(
     }
     cached = cache_->FindSubsuming(schema, canon);
     if (cached) {
-      source = &*cached;
+      source = cached.get();
       last_cache_outcome_ = CacheOutcome::kSubsumptionHit;
     }
   }

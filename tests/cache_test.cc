@@ -406,7 +406,7 @@ TEST_F(CacheTest, SubsumptionBumpsOnlyTheWinner) {
   ASSERT_EQ(cache.stats().evictions, 0u);
 
   auto found = cache.FindSubsuming(*mini_.schema, CanonicalizeQuery(want_q));
-  ASSERT_TRUE(found.has_value());
+  ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->cube.NumRows(), small.NumRows());
 
   // One more entry the size of "other" overflows the budget by at most the
@@ -571,7 +571,7 @@ TEST_F(CacheTest, SubsumptionProbesPerMissDoNotGrowWithEntries) {
       const Predicate italy{2, 1, PredicateOp::kEquals, {"Italy"}};
       CanonicalQuery want = CanonicalizeQuery(
           RawQuery({{1, 1}}, {range(entries + i), italy}, {0}));
-      EXPECT_FALSE(cache.FindSubsuming(*mini_.schema, want).has_value());
+      EXPECT_EQ(cache.FindSubsuming(*mini_.schema, want), nullptr);
     }
     CacheStats stats = cache.stats();
     EXPECT_EQ(stats.misses, static_cast<uint64_t>(kMisses));
@@ -682,8 +682,9 @@ TEST_F(CacheTest, IndexedSubsumptionMatchesBruteForce) {
           expected_rows = r.rows;
         }
       }
-      std::optional<CubeEntry> found = cache.FindSubsuming(*mini_.schema, want);
-      ASSERT_EQ(found.has_value(), expected != nullptr) << "step " << step;
+      std::shared_ptr<const CubeEntry> found =
+          cache.FindSubsuming(*mini_.schema, want);
+      ASSERT_EQ(found != nullptr, expected != nullptr) << "step " << step;
       if (found) {
         EXPECT_EQ(FingerprintKey(found->query), *expected) << "step " << step;
         EXPECT_EQ(found->cube.NumRows(), expected_rows);

@@ -8,6 +8,8 @@
 #include "algebra/operators.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
+#include "common/task_pool.h"
+#include "ssb/ssb_generator.h"
 #include "test_util.h"
 
 namespace assess {
@@ -122,6 +124,30 @@ TEST_F(EngineTest, UnknownCubeFails) {
   CubeQuery q = Query({}, {}, {"quantity"});
   q.cube_name = "NOPE";
   EXPECT_FALSE(engine_.Execute(q).ok());
+}
+
+TEST(EngineZoneMapTest, DateRangeOnClusteredSsbSkipsMorsels) {
+  // The SSB bulk load clusters facts by date, so a 45-day slice lands in at
+  // most two adjacent morsels and the zone maps prove every other one empty.
+  SsbConfig config;
+  config.scale_factor = 0.05;
+  config.include_budget = false;
+  auto db = std::move(BuildSsbDatabase(config)).value();
+  const BoundCube& ssb = **db->Find("SSB");
+  const int64_t morsels =
+      (ssb.facts().NumRows() + kMorselRows - 1) / kMorselRows;
+  ASSERT_GE(morsels, 4);
+  StarQueryEngine engine(db.get(), /*use_views=*/false, /*threads=*/1);
+  CubeQuery q = *CubeQuery::Make(
+      ssb.schema(), "SSB", {"month", "c_nation"},
+      {{0, 0, PredicateOp::kBetween, {"1995-03-10", "1995-04-23"}}},
+      {"revenue"});
+  Cube cube = *engine.Execute(q);
+  EXPECT_GT(cube.NumRows(), 0);
+  ScanStats stats = engine.scan_stats();
+  EXPECT_LE(stats.morsels_scanned, 2u);
+  EXPECT_EQ(stats.morsels_scanned + stats.morsels_skipped,
+            static_cast<uint64_t>(morsels));
 }
 
 // --- Aggregation operators beyond sum ------------------------------------

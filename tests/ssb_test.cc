@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "assess/session.h"
 #include "ssb/sales_generator.h"
 #include "ssb/workload.h"
@@ -96,11 +100,39 @@ TEST_F(SsbGeneratorTest, DeterministicForSeed) {
   auto a = BuildSsbDatabase(config);
   auto b = BuildSsbDatabase(config);
   ASSERT_TRUE(a.ok() && b.ok());
-  const FactTable& fa = (*(*a)->Find("SSB"))->facts();
-  const FactTable& fb = (*(*b)->Find("SSB"))->facts();
-  ASSERT_EQ(fa.NumRows(), fb.NumRows());
-  EXPECT_EQ(fa.fk_column(2), fb.fk_column(2));
-  EXPECT_EQ(fa.measure_column(1), fb.measure_column(1));
+  for (const char* name : {"SSB", "BUDGET"}) {
+    const FactTable& fa = (*(*a)->Find(name))->facts();
+    const FactTable& fb = (*(*b)->Find(name))->facts();
+    ASSERT_EQ(fa.NumRows(), fb.NumRows()) << name;
+    for (int d = 0; d < fa.dimension_count(); ++d) {
+      EXPECT_EQ(fa.fk_column(d), fb.fk_column(d)) << name << " dim " << d;
+    }
+    for (int m = 0; m < fa.measure_count(); ++m) {
+      EXPECT_EQ(fa.measure_column(m), fb.measure_column(m))
+          << name << " measure " << m;
+    }
+  }
+}
+
+TEST_F(SsbGeneratorTest, FactsAreClusteredByDate) {
+  // Date codes follow the calendar, so the bulk load's order by the
+  // temporal hierarchy's key is a non-decreasing date column. Every row has
+  // a valid date code, so the per-date row counts add up to the table.
+  for (const char* name : {"SSB", "BUDGET"}) {
+    const FactTable& facts = (*db_->Find(name))->facts();
+    const std::vector<int32_t>& dates = facts.fk_column(0);
+    EXPECT_TRUE(std::is_sorted(dates.begin(), dates.end())) << name;
+    const int64_t n_dates = (*db_->Find(name))->dimension(0).NumRows();
+    std::vector<int64_t> per_date(n_dates, 0);
+    for (int32_t code : dates) {
+      ASSERT_GE(code, 0) << name;
+      ASSERT_LT(code, n_dates) << name;
+      ++per_date[code];
+    }
+    EXPECT_EQ(std::accumulate(per_date.begin(), per_date.end(), int64_t{0}),
+              facts.NumRows())
+        << name;
+  }
 }
 
 TEST_F(SsbGeneratorTest, BudgetSkipsEveryFifthCustomer) {
