@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "assess/session.h"
+#include "common/flat_map64.h"
 #include "common/rng.h"
 #include "forecast/forecast.h"
 #include "labeling/distribution_labeling.h"
@@ -19,7 +20,6 @@
 #include "labeling/range_labeling.h"
 #include "ssb/ssb_generator.h"
 #include "ssb/workload.h"
-#include "storage/flat_map64.h"
 #include "storage/star_query_engine.h"
 
 namespace assess {

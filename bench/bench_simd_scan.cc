@@ -27,10 +27,10 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/flat_map64.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
 #include "common/task_pool.h"
-#include "storage/flat_map64.h"
 #include "storage/packed_column.h"
 #include "storage/predicate.h"
 #include "storage/scan_kernels.h"

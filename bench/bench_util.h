@@ -1,6 +1,7 @@
 #ifndef ASSESS_BENCH_BENCH_UTIL_H_
 #define ASSESS_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -64,10 +65,27 @@ inline ExecutorOptions PlanBenchOptions() {
   return options;
 }
 
+/// The q-quantile (0 <= q <= 1) of `values`, interpolating between ranks;
+/// 0 when empty.
+inline double Quantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] + frac * (values[hi] - values[lo]);
+}
+
 struct RunStats {
-  StepTimings mean;     // averaged over repetitions
-  int64_t cells = 0;    // |result|
+  StepTimings mean;            // averaged over repetitions
+  std::vector<double> totals;  // per-repetition totals, in run order
+  int64_t cells = 0;           // |result|
   double total() const { return mean.Total(); }
+  double median() const { return Quantile(totals, 0.5); }
+  double iqr() const {
+    return Quantile(totals, 0.75) - Quantile(totals, 0.25);
+  }
 };
 
 /// Executes one query under a per-call trace (when tracing is compiled in),
@@ -111,7 +129,8 @@ inline RunStats RunStatement(const AssessSession& session,
 
 /// Runs `text` under every plan in `plans`, interleaving repetitions
 /// round-robin so slow system drift does not bias one plan, and averages
-/// per plan. Mirrors Section 6.2's repeated-execution protocol.
+/// per plan, keeping each repetition's total for the noise band. Mirrors
+/// Section 6.2's repeated-execution protocol.
 inline std::vector<RunStats> RunStatementsInterleaved(
     const AssessSession& session, const std::string& text,
     const std::vector<PlanKind>& plans, int reps) {
@@ -132,6 +151,7 @@ inline std::vector<RunStats> RunStatementsInterleaved(
       stats[i].mean.join += t.join / reps;
       stats[i].mean.compare += t.compare / reps;
       stats[i].mean.label += t.label / reps;
+      stats[i].totals.push_back(t.Total());
       stats[i].cells = result->cube.NumRows();
     }
   }

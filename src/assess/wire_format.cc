@@ -1,10 +1,10 @@
 #include "assess/wire_format.h"
 
-#include <cstring>
+#include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map64.h"
 #include "common/wire_codec.h"
 #include "olap/hierarchy.h"
 
@@ -14,42 +14,80 @@ namespace {
 constexpr char kResultMagic = 'A';
 constexpr char kStatusMagic = 'S';
 constexpr uint8_t kVersion = 0x01;
+// Cap on the members a decoded dictionary reserves before it fills.
+constexpr uint64_t kMaxReservedMembers = uint64_t{1} << 16;
 
 // ---------------------------------------------------------------------------
 // Cube
 // ---------------------------------------------------------------------------
 
-void SerializeCube(const Cube& cube, std::string* out) {
+/// One axis's local dictionary: member names indexed by first appearance, so
+/// only the members actually present in the result travel.
+struct LevelDictionary {
+  std::vector<MemberId> members;    // dictionary index -> member id
+  std::vector<uint32_t> local_ids;  // row -> dictionary index
+  size_t bytes = 0;                 // encoded size of the axis's bytes
+};
+
+LevelDictionary BuildDictionary(const Cube& cube, int l) {
+  const LevelRef& level = cube.level(l);
+  const std::vector<MemberId>& column = cube.coord_column(l);
+  LevelDictionary dict;
+  dict.local_ids.resize(column.size());
+  // Sized to the result, not to Dom(level): a 3-row result on a large
+  // dimension costs a few entries, not one per member of the level.
+  FlatMap64 to_local(std::min<int64_t>(static_cast<int64_t>(column.size()),
+                                       level.cardinality()));
+  for (size_t r = 0; r < column.size(); ++r) {
+    bool inserted = false;
+    // Key = id + 1 (over the id's 32 bits): FlatMap64 reserves key 0.
+    const int32_t local = to_local.FindOrInsert(
+        static_cast<uint64_t>(static_cast<uint32_t>(column[r])) + 1,
+        static_cast<int32_t>(dict.members.size()), &inserted);
+    if (inserted) dict.members.push_back(column[r]);
+    dict.local_ids[r] = static_cast<uint32_t>(local);
+    dict.bytes += VarintLength(static_cast<uint32_t>(local));
+  }
+  dict.bytes += StringLength(level.hierarchy->name()) +
+                StringLength(level.name()) + VarintLength(dict.members.size());
+  for (MemberId id : dict.members) {
+    dict.bytes += StringLength(level.hierarchy->MemberName(level.level, id));
+  }
+  return dict;
+}
+
+/// Encoded size of `cube` given its axes' dictionaries, so the output is
+/// reserved once.
+size_t CubeBytes(const Cube& cube, const std::vector<LevelDictionary>& dicts) {
+  const size_t n_rows = static_cast<size_t>(cube.NumRows());
+  size_t bytes = VarintLength(dicts.size()) + VarintLength(n_rows) +
+                 VarintLength(cube.measure_count()) + 1;
+  for (const LevelDictionary& dict : dicts) bytes += dict.bytes;
+  for (int m = 0; m < cube.measure_count(); ++m) {
+    bytes += StringLength(cube.measure_name(m)) + 8 * n_rows;
+  }
+  for (const std::string& label : cube.labels()) bytes += StringLength(label);
+  return bytes;
+}
+
+void SerializeCube(const Cube& cube, const std::vector<LevelDictionary>& dicts,
+                   std::string* out) {
   const int n_levels = cube.level_count();
   const int64_t n_rows = cube.NumRows();
   PutVarint(out, static_cast<uint64_t>(n_levels));
-
-  // Per-level local dictionaries: member names indexed by first appearance,
-  // so only the members actually present in the result travel.
-  std::vector<std::vector<uint32_t>> local_ids(n_levels);
   for (int l = 0; l < n_levels; ++l) {
     const LevelRef& level = cube.level(l);
     PutString(out, level.hierarchy->name());
     PutString(out, level.name());
-    std::unordered_map<MemberId, uint32_t> to_local;
-    std::vector<MemberId> dict;
-    local_ids[l].reserve(static_cast<size_t>(n_rows));
-    for (int64_t r = 0; r < n_rows; ++r) {
-      MemberId id = cube.CoordAt(r, l);
-      auto [it, inserted] =
-          to_local.emplace(id, static_cast<uint32_t>(dict.size()));
-      if (inserted) dict.push_back(id);
-      local_ids[l].push_back(it->second);
-    }
-    PutVarint(out, dict.size());
-    for (MemberId id : dict) {
+    PutVarint(out, dicts[l].members.size());
+    for (MemberId id : dicts[l].members) {
       PutString(out, level.hierarchy->MemberName(level.level, id));
     }
   }
 
   PutVarint(out, static_cast<uint64_t>(n_rows));
-  for (int l = 0; l < n_levels; ++l) {
-    for (uint32_t id : local_ids[l]) PutVarint(out, id);
+  for (const LevelDictionary& dict : dicts) {
+    for (uint32_t id : dict.local_ids) PutVarint(out, id);
   }
 
   PutVarint(out, static_cast<uint64_t>(cube.measure_count()));
@@ -57,9 +95,8 @@ void SerializeCube(const Cube& cube, std::string* out) {
     PutString(out, cube.measure_name(m));
   }
   for (int m = 0; m < cube.measure_count(); ++m) {
-    for (int64_t r = 0; r < n_rows; ++r) {
-      PutDouble(out, cube.MeasureAt(r, m));
-    }
+    PutDoubles(out, cube.measure_column(m).data(),
+               static_cast<size_t>(n_rows));
   }
 
   const bool labels = !cube.labels().empty();
@@ -87,10 +124,20 @@ Result<Cube> DeserializeCube(WireReader* reader) {
     int level_index = hierarchy->AddLevel(std::move(level_name));
     uint64_t dict_size = 0;
     ASSESS_RETURN_NOT_OK(reader->GetCount(1, &dict_size));
+    // The count is bounded by the payload, but a member costs more in
+    // memory than on the wire, so the up-front reservation is capped too.
+    hierarchy->ReserveMembers(
+        level_index,
+        static_cast<int64_t>(std::min(dict_size, kMaxReservedMembers)));
     for (uint64_t d = 0; d < dict_size; ++d) {
-      std::string member;
-      ASSESS_RETURN_NOT_OK(reader->GetString(&member));
-      hierarchy->AddMember(level_index, member);
+      std::string_view member;
+      ASSESS_RETURN_NOT_OK(reader->GetStringView(&member));
+      // Coordinates are range-checked against dict_size below, so every
+      // name must intern to its own dictionary position.
+      if (hierarchy->AddMember(level_index, member) !=
+          static_cast<MemberId>(d)) {
+        return Status::InvalidArgument("wire: duplicate dictionary member");
+      }
     }
     dict_sizes.push_back(dict_size);
     levels.push_back(LevelRef{std::move(hierarchy), level_index});
@@ -124,9 +171,8 @@ Result<Cube> DeserializeCube(WireReader* reader) {
   std::vector<std::vector<double>> measures(n_measures);
   for (uint64_t m = 0; m < n_measures; ++m) {
     measures[m].resize(static_cast<size_t>(n_rows));
-    for (uint64_t r = 0; r < n_rows; ++r) {
-      ASSESS_RETURN_NOT_OK(reader->GetDouble(&measures[m][r]));
-    }
+    ASSESS_RETURN_NOT_OK(
+        reader->GetDoubles(measures[m].data(), static_cast<size_t>(n_rows)));
   }
 
   Cube cube = Cube::FromColumns(std::move(levels), std::move(coords),
@@ -138,9 +184,12 @@ Result<Cube> DeserializeCube(WireReader* reader) {
     return Status::InvalidArgument("wire: bad labels flag");
   }
   if (has_labels) {
-    std::vector<std::string> labels(static_cast<size_t>(n_rows));
+    std::vector<std::string> labels;
+    labels.reserve(static_cast<size_t>(n_rows));
     for (uint64_t r = 0; r < n_rows; ++r) {
-      ASSESS_RETURN_NOT_OK(reader->GetString(&labels[r]));
+      std::string_view label;
+      ASSESS_RETURN_NOT_OK(reader->GetStringView(&label));
+      labels.emplace_back(label);
     }
     cube.SetLabels(std::move(labels));
   }
@@ -154,7 +203,21 @@ Result<Cube> DeserializeCube(WireReader* reader) {
 // ---------------------------------------------------------------------------
 
 std::string SerializeAssessResult(const AssessResult& result) {
+  const Cube& cube = result.cube;
+  std::vector<LevelDictionary> dicts;
+  dicts.reserve(static_cast<size_t>(cube.level_count()));
+  for (int l = 0; l < cube.level_count(); ++l) {
+    dicts.push_back(BuildDictionary(cube, l));
+  }
+  // Magic, version and plan bytes, then the seven timings.
+  size_t bytes = 3 + 7 * 8 + StringLength(result.measure) +
+                 StringLength(result.benchmark_measure) +
+                 StringLength(result.comparison_measure) +
+                 VarintLength(result.sql.size()) + CubeBytes(cube, dicts);
+  for (const std::string& sql : result.sql) bytes += StringLength(sql);
+
   std::string out;
+  out.reserve(bytes);
   out.push_back(kResultMagic);
   out.push_back(static_cast<char>(kVersion));
   out.push_back(static_cast<char>(result.plan));
@@ -170,7 +233,7 @@ std::string SerializeAssessResult(const AssessResult& result) {
   PutString(&out, result.comparison_measure);
   PutVarint(&out, result.sql.size());
   for (const std::string& sql : result.sql) PutString(&out, sql);
-  SerializeCube(result.cube, &out);
+  SerializeCube(cube, dicts, &out);
   return out;
 }
 

@@ -44,7 +44,16 @@ namespace assess {
 ///
 /// Every deserializer is total: arbitrary bytes (truncation, garbage,
 /// hostile lengths) yield a non-OK Status, never a crash or an unbounded
-/// allocation.
+/// allocation. A dictionary that repeats a member name is rejected too:
+/// coordinates are range-checked against the dictionary's wire count, so
+/// every name must intern to its own position.
+///
+/// The layout above is the one version 0x01 has always had. The codec
+/// writes it in bulk — the output is sized once and each measure column is
+/// one block copy on little-endian hosts — and decodes names as views into
+/// the payload; the bytes are pinned by a golden test. Frames carrying
+/// these payloads are checksummed with CRC32C (common/crc32c.h), which runs
+/// on the SSE4.2 instruction under the ASSESS_SIMD ceiling's AVX2 tier.
 
 /// \brief Serializes `result` into the wire format above.
 std::string SerializeAssessResult(const AssessResult& result);

@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -35,6 +36,28 @@ inline void PutDouble(std::string* out, double v) {
 inline void PutString(std::string* out, std::string_view s) {
   PutVarint(out, s.size());
   out->append(s.data(), s.size());
+}
+
+/// Bytes PutVarint(v) appends.
+inline size_t VarintLength(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+/// Bytes PutString(s) appends.
+inline size_t StringLength(std::string_view s) {
+  return VarintLength(s.size()) + s.size();
+}
+
+/// Appends `n` doubles, each as PutDouble would. On little-endian hosts the
+/// in-memory layout already is the wire layout, so it is one block copy.
+inline void PutDoubles(std::string* out, const double* v, size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    out->append(reinterpret_cast<const char*>(v), n * sizeof(double));
+  } else {
+    for (size_t i = 0; i < n; ++i) PutDouble(out, v[i]);
+  }
 }
 
 /// \brief Bounds-checked sequential reader over serialized bytes. Every Get
@@ -99,11 +122,28 @@ class WireReader {
     return Status::OK();
   }
 
-  Status GetString(std::string* out) {
+  /// `n` doubles as GetDouble would read them; the inverse of PutDoubles.
+  Status GetDoubles(double* out, size_t n) {
+    if (n > remaining() / 8) return Truncated("double");
+    if constexpr (std::endian::native == std::endian::little) {
+      if (n > 0) std::memcpy(out, data_.data() + pos_, n * 8);
+      pos_ += n * 8;
+    } else {
+      for (size_t i = 0; i < n; ++i) ASSESS_RETURN_NOT_OK(GetDouble(&out[i]));
+    }
+    return Status::OK();
+  }
+
+  /// A length-prefixed string as a view into the input (no copy).
+  Status GetStringView(std::string_view* out) {
     uint64_t len = 0;
-    std::string_view view;
     ASSESS_RETURN_NOT_OK(GetVarint(&len));
-    ASSESS_RETURN_NOT_OK(GetView(len, &view));
+    return GetView(len, out);
+  }
+
+  Status GetString(std::string* out) {
+    std::string_view view;
+    ASSESS_RETURN_NOT_OK(GetStringView(&view));
     out->assign(view);
     return Status::OK();
   }

@@ -100,8 +100,8 @@ Result<Cube> MergeViewDelta(const CubeSchema& schema, const Cube& view,
 
 }  // namespace
 
-/// Per-IngestText state: schema bindings, the member lookup maps, the
-/// pending batch columns and the running stats.
+/// Per-IngestText state: schema bindings, the pending batch columns and the
+/// running stats.
 struct Ingestor::Run {
   explicit Run(const StarDatabase* db)
       : engine(db, /*use_views=*/false, /*threads=*/1) {}
@@ -117,10 +117,6 @@ struct Ingestor::Run {
   std::vector<ColumnBinding> bindings;
   std::unordered_map<std::string, int> binding_index;
   std::vector<int> header_bindings;  // CSV: binding per header column
-
-  /// Per hierarchy: finest-level member name -> dimension row. Run-local;
-  /// misses re-check the live dictionary under the schema lock.
-  std::vector<std::unordered_map<std::string, int32_t>> key_to_row;
 
   // Pending batch (column-major, staged until CommitBatch).
   std::vector<std::vector<int32_t>> fks;
@@ -222,12 +218,12 @@ Status Ingestor::ResolveDimension(
   const std::string& key = *level_values[0];
   {
     std::shared_lock<std::shared_mutex> lock(db_->schema_mutex());
-    auto it = run->key_to_row[h].find(key);
-    if (it != run->key_to_row[h].end()) {
-      const int32_t row = it->second;
+    const DimensionTable& dim = run->bound->dimension(h);
+    const Hierarchy& hier = dim.hierarchy();
+    const Result<MemberId> code = hier.MemberIdOf(0, key);
+    const int32_t row = code.ok() ? dim.RowOfFinestCode(*code) : -1;
+    if (row >= 0) {
       // Coarser values, when provided, must agree with the stored roll-up.
-      const DimensionTable& dim = run->bound->dimension(h);
-      const Hierarchy& hier = dim.hierarchy();
       for (int l = 1; l < hier.level_count(); ++l) {
         if (level_values[l] == nullptr) continue;
         const std::string& have = hier.MemberName(l, dim.CodeAt(row, l));
@@ -300,23 +296,16 @@ Status Ingestor::AutoInsertMember(
     }
   }
 
-  if (existed[0]) {
-    // The member was interned before (e.g. by a cube sharing the
-    // hierarchy); this cube's dimension may or may not already have its
-    // row. Rare path: linear re-check of the live table.
-    const std::vector<MemberId>& col = dim.level_column(0);
-    for (int64_t r = static_cast<int64_t>(col.size()) - 1; r >= 0; --r) {
-      if (col[r] == codes[0]) {
-        run->key_to_row[h].emplace(key, static_cast<int32_t>(r));
-        *fk_out = static_cast<int32_t>(r);
-        return Status::OK();
-      }
-    }
+  // The member may have been interned before (e.g. by a cube sharing the
+  // hierarchy), and this cube's dimension may or may not have its row.
+  const int32_t existing = dim.RowOfFinestCode(codes[0]);
+  if (existing >= 0) {
+    *fk_out = existing;
+    return Status::OK();
   }
 
   dim.AddRow(codes);
   const int32_t row = static_cast<int32_t>(dim.NumRows() - 1);
-  run->key_to_row[h].emplace(key, row);
   run->stats.new_members += 1;
   *fk_out = row;
   return Status::OK();
@@ -591,7 +580,6 @@ Result<IngestStats> Ingestor::IngestText(std::string_view cube_name,
   const int num_measures = schema.measure_count();
   run.fks.resize(hierarchies);
   run.measures.resize(num_measures);
-  run.key_to_row.resize(hierarchies);
   run.level_values.resize(hierarchies);
   run.row_fks.resize(hierarchies, 0);
   run.row_measures.resize(num_measures, 0.0);
@@ -600,19 +588,8 @@ Result<IngestStats> Ingestor::IngestText(std::string_view cube_name,
     if (schema.measure(m).op == AggOp::kAvg) run.has_avg_measure = true;
   }
   run.repack_base = bound->facts().derived_repacks();
-  {
-    std::shared_lock<std::shared_mutex> lock(db_->schema_mutex());
-    for (int h = 0; h < hierarchies; ++h) {
-      const DimensionTable& dim = bound->dimension(h);
-      const Hierarchy& hier = dim.hierarchy();
-      run.level_values[h].resize(hier.level_count(), nullptr);
-      auto& map = run.key_to_row[h];
-      map.reserve(static_cast<size_t>(dim.NumRows()));
-      for (int64_t r = 0; r < dim.NumRows(); ++r) {
-        map.emplace(hier.MemberName(0, dim.CodeAt(r, 0)),
-                    static_cast<int32_t>(r));
-      }
-    }
+  for (int h = 0; h < hierarchies; ++h) {
+    run.level_values[h].resize(schema.hierarchy(h).level_count(), nullptr);
   }
   run.stats.epoch = bound->facts().epoch();
 

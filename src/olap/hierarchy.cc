@@ -1,5 +1,6 @@
 #include "olap/hierarchy.h"
 
+#include <functional>
 #include <limits>
 
 namespace assess {
@@ -7,7 +8,7 @@ namespace assess {
 int Hierarchy::AddLevel(std::string level_name) {
   int index = static_cast<int>(levels_.size());
   level_index_.emplace(level_name, index);
-  levels_.push_back(Level{std::move(level_name), {}, {}, {}, {}});
+  levels_.push_back(Level{std::move(level_name), {}, {}, {}, {}, {}});
   return index;
 }
 
@@ -24,27 +25,71 @@ bool Hierarchy::HasLevel(std::string_view level_name) const {
   return level_index_.count(std::string(level_name)) > 0;
 }
 
+uint32_t Hierarchy::HashName(std::string_view member) {
+  return static_cast<uint32_t>(std::hash<std::string_view>{}(member));
+}
+
+MemberId Hierarchy::FindMember(const Level& l, std::string_view member,
+                               uint32_t hash) {
+  if (l.slots.empty()) return kInvalidMember;
+  const size_t mask = l.slots.size() - 1;
+  for (size_t slot = hash & mask;; slot = (slot + 1) & mask) {
+    const MemberId id = l.slots[slot];
+    if (id == kInvalidMember) return kInvalidMember;
+    if (l.hashes[id] == hash && l.members[id] == member) return id;
+  }
+}
+
+void Hierarchy::GrowIndex(Level* l, int64_t count) {
+  const size_t needed = static_cast<size_t>(count) * 2;
+  if (needed <= l->slots.size()) return;
+  size_t capacity = 16;
+  while (capacity < needed) capacity *= 2;
+  l->slots.assign(capacity, kInvalidMember);
+  for (size_t id = 0; id < l->members.size(); ++id) {
+    PlaceInIndex(l, static_cast<MemberId>(id));
+  }
+}
+
+void Hierarchy::PlaceInIndex(Level* l, MemberId id) {
+  const size_t mask = l->slots.size() - 1;
+  size_t slot = l->hashes[id] & mask;
+  while (l->slots[slot] != kInvalidMember) slot = (slot + 1) & mask;
+  l->slots[slot] = id;
+}
+
+void Hierarchy::ReserveMembers(int level, int64_t count) {
+  Level& l = levels_[level];
+  l.members.reserve(static_cast<size_t>(count));
+  l.hashes.reserve(static_cast<size_t>(count));
+  l.parent.reserve(static_cast<size_t>(count));
+  GrowIndex(&l, count);
+}
+
 MemberId Hierarchy::AddMember(int level, std::string_view member) {
   Level& l = levels_[level];
-  auto it = l.member_index.find(std::string(member));
-  if (it != l.member_index.end()) return it->second;
-  MemberId id = static_cast<MemberId>(l.members.size());
+  const uint32_t hash = HashName(member);
+  MemberId id = FindMember(l, member, hash);
+  if (id != kInvalidMember) return id;
+  id = static_cast<MemberId>(l.members.size());
+  GrowIndex(&l, static_cast<int64_t>(id) + 1);
   l.members.emplace_back(member);
-  l.member_index.emplace(std::string(member), id);
+  l.hashes.push_back(hash);
   l.parent.push_back(kInvalidMember);
+  PlaceInIndex(&l, id);
   return id;
 }
 
 Result<MemberId> Hierarchy::MemberIdOf(int level,
                                        std::string_view member) const {
   const Level& l = levels_[level];
-  auto it = l.member_index.find(std::string(member));
-  if (it == l.member_index.end()) {
+  const MemberId id = FindMember(l, member, HashName(member));
+  if (id == kInvalidMember) {
     return Status::NotFound("no member '" + std::string(member) +
                             "' in level '" + l.name + "' of hierarchy '" +
                             name_ + "'");
   }
-  return it->second;
+  return id;
 }
 
 void Hierarchy::SetParent(int fine_level, MemberId child, MemberId parent) {

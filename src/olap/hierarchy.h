@@ -20,9 +20,11 @@ inline constexpr MemberId kInvalidMember = -1;
 ///
 /// Levels are stored finest-first: level 0 is the top of the roll-up order
 /// (e.g. `date`), the last level the coarsest (e.g. `year`). Each level has
-/// a dictionary of members (Dom(l)); the part-of partial order ≥ is stored
-/// as one parent array per adjacent level pair, so that every member of a
-/// finer level maps to exactly one member of each coarser level.
+/// a dictionary of members (Dom(l)): names in id order, found by name
+/// through a flat open-addressing index of ids that keeps no second copy of
+/// any name and takes string_view keys. The part-of partial order ≥ is
+/// stored as one parent array per adjacent level pair, so that every member
+/// of a finer level maps to exactly one member of each coarser level.
 ///
 /// Hierarchies are built once (AddLevel / AddMember / linking) and then used
 /// immutably by the query engine; they are shared between cubes via
@@ -59,6 +61,10 @@ class Hierarchy {
 
   /// \brief Interns `member` in Dom(level), returning its id (idempotent).
   MemberId AddMember(int level, std::string_view member);
+
+  /// \brief Pre-sizes Dom(level) for `count` members in total, so a bulk
+  /// build (e.g. a decoded wire dictionary) grows nothing while it fills.
+  void ReserveMembers(int level, int64_t count);
 
   /// \brief Id of `member` in Dom(level), or error when unknown.
   Result<MemberId> MemberIdOf(int level, std::string_view member) const;
@@ -103,12 +109,27 @@ class Hierarchy {
   struct Level {
     std::string name;
     std::vector<std::string> members;
-    std::unordered_map<std::string, MemberId> member_index;
+    // Member lookup by name: an open-addressing table (linear probing,
+    // power-of-two size, load <= 1/2) of member ids, kInvalidMember marking
+    // an empty slot. hashes[m] caches the hash of members[m], so probes
+    // compare a hash before any string and growth never rehashes a name.
+    // Keys live only in `members`; lookups take a string_view.
+    std::vector<uint32_t> hashes;
+    std::vector<MemberId> slots;
     // parent[m] = id at the next coarser level; empty for the coarsest level.
     std::vector<MemberId> parent;
     // property name -> per-member values (null for unset members).
     std::unordered_map<std::string, std::vector<double>> properties;
   };
+
+  static uint32_t HashName(std::string_view member);
+  /// Id of `member` in `l`, or kInvalidMember; `hash` is HashName(member).
+  static MemberId FindMember(const Level& l, std::string_view member,
+                             uint32_t hash);
+  /// Rebuilds `l.slots` with room for `count` members at load <= 1/2.
+  static void GrowIndex(Level* l, int64_t count);
+  /// Puts member `id` (already in members/hashes) in the first free slot.
+  static void PlaceInIndex(Level* l, MemberId id);
 
   std::string name_;
   bool temporal_ = false;

@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/flat_map64.h"
 #include "common/simd.h"
 #include "olap/cube_schema.h"
 #include "olap/hierarchy.h"
-#include "storage/flat_map64.h"
 #include "storage/packed_column.h"
 
 namespace assess {

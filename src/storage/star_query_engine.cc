@@ -10,13 +10,13 @@
 #include "algebra/operators.h"
 #include "cache/query_fingerprint.h"
 #include "common/failpoint.h"
+#include "common/flat_map64.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
 #include "common/task_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/workload_profiler.h"
-#include "storage/flat_map64.h"
 #include "storage/predicate.h"
 #include "storage/scan_kernels.h"
 

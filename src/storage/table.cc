@@ -13,6 +13,19 @@ void DimensionTable::AddRow(const std::vector<MemberId>& codes) {
   for (size_t l = 0; l < level_codes_.size(); ++l) {
     level_codes_[l].push_back(codes[l]);
   }
+  IndexRow(NumRows() - 1);
+}
+
+void DimensionTable::IndexRow(int64_t row) {
+  if (level_codes_.empty()) return;
+  const MemberId code = level_codes_[0][row];
+  if (code < 0) return;
+  if (static_cast<size_t>(code) >= row_of_finest_.size()) {
+    row_of_finest_.resize(static_cast<size_t>(code) + 1, -1);
+  }
+  if (row_of_finest_[code] < 0) {
+    row_of_finest_[code] = static_cast<int32_t>(row);
+  }
 }
 
 Status DimensionTable::Validate() const {
@@ -38,6 +51,7 @@ DimensionTable DimensionTable::FromColumns(
     std::vector<std::vector<MemberId>> codes) {
   DimensionTable table(std::move(name), std::move(hierarchy));
   table.level_codes_ = std::move(codes);
+  for (int64_t row = 0; row < table.NumRows(); ++row) table.IndexRow(row);
   return table;
 }
 

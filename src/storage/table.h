@@ -136,13 +136,27 @@ class DimensionTable {
     return level_codes_[level];
   }
 
+  /// \brief The row whose finest-level member is `code` (its first such
+  /// row), or -1 when this table has none — e.g. a member that another cube
+  /// sharing the hierarchy interned.
+  int32_t RowOfFinestCode(MemberId code) const {
+    return code >= 0 && static_cast<size_t>(code) < row_of_finest_.size()
+               ? row_of_finest_[code]
+               : -1;
+  }
+
   /// \brief Checks that each row's codes agree with the hierarchy roll-up.
   Status Validate() const;
 
  private:
+  void IndexRow(int64_t row);
+
   std::string name_;
   std::shared_ptr<Hierarchy> hierarchy_;
   std::vector<std::vector<MemberId>> level_codes_;
+  // Finest-level member id -> row (-1 for none), maintained by AddRow and
+  // FromColumns: the dimension-key lookup of ingest.
+  std::vector<int32_t> row_of_finest_;
 };
 
 /// \brief The fact table of a star schema: one foreign-key column per

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/result.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/str_util.h"
@@ -249,6 +252,64 @@ TEST(Crc32cTest, DetectsSingleBitFlips) {
       EXPECT_NE(Crc32c(payload), clean) << "byte " << i << " bit " << bit;
       payload[i] ^= static_cast<char>(1 << bit);
     }
+  }
+}
+
+// Bit-at-a-time reflected CRC-32C: the definition both fast paths implement.
+uint32_t ReferenceCrc32c(const uint8_t* p, size_t len) {
+  uint32_t crc = ~0u;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+// The SSE4.2 path (AVX2 tier) and the slicing-by-8 tables (scalar tier)
+// agree with each other and with the definition for every length through
+// 1,100 bytes, at every start alignment, and when chained.
+TEST(Crc32cTest, HardwareAndTablePathsAgree) {
+  if (DetectCpuSimdLevel() < SimdLevel::kAVX2) {
+    GTEST_SKIP() << "CPU lacks the AVX2 tier; only the table path exists";
+  }
+  struct ClearOverride {
+    ~ClearOverride() { ForceSimdLevelForTest(-1); }
+  } clear_override;
+  Rng rng(20261019);
+  std::vector<uint8_t> buffer(1100 + 8);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.Uniform(256));
+  auto crc_at = [](int level, const uint8_t* p, size_t len) {
+    ForceSimdLevelForTest(level);
+    return Crc32c(p, len);
+  };
+  const int kTable = static_cast<int>(SimdLevel::kScalar);
+  const int kHardware = static_cast<int>(SimdLevel::kAVX2);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len + offset <= buffer.size() && len <= 1100; ++len) {
+      const uint8_t* p = buffer.data() + offset;
+      const uint32_t want = ReferenceCrc32c(p, len);
+      ASSERT_EQ(crc_at(kTable, p, len), want)
+          << "table, offset " << offset << " len " << len;
+      ASSERT_EQ(crc_at(kHardware, p, len), want)
+          << "sse4.2, offset " << offset << " len " << len;
+    }
+  }
+  // Chained extends, switching tiers between pieces, equal the one shot.
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t len = static_cast<size_t>(rng.Uniform(1100));
+    const uint8_t* p = buffer.data() + rng.Uniform(8);
+    uint32_t crc = 0;
+    size_t done = 0;
+    while (done < len) {
+      const size_t piece =
+          std::min<size_t>(len - done, 1 + rng.Uniform(64));
+      ForceSimdLevelForTest(rng.Uniform(2) == 0 ? kTable : kHardware);
+      crc = Crc32cExtend(crc, p + done, piece);
+      done += piece;
+    }
+    ASSERT_EQ(crc, ReferenceCrc32c(p, len)) << "trial " << trial;
   }
 }
 

@@ -25,6 +25,7 @@
 #include "olap/group_by_set.h"
 #include "server/assessd.h"
 #include "server/protocol.h"
+#include "ssb/ssb_generator.h"
 #include "storage/star_query_engine.h"
 #include "test_util.h"
 
@@ -436,6 +437,76 @@ TEST_F(IngestTest, DimensionGrowthOverflowsPackedWidthAndRepacks) {
   auto by_type = CellMap(AggregateAll(*mini_.db, *bound_, {"type"}),
                          "quantity");
   EXPECT_EQ(by_type[K("Bulk")], 300);
+}
+
+// SSB and BUDGET share their hierarchies but not their dimension tables. A
+// customer BUDGET auto-inserts first is then in the shared dictionary with
+// no SSB row: SSB must reject it without auto-insert, add exactly one row
+// with it (interning nothing twice), and resolve it directly afterwards.
+TEST(SharedHierarchyIngestTest, MemberInternedBySiblingCubeGetsOwnRow) {
+  SsbConfig config;
+  config.scale_factor = 0.002;
+  auto built = BuildSsbDatabase(config);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  StarDatabase& db = **built;
+  BoundCube* ssb = *db.FindMutable("SSB");
+  BoundCube* budget = *db.FindMutable("BUDGET");
+  const int kCustomer = 1;
+  const Hierarchy& customers = ssb->dimension(kCustomer).hierarchy();
+  ASSERT_EQ(&customers, &budget->dimension(kCustomer).hierarchy());
+
+  // Existing members for the other keys and a real roll-up chain.
+  auto name = [](const BoundCube* cube, int h, int level) {
+    const DimensionTable& dim = cube->dimension(h);
+    return dim.hierarchy().MemberName(level, dim.CodeAt(0, level));
+  };
+  const std::string keys = name(ssb, 0, 0) + ",Customer#shared," +
+                           name(ssb, 2, 0) + "," + name(ssb, 3, 0) + "," +
+                           name(ssb, 1, 1) + "," + name(ssb, 1, 2) + "," +
+                           name(ssb, 1, 3);
+  const std::string header =
+      "date,customer,part,supplier,c_city,c_nation,c_region,";
+  const int32_t members_before = customers.LevelCardinality(0);
+  const int64_t ssb_rows_before = ssb->dimension(kCustomer).NumRows();
+
+  IngestOptions auto_insert;
+  auto_insert.auto_insert_members = true;
+  auto budget_stats = Ingestor(&db, nullptr, auto_insert)
+                          .IngestText("BUDGET", header + "plannedRevenue\n" +
+                                                    keys + ",100\n");
+  ASSERT_TRUE(budget_stats.ok()) << budget_stats.status().ToString();
+  EXPECT_EQ(budget_stats->new_members, 1u);
+  ASSERT_EQ(customers.LevelCardinality(0), members_before + 1);
+  const MemberId shared = *customers.MemberIdOf(0, "Customer#shared");
+  EXPECT_EQ(ssb->dimension(kCustomer).RowOfFinestCode(shared), -1);
+
+  const std::string ssb_text = header + "quantity,revenue,supplycost\n" +
+                               keys + ",7,70,35\n";
+  auto refused = Ingestor(&db, nullptr, {}).IngestText("SSB", ssb_text);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kNotFound);
+
+  auto first = Ingestor(&db, nullptr, auto_insert).IngestText("SSB", ssb_text);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->new_members, 1u);
+  EXPECT_EQ(customers.LevelCardinality(0), members_before + 1);
+  ASSERT_EQ(ssb->dimension(kCustomer).NumRows(), ssb_rows_before + 1);
+  EXPECT_EQ(ssb->dimension(kCustomer).RowOfFinestCode(shared),
+            ssb_rows_before);
+  EXPECT_EQ(ssb->dimension(kCustomer).CodeAt(ssb_rows_before, 0), shared);
+
+  // Now resolved through the row index, with no auto-insert needed.
+  auto second = Ingestor(&db, nullptr, {}).IngestText("SSB", ssb_text);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->new_members, 0u);
+  EXPECT_EQ(ssb->dimension(kCustomer).NumRows(), ssb_rows_before + 1);
+
+  auto ssb_by_customer =
+      CellMap(AggregateAll(db, *ssb, {"customer"}), "quantity");
+  EXPECT_EQ(ssb_by_customer[K("Customer#shared")], 14);
+  auto budget_by_customer =
+      CellMap(AggregateAll(db, *budget, {"customer"}), "plannedRevenue");
+  EXPECT_EQ(budget_by_customer[K("Customer#shared")], 100);
 }
 
 TEST_F(IngestTest, CommitFailpointKeepsCommittedBatchesAndDropsTheRest) {

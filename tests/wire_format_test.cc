@@ -12,9 +12,13 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "assess/session.h"
 #include "common/rng.h"
+#include "common/wire_codec.h"
 #include "olap/hierarchy.h"
 #include "test_util.h"
 
@@ -109,6 +113,41 @@ TEST(WireFormatTest, HandcraftedResultRoundTrips) {
   auto decoded = DeserializeAssessResult(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ExpectResultsIdentical(original, *decoded);
+}
+
+// The encoding of MakeHandcraftedResult(), captured from the byte-at-a-time
+// encoder rather than from the codec under test. Any change to these bytes
+// breaks interoperability with deployed peers, so it needs a version bump.
+constexpr char kHandcraftedGoldenHex[] =
+    "410101000000000000d03f0000000000000000000000000000f83f0000000000"
+    "00000000000000000000000000000000000000000000000000b03f0573616c65"
+    "730f62656e63686d61726b2e73616c65730564656c7461022053454c45435420"
+    "6d6f6e74682c20636f756e7472792046524f4d2073616c65730853454c454354"
+    "2031020444617465056d6f6e74680307313939372d303307313939372d303107"
+    "313939372d30320553746f726507636f756e74727902064672616e6365054974"
+    "616c79040001000200000101030573616c65730f62656e63686d61726b2e7361"
+    "6c65730564656c746100000000000025400000000000000ac000000000000000"
+    "000000000000001c40000000000000f87f9c7500883ce4377e00000000000000"
+    "800000000000004540000000000000f03f0000000000000040000000000000f8"
+    "7f000000000000f07f0104676f6f64036261640004676f6f64";
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(WireFormatTest, EncodingMatchesGoldenBytes) {
+  const std::string golden = FromHex(kHandcraftedGoldenHex);
+  ASSERT_EQ(golden.size(), 345u);
+  EXPECT_EQ(SerializeAssessResult(MakeHandcraftedResult()), golden);
+  // And the golden bytes decode to the same result.
+  auto decoded = DeserializeAssessResult(golden);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectResultsIdentical(MakeHandcraftedResult(), *decoded);
 }
 
 TEST(WireFormatTest, ReserializationIsStable) {
@@ -297,6 +336,131 @@ TEST(WireFormatTest, HostileCountsDoNotAllocate) {
   EXPECT_NE(decoded.status().message().find("count exceeds"),
             std::string::npos)
       << decoded.status().ToString();
+}
+
+/// Hand-encodes a kResult payload with no SQL and zero timings around one
+/// cube whose axes carry the given dictionaries and coordinate columns, so
+/// tests can state dictionaries the encoder would never produce.
+std::string EncodeRawResult(const std::vector<std::vector<std::string>>& dicts,
+                            const std::vector<std::vector<uint64_t>>& coords,
+                            const std::vector<double>& measure,
+                            bool with_labels) {
+  std::string bytes;
+  bytes.push_back('A');
+  bytes.push_back(0x01);
+  bytes.push_back(0x00);        // plan NP
+  bytes.append(7 * 8, '\0');    // timings
+  bytes.append(3, '\0');        // three empty strings
+  bytes.push_back(0x00);        // no sql
+  PutVarint(&bytes, dicts.size());
+  for (size_t l = 0; l < dicts.size(); ++l) {
+    PutString(&bytes, "H" + std::to_string(l));
+    PutString(&bytes, "l" + std::to_string(l));
+    PutVarint(&bytes, dicts[l].size());
+    for (const std::string& name : dicts[l]) PutString(&bytes, name);
+  }
+  PutVarint(&bytes, measure.size());
+  for (const std::vector<uint64_t>& column : coords) {
+    for (uint64_t id : column) PutVarint(&bytes, id);
+  }
+  PutVarint(&bytes, 1);
+  PutString(&bytes, "m");
+  for (double v : measure) PutDouble(&bytes, v);
+  bytes.push_back(with_labels ? 1 : 0);
+  if (with_labels) {
+    for (size_t r = 0; r < measure.size(); ++r) PutString(&bytes, "lab");
+  }
+  return bytes;
+}
+
+TEST(WireFormatTest, DuplicateDictionaryMemberRejected) {
+  // Coordinate 1 is within the wire count (2) but the repeated name interns
+  // once: accepting it would leave a coordinate past the level's members.
+  const std::string bytes =
+      EncodeRawResult({{"aa", "aa"}}, {{1}}, {3.0}, /*with_labels=*/false);
+  auto decoded = DeserializeAssessResult(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("duplicate dictionary member"),
+            std::string::npos)
+      << decoded.status().ToString();
+  // The same layout with distinct names decodes and renders.
+  auto distinct = DeserializeAssessResult(
+      EncodeRawResult({{"aa", "ab"}}, {{1}}, {3.0}, /*with_labels=*/false));
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  EXPECT_EQ(distinct->cube.CoordName(0, 0), "ab");
+}
+
+// Seeded mutation loop over dictionaries: names drawn from a tiny alphabet
+// (so duplicates are common), coordinates sometimes past the dictionary,
+// and in-place perturbations of the member names of a valid encoding. Every
+// outcome is a typed error or a cube whose coordinates all render.
+TEST(WireFormatTest, DictionaryMutationsFailTypedOrRender) {
+  auto check = [](const std::string& bytes, uint64_t seed) {
+    auto decoded = DeserializeAssessResult(bytes);
+    if (!decoded.ok()) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+          << "seed " << seed << ": " << decoded.status().ToString();
+      return;
+    }
+    const Cube& cube = decoded->cube;
+    for (int l = 0; l < cube.level_count(); ++l) {
+      for (int64_t r = 0; r < cube.NumRows(); ++r) {
+        ASSERT_GE(cube.CoordAt(r, l), 0) << "seed " << seed;
+        ASSERT_LT(cube.CoordAt(r, l), cube.level(l).cardinality())
+            << "seed " << seed;
+      }
+    }
+    EXPECT_FALSE(decoded->ToString(100).empty());
+    std::ostringstream csv;
+    decoded->WriteCsv(csv);
+  };
+
+  const std::string alphabet[] = {"", "a", "aa", "b", "a-much-longer-name"};
+  constexpr uint64_t kNames = sizeof(alphabet) / sizeof(alphabet[0]);
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed * 0x51ED + 7);
+    const int levels = 1 + static_cast<int>(rng.Uniform(2));
+    const int rows = static_cast<int>(rng.Uniform(5));
+    std::vector<std::vector<std::string>> dicts(levels);
+    std::vector<std::vector<uint64_t>> coords(levels);
+    for (int l = 0; l < levels; ++l) {
+      const int size = 1 + static_cast<int>(rng.Uniform(4));
+      for (int d = 0; d < size; ++d) {
+        dicts[l].push_back(alphabet[rng.Uniform(kNames)]);
+      }
+      for (int r = 0; r < rows; ++r) coords[l].push_back(rng.Uniform(size + 1));
+    }
+    std::vector<double> measure(rows, 1.0);
+    check(EncodeRawResult(dicts, coords, measure, rng.Uniform(2) == 1), seed);
+  }
+
+  // Perturb the member names of a valid encoding in place: overwrite one
+  // name with another of the same length (a duplicate) or flip one of its
+  // bytes (usually still distinct).
+  const std::string valid = SerializeAssessResult(MakeHandcraftedResult());
+  const std::vector<std::string> names = {"1997-01", "1997-02", "1997-03"};
+  std::vector<size_t> at;
+  for (const std::string& name : names) at.push_back(valid.find(name));
+  for (size_t pos : at) ASSERT_NE(pos, std::string::npos);
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed * 0xC0FFEE + 3);
+    std::string mutated = valid;
+    const size_t target = at[rng.Uniform(at.size())];
+    if (rng.Uniform(2) == 0) {
+      const std::string& other = names[rng.Uniform(names.size())];
+      mutated.replace(target, other.size(), other);
+    } else {
+      const size_t byte = target + rng.Uniform(names[0].size());
+      mutated[byte] =
+          static_cast<char>(mutated[byte] ^ (1 << rng.Uniform(8)));
+    }
+    check(mutated, seed);
+  }
+  // The deterministic duplicate: the second name written over the first.
+  std::string duplicate = valid;
+  duplicate.replace(at[0], names[1].size(), names[1]);
+  EXPECT_FALSE(DeserializeAssessResult(duplicate).ok());
 }
 
 }  // namespace
