@@ -17,8 +17,6 @@
 //   \cache             result-cache counters (local session / remote server)
 //   \stats             \cache plus server load & latency (remote; alias of
 //                      \cache locally)
-//   \workload          workload profile + MV-advisor report (what this
-//                      session queried and which views to materialize)
 //   \quit
 // Remote mode serves the subset in examples/remote_repl.h; plan forcing and
 // suggestion stay in-process (the server always picks the best plan).
@@ -38,7 +36,6 @@
 #include "client/assess_client.h"
 #include "common/str_util.h"
 #include "ingest/ingestor.h"
-#include "obs/workload_profiler.h"
 #include "remote_repl.h"
 #include "ssb/sales_generator.h"
 #include "ssb/ssb_generator.h"
@@ -60,7 +57,6 @@ Monitoring:    \cache  result-cache counters (this session's engine)
                \stats  alias of \cache here; against a server
                        (--connect host:port) it adds load, in-flight/queued
                        requests and latency percentiles
-               \workload  workload profile + MV-advisor report
 )";
 }
 
@@ -161,10 +157,6 @@ int main(int argc, char** argv) {
   assess::EngineOptions engine;
   engine.shared_cache =
       std::make_shared<assess::CubeResultCache>(engine.cache);
-  // The process-wide profiler feeds \workload: every statement this shell
-  // runs lands in the profile, and the MV advisor reports on exactly the
-  // session's own history.
-  engine.profiler = &assess::WorkloadProfiler::Process();
   assess::AssessSession session(db.get(), engine);
   std::optional<assess::PlanKind> forced_plan = std::nullopt;
   auto run = [&session, &forced_plan](std::string_view stmt) {
@@ -194,10 +186,6 @@ int main(int argc, char** argv) {
         for (const std::string& name : session.labelings()->Names()) {
           std::cout << "  " << name << "\n";
         }
-        continue;
-      }
-      if (input == "\\workload") {
-        std::cout << assess::WorkloadProfiler::Process().BuildReport().ToText();
         continue;
       }
       if (input == "\\cache" || input == "\\stats") {

@@ -9,7 +9,6 @@
 //   \stats          server statistics (load, latency percentiles, cache)
 //   \cache          just the shared result cache counters
 //   \metrics        Prometheus-style metrics exposition
-//   \workload       workload profile + MV-advisor report
 //   \ping           liveness probe
 //   \help, \quit
 //
@@ -98,7 +97,7 @@ inline void PrintRemoteHelp() {
       R"(Type an assess statement, e.g.:
   with SALES by month assess storeSales labels quartiles
 Meta commands: \csv <stmt>, \sql <stmt>, \analyze <stmt>, \stats, \cache,
-               \metrics, \workload, \ping, \ingest <file> [cube], \help, \quit
+               \metrics, \ping, \ingest <file> [cube], \help, \quit
 )";
 }
 
@@ -150,16 +149,6 @@ inline int RunRemoteRepl(assess::AssessClient& client) {
           continue;
         }
         std::cout << *metrics;
-        continue;
-      }
-      if (input == "\\workload") {
-        auto report = client.Workload();
-        if (!report.ok()) {
-          std::cout << DescribeRemoteError(report.status()) << "\n";
-          if (!client.connected()) return 1;
-          continue;
-        }
-        std::cout << *report;
         continue;
       }
       if (assess::StartsWith(input, "\\ingest")) {

@@ -41,6 +41,15 @@ struct CacheOptions {
   int shards = 8;
 };
 
+/// \brief How one get was answered: StarQueryEngine::last_cache_outcome()
+/// and the workload profile's per-fingerprint outcome counts.
+enum class CacheOutcome {
+  kBypass,          ///< cache disabled for the engine
+  kMiss,            ///< computed by scan (fact table or view)
+  kExactHit,        ///< served from an identical cached result
+  kSubsumptionHit,  ///< re-aggregated from a finer cached result
+};
+
 /// \brief Monotonic counters and residency gauges of the cache, readable at
 /// any time (each counter is an independent atomic, so a snapshot taken
 /// under concurrent traffic is per-field accurate but not globally atomic).

@@ -212,13 +212,6 @@ Result<std::string> AssessClient::Metrics() {
   return payload;
 }
 
-Result<std::string> AssessClient::Workload() {
-  std::string payload;
-  ASSESS_RETURN_NOT_OK(RoundTripWithRetry(
-      FrameType::kWorkload, {}, FrameType::kWorkloadReply, &payload));
-  return payload;
-}
-
 Result<std::string> AssessClient::ExplainAnalyze(std::string_view statement) {
   // Deliberately no retry loop: a timing measurement that silently ran
   // twice would be misleading, and the statement may be expensive.

@@ -102,11 +102,6 @@ class AssessClient {
   /// (retryable, like Stats()).
   Result<std::string> Metrics();
 
-  /// \brief Fetches the server's workload profile + MV-advisor report as
-  /// rendered text (retryable, like Stats()). Empty-ish when the server
-  /// runs with --workload-profile=off.
-  Result<std::string> Workload();
-
   /// \brief Runs `statement` on the server under EXPLAIN ANALYZE and returns
   /// the rendered span tree + phase breakdown. Never retried and never
   /// deduplicated: every call re-executes and re-measures. Fails with

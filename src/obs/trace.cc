@@ -6,9 +6,7 @@
 #include <cstdio>
 
 namespace assess {
-namespace {
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
 void AppendJsonEscaped(std::string* out, std::string_view s) {
   for (char c : s) {
     switch (c) {
@@ -38,6 +36,8 @@ void AppendJsonEscaped(std::string* out, std::string_view s) {
     }
   }
 }
+
+namespace {
 
 void AppendAttrValueJson(std::string* out, const TraceAttr& attr) {
   char buf[64];

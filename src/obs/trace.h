@@ -54,6 +54,11 @@ inline constexpr bool kTracingCompiledIn = true;
 inline constexpr bool kTracingCompiledIn = false;
 #endif
 
+/// \brief Appends `s` to `out` as the body of a JSON string: quotes,
+/// backslashes and control characters escaped. Every JSON surface (span
+/// trees, /traces, /workload) escapes through this one function.
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
 /// \brief One typed span attribute.
 struct TraceAttr {
   enum class Kind { kInt, kDouble, kString };

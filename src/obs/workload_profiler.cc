@@ -1,56 +1,15 @@
 #include "obs/workload_profiler.h"
 
 #include <algorithm>
-#include <cstdarg>
+#include <cinttypes>
 #include <cstdio>
 #include <functional>
 
 #include "common/failpoint.h"
+#include "obs/trace.h"
 
 namespace assess {
 namespace {
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  *out += buf;
-}
-
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 8);
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 std::string DisplayQuery(const CubeSchema& schema,
                          const CanonicalQuery& canon) {
@@ -65,235 +24,26 @@ std::string DisplayQuery(const CubeSchema& schema,
     }
     out += "}";
   }
+  // Measures are part of the fingerprint, so they are part of the display:
+  // one display string per live fingerprint.
+  out += " [";
+  for (size_t i = 0; i < canon.measures.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += schema.measure(canon.measures[i]).name;
+  }
+  out += "]";
   return out;
 }
 
 }  // namespace
 
-std::vector<int> CandidateNode(const CubeSchema& schema,
-                               const CanonicalQuery& canon) {
-  std::vector<int> node(schema.hierarchy_count(), -1);
-  for (int h = 0; h < schema.hierarchy_count(); ++h) {
-    if (canon.group_by.HasHierarchy(h)) node[h] = canon.group_by.LevelOf(h);
-  }
-  for (const Predicate& p : canon.predicates) {
-    if (p.hierarchy < 0 || p.hierarchy >= schema.hierarchy_count()) continue;
-    node[p.hierarchy] = node[p.hierarchy] < 0
-                            ? p.level
-                            : std::min(node[p.hierarchy], p.level);
-  }
-  return node;
-}
-
-// ---------------------------------------------------------------------------
-// LatticeHeat
-// ---------------------------------------------------------------------------
-
-void LatticeHeat::Add(const std::vector<int>& node, uint64_t executions) {
-  Observed& obs = observed_[node];
-  obs.fingerprints += 1;
-  obs.executions += executions;
-}
-
-bool LatticeHeat::Covers(const std::vector<int>& view,
-                         const std::vector<int>& query) {
-  if (view.size() != query.size()) return false;
-  for (size_t h = 0; h < query.size(); ++h) {
-    if (query[h] < 0) continue;  // ALL: any view level aggregates to it
-    if (view[h] < 0 || view[h] > query[h]) return false;
-  }
-  return true;
-}
-
-int64_t LatticeHeat::EstimatedRows(const std::vector<int>& node) const {
-  // Product of level cardinalities over present hierarchies — the classic
-  // independence estimate — capped at the fact rows (a view can never hold
-  // more rows than the table it aggregates).
-  int64_t rows = 1;
-  for (size_t h = 0; h < node.size(); ++h) {
-    if (node[h] < 0) continue;
-    if (h >= shape_.level_cardinality.size() ||
-        node[h] >= static_cast<int>(shape_.level_cardinality[h].size())) {
-      continue;
-    }
-    int64_t card = std::max<int64_t>(1, shape_.level_cardinality[h][node[h]]);
-    if (shape_.fact_rows > 0 && rows > shape_.fact_rows / card) {
-      return shape_.fact_rows;  // overflow-safe cap
-    }
-    rows *= card;
-  }
-  if (shape_.fact_rows > 0) rows = std::min(rows, shape_.fact_rows);
-  return rows;
-}
-
-std::string LatticeHeat::Render(const std::vector<int>& node) const {
-  std::string out = "<";
-  bool first = true;
-  for (size_t h = 0; h < node.size(); ++h) {
-    if (node[h] < 0) continue;
-    if (!first) out += ", ";
-    first = false;
-    if (h < shape_.level_names.size() &&
-        node[h] < static_cast<int>(shape_.level_names[h].size())) {
-      out += shape_.level_names[h][node[h]];
-    } else {
-      AppendF(&out, "h%zu:l%d", h, node[h]);
-    }
-  }
-  out += ">";
-  return out;
-}
-
-std::vector<std::string> LatticeHeat::LevelNames(
-    const std::vector<int>& node) const {
-  std::vector<std::string> names;
-  for (size_t h = 0; h < node.size(); ++h) {
-    if (node[h] < 0) continue;
-    if (h < shape_.level_names.size() &&
-        node[h] < static_cast<int>(shape_.level_names[h].size())) {
-      names.push_back(shape_.level_names[h][node[h]]);
-    }
-  }
-  return names;
-}
-
-std::vector<LatticeHeatNode> LatticeHeat::Nodes() const {
-  std::vector<LatticeHeatNode> out;
-  out.reserve(observed_.size());
-  for (const auto& [node, self] : observed_) {
-    LatticeHeatNode heat;
-    heat.cube = shape_.cube;
-    heat.node = Render(node);
-    heat.levels = node;
-    heat.estimated_rows = EstimatedRows(node);
-    // The roll-up: this node absorbs every observed query it covers — its
-    // own plus all coarser ones a view here could answer.
-    for (const auto& [other, obs] : observed_) {
-      if (!Covers(node, other)) continue;
-      heat.fingerprints += obs.fingerprints;
-      heat.executions += obs.executions;
-    }
-    out.push_back(std::move(heat));
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const LatticeHeatNode& a, const LatticeHeatNode& b) {
-                     if (a.executions != b.executions) {
-                       return a.executions > b.executions;
-                     }
-                     return a.estimated_rows < b.estimated_rows;
-                   });
-  return out;
-}
-
-std::vector<MvRecommendation> LatticeHeat::Greedy(
-    int max_recommendations) const {
-  std::vector<MvRecommendation> out;
-  if (shape_.fact_rows <= 0 || observed_.empty()) return out;
-
-  // Cost of answering each observed query right now: the fact table, until
-  // a selected view covers it.
-  struct QueryDemand {
-    const std::vector<int>* node;
-    uint64_t fingerprints;
-    uint64_t executions;
-    double cost;
-  };
-  std::vector<QueryDemand> demand;
-  demand.reserve(observed_.size());
-  for (const auto& [node, obs] : observed_) {
-    demand.push_back(QueryDemand{&node, obs.fingerprints, obs.executions,
-                                 static_cast<double>(shape_.fact_rows)});
-  }
-
-  std::vector<const std::vector<int>*> chosen;
-  for (int round = 0; round < max_recommendations; ++round) {
-    const std::vector<int>* best = nullptr;
-    double best_benefit = 0.0;
-    MvRecommendation best_rec;
-    for (const auto& [candidate, obs] : observed_) {
-      bool already = false;
-      for (const std::vector<int>* c : chosen) {
-        if (*c == candidate) already = true;
-      }
-      if (already) continue;
-      const double view_rows =
-          static_cast<double>(EstimatedRows(candidate));
-      double benefit = 0.0;
-      uint64_t queries = 0;
-      uint64_t executions = 0;
-      for (const QueryDemand& q : demand) {
-        if (!Covers(candidate, *q.node)) continue;
-        queries += q.fingerprints;
-        executions += q.executions;
-        if (q.cost > view_rows) {
-          benefit += static_cast<double>(q.executions) * (q.cost - view_rows);
-        }
-      }
-      if (best == nullptr || benefit > best_benefit) {
-        best = &candidate;
-        best_benefit = benefit;
-        best_rec.cube = shape_.cube;
-        best_rec.node = Render(candidate);
-        best_rec.level_names = LevelNames(candidate);
-        best_rec.estimated_rows = static_cast<int64_t>(view_rows);
-        best_rec.queries_covered = queries;
-        best_rec.executions_covered = executions;
-        best_rec.expected_scan_savings = benefit;
-      }
-    }
-    // A pick that saves nothing ends the selection: every remaining node is
-    // at least as expensive as what already answers its queries.
-    if (best == nullptr || best_benefit <= 0.0) break;
-    chosen.push_back(best);
-    out.push_back(std::move(best_rec));
-    const double view_rows =
-        static_cast<double>(EstimatedRows(*best));
-    for (QueryDemand& q : demand) {
-      if (Covers(*best, *q.node)) q.cost = std::min(q.cost, view_rows);
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// WorkloadProfiler
-// ---------------------------------------------------------------------------
-
-WorkloadProfiler::WorkloadProfiler(WorkloadProfilerOptions options)
-    : options_(options) {
-  options_.shards = std::max(1, options_.shards);
-  options_.max_fingerprints = std::max<size_t>(
-      options_.max_fingerprints, static_cast<size_t>(options_.shards));
-  shard_cap_ = options_.max_fingerprints / options_.shards;
-  shards_.reserve(options_.shards);
-  for (int i = 0; i < options_.shards; ++i) {
+WorkloadProfiler::WorkloadProfiler(WorkloadProfilerOptions options) {
+  const size_t shards = static_cast<size_t>(std::max(1, options.shards));
+  shard_cap_ = std::max(options.max_fingerprints, shards) / shards;
+  shards_.reserve(shards);
+  for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-}
-
-WorkloadProfiler& WorkloadProfiler::Process() {
-  static WorkloadProfiler* instance = new WorkloadProfiler();
-  return *instance;
-}
-
-void WorkloadProfiler::RememberCube(const CubeSchema& schema,
-                                    const std::string& cube,
-                                    int64_t fact_rows) {
-  std::lock_guard<std::mutex> lock(cube_mutex_);
-  auto [it, fresh] = cubes_.try_emplace(cube);
-  if (fresh) {
-    it->second.cube = cube;
-    it->second.level_names.resize(schema.hierarchy_count());
-    it->second.level_cardinality.resize(schema.hierarchy_count());
-    for (int h = 0; h < schema.hierarchy_count(); ++h) {
-      const Hierarchy& hier = schema.hierarchy(h);
-      for (int l = 0; l < hier.level_count(); ++l) {
-        it->second.level_names[h].push_back(hier.level_name(l));
-        it->second.level_cardinality[h].push_back(hier.LevelCardinality(l));
-      }
-    }
-  }
-  if (fact_rows > 0) it->second.fact_rows = fact_rows;
 }
 
 std::shared_ptr<WorkloadProfiler::Entry> WorkloadProfiler::Touch(
@@ -309,21 +59,7 @@ std::shared_ptr<WorkloadProfiler::Entry> WorkloadProfiler::Touch(
     return it->second;
   }
   auto entry = std::make_shared<Entry>();
-  entry->cube = canon.cube_name;
   entry->display = DisplayQuery(schema, canon);
-  entry->node = CandidateNode(schema, canon);
-  {
-    std::string lattice = "<";
-    bool first = true;
-    for (int h = 0; h < schema.hierarchy_count(); ++h) {
-      if (entry->node[h] < 0) continue;
-      if (!first) lattice += ", ";
-      first = false;
-      lattice += schema.hierarchy(h).level_name(entry->node[h]);
-    }
-    lattice += ">";
-    entry->lattice = std::move(lattice);
-  }
   shard.order.push_front(key);
   entry->lru = shard.order.begin();
   shard.entries.emplace(key, entry);
@@ -336,61 +72,37 @@ std::shared_ptr<WorkloadProfiler::Entry> WorkloadProfiler::Touch(
   return entry;
 }
 
-WorkloadProfiler::Seen WorkloadProfiler::RecordQuery(
-    const CubeSchema& schema, const CanonicalQuery& canon,
-    WorkloadOutcome outcome, double latency_ms, uint64_t rows_scanned,
-    uint64_t morsels_skipped, int64_t fact_rows) {
-  Seen seen;
-  if (!enabled()) return seen;
+uint64_t WorkloadProfiler::RecordQuery(const CubeSchema& schema,
+                                       CanonicalQuery canon,
+                                       CacheOutcome outcome,
+                                       double latency_ms) {
+  if (!enabled()) return 0;
   // Chaos site: a "failing" profiler drops the sample and moves a counter —
   // it can never fail the query that was being profiled.
   if (ASSESS_FAILPOINT_TRIGGERED("obs.profile")) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
-    return seen;
+    return 0;
   }
-  CanonicalQuery keyed = canon;
-  keyed.epoch = 0;  // epoch-less: one profile row per logical query
-  const std::string key = FingerprintKey(keyed);
-  std::shared_ptr<Entry> entry = Touch(key, schema, keyed);
-  seen.count = entry->executions.fetch_add(1, std::memory_order_relaxed) + 1;
-  seen.lattice = entry->lattice;
+  canon.epoch = 0;  // epoch-less: one profile row per logical query
+  std::shared_ptr<Entry> entry = Touch(FingerprintKey(canon), schema, canon);
+  const uint64_t seen =
+      entry->executions.fetch_add(1, std::memory_order_relaxed) + 1;
+  entry->total_us.fetch_add(static_cast<uint64_t>(latency_ms * 1000.0 + 0.5),
+                            std::memory_order_relaxed);
   switch (outcome) {
-    case WorkloadOutcome::kExactHit:
+    case CacheOutcome::kExactHit:
       entry->exact_hits.fetch_add(1, std::memory_order_relaxed);
       break;
-    case WorkloadOutcome::kSubsumptionHit:
+    case CacheOutcome::kSubsumptionHit:
       entry->subsumption_hits.fetch_add(1, std::memory_order_relaxed);
       break;
-    case WorkloadOutcome::kMiss:
-    case WorkloadOutcome::kBypass:
+    case CacheOutcome::kMiss:
+    case CacheOutcome::kBypass:
       entry->misses.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-  entry->rows_scanned.fetch_add(rows_scanned, std::memory_order_relaxed);
-  entry->morsels_skipped.fetch_add(morsels_skipped,
-                                   std::memory_order_relaxed);
-  entry->latency_ms.Observe(latency_ms);
-  entry->rows_hist.Observe(static_cast<double>(rows_scanned));
-  entry->skip_hist.Observe(static_cast<double>(morsels_skipped));
   total_queries_.fetch_add(1, std::memory_order_relaxed);
-  RememberCube(schema, canon.cube_name, fact_rows);
   return seen;
-}
-
-void WorkloadProfiler::RecordPiggyback(const CubeSchema& schema,
-                                       const CanonicalQuery& canon) {
-  if (!enabled()) return;
-  if (ASSESS_FAILPOINT_TRIGGERED("obs.profile")) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  CanonicalQuery keyed = canon;
-  keyed.epoch = 0;
-  const std::string key = FingerprintKey(keyed);
-  std::shared_ptr<Entry> entry = Touch(key, schema, keyed);
-  entry->piggybacked.fetch_add(1, std::memory_order_relaxed);
-  total_piggybacked_.fetch_add(1, std::memory_order_relaxed);
-  RememberCube(schema, canon.cube_name, /*fact_rows=*/0);
 }
 
 uint64_t WorkloadProfiler::fingerprints() const {
@@ -406,7 +118,6 @@ WorkloadReport WorkloadProfiler::BuildReport() const {
   WorkloadReport report;
   report.evicted_fingerprints = evicted_fingerprints();
   report.total_queries = total_queries();
-  report.piggybacked = total_piggybacked_.load(std::memory_order_relaxed);
   report.dropped_samples = dropped_samples();
 
   std::vector<WorkloadEntrySnapshot> all;
@@ -414,206 +125,56 @@ WorkloadReport WorkloadProfiler::BuildReport() const {
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (const auto& [key, entry] : shard->entries) {
       WorkloadEntrySnapshot snap;
-      snap.cube = entry->cube;
       snap.display = entry->display;
-      snap.lattice = entry->lattice;
-      snap.node = entry->node;
       snap.executions = entry->executions.load(std::memory_order_relaxed);
+      snap.total_us = entry->total_us.load(std::memory_order_relaxed);
       snap.exact_hits = entry->exact_hits.load(std::memory_order_relaxed);
       snap.subsumption_hits =
           entry->subsumption_hits.load(std::memory_order_relaxed);
       snap.misses = entry->misses.load(std::memory_order_relaxed);
-      snap.piggybacked = entry->piggybacked.load(std::memory_order_relaxed);
-      snap.p50_ms = entry->latency_ms.Quantile(0.50);
-      snap.p99_ms = entry->latency_ms.Quantile(0.99);
-      snap.rows_scanned = entry->rows_scanned.load(std::memory_order_relaxed);
-      snap.morsels_skipped =
-          entry->morsels_skipped.load(std::memory_order_relaxed);
       all.push_back(std::move(snap));
     }
   }
   report.fingerprints = all.size();
 
-  // Deterministic order: hottest first, display text as the tiebreak.
-  std::sort(all.begin(), all.end(),
-            [](const WorkloadEntrySnapshot& a,
-               const WorkloadEntrySnapshot& b) {
-              if (a.executions != b.executions) {
-                return a.executions > b.executions;
-              }
-              return a.display < b.display;
-            });
-
-  // Lattice heat + greedy advisor per cube.
-  std::map<std::string, LatticeHeat::CubeShape> shapes;
-  {
-    std::lock_guard<std::mutex> lock(cube_mutex_);
-    shapes = cubes_;
-  }
-  std::map<std::string, LatticeHeat> heats;
-  for (const auto& [cube, shape] : shapes) {
-    heats.emplace(cube, LatticeHeat(shape));
-  }
-  for (const WorkloadEntrySnapshot& snap : all) {
-    auto it = heats.find(snap.cube);
-    if (it == heats.end()) continue;
-    // Demand weight = executions + piggybacks: a piggybacked query's scan
-    // was someone else's, but its demand on the lattice node is real.
-    it->second.Add(snap.node, snap.executions + snap.piggybacked);
-  }
-  for (const auto& [cube, heat] : heats) {
-    std::vector<LatticeHeatNode> nodes = heat.Nodes();
-    report.heat.insert(report.heat.end(), nodes.begin(), nodes.end());
-    std::vector<MvRecommendation> recs =
-        heat.Greedy(options_.max_recommendations);
-    report.recommendations.insert(report.recommendations.end(), recs.begin(),
-                                  recs.end());
-  }
-  std::stable_sort(report.heat.begin(), report.heat.end(),
-                   [](const LatticeHeatNode& a, const LatticeHeatNode& b) {
-                     return a.executions > b.executions;
-                   });
-  if (static_cast<int>(report.heat.size()) > options_.top_nodes) {
-    report.heat.resize(options_.top_nodes);
-  }
-  std::stable_sort(
-      report.recommendations.begin(), report.recommendations.end(),
-      [](const MvRecommendation& a, const MvRecommendation& b) {
-        return a.expected_scan_savings > b.expected_scan_savings;
-      });
-  if (static_cast<int>(report.recommendations.size()) >
-      options_.max_recommendations) {
-    report.recommendations.resize(options_.max_recommendations);
-  }
-
-  if (static_cast<int>(all.size()) > options_.top_queries) {
-    all.resize(options_.top_queries);
-  }
+  // Deterministic order: most total time first, display text as the
+  // tiebreak.
+  const size_t top = std::min(all.size(), WorkloadReport::kTopQueries);
+  std::partial_sort(all.begin(), all.begin() + top, all.end(),
+                    [](const WorkloadEntrySnapshot& a,
+                       const WorkloadEntrySnapshot& b) {
+                      if (a.total_us != b.total_us) {
+                        return a.total_us > b.total_us;
+                      }
+                      return a.display < b.display;
+                    });
+  all.resize(top);
   report.top = std::move(all);
   return report;
 }
 
-// ---------------------------------------------------------------------------
-// Report rendering
-// ---------------------------------------------------------------------------
-
-std::string WorkloadReport::ToText() const {
-  std::string out;
-  AppendF(&out,
-          "workload profile: %llu fingerprints live, %llu evicted; "
-          "%llu queries profiled, %llu piggybacked, %llu samples dropped\n",
-          static_cast<unsigned long long>(fingerprints),
-          static_cast<unsigned long long>(evicted_fingerprints),
-          static_cast<unsigned long long>(total_queries),
-          static_cast<unsigned long long>(piggybacked),
-          static_cast<unsigned long long>(dropped_samples));
-  if (top.empty()) {
-    out += "(no queries profiled yet)\n";
-    return out;
-  }
-  out += "top queries:\n";
-  for (const WorkloadEntrySnapshot& e : top) {
-    AppendF(&out,
-            "  %6llux  %s  lattice %s  p50 %.3f ms  p99 %.3f ms  "
-            "%llu exact / %llu subsumed / %llu miss / %llu piggybacked\n",
-            static_cast<unsigned long long>(e.executions), e.display.c_str(),
-            e.lattice.c_str(), e.p50_ms, e.p99_ms,
-            static_cast<unsigned long long>(e.exact_hits),
-            static_cast<unsigned long long>(e.subsumption_hits),
-            static_cast<unsigned long long>(e.misses),
-            static_cast<unsigned long long>(e.piggybacked));
-  }
-  if (!heat.empty()) {
-    out += "lattice heat (demand answerable per candidate node):\n";
-    for (const LatticeHeatNode& n : heat) {
-      AppendF(&out,
-              "  %s %s  ~%lld rows  %llu fingerprints  %llu executions\n",
-              n.cube.c_str(), n.node.c_str(),
-              static_cast<long long>(n.estimated_rows),
-              static_cast<unsigned long long>(n.fingerprints),
-              static_cast<unsigned long long>(n.executions));
-    }
-  }
-  if (recommendations.empty()) {
-    out += "recommended views: none (no materialization would save scans)\n";
-  } else {
-    out += "recommended views (greedy lattice selection):\n";
-    for (size_t i = 0; i < recommendations.size(); ++i) {
-      const MvRecommendation& r = recommendations[i];
-      AppendF(&out,
-              "  %zu. %s at %s: ~%lld rows, covers %llu queries "
-              "(%llu executions), saves ~%.3g scanned rows\n",
-              i + 1, r.cube.c_str(), r.node.c_str(),
-              static_cast<long long>(r.estimated_rows),
-              static_cast<unsigned long long>(r.queries_covered),
-              static_cast<unsigned long long>(r.executions_covered),
-              r.expected_scan_savings);
-    }
-  }
-  return out;
-}
-
 std::string WorkloadReport::ToJson() const {
-  std::string out = "{";
-  AppendF(&out,
-          "\"fingerprints\": %llu, \"evicted_fingerprints\": %llu, "
-          "\"total_queries\": %llu, \"piggybacked\": %llu, "
-          "\"dropped_samples\": %llu, \"top\": [",
-          static_cast<unsigned long long>(fingerprints),
-          static_cast<unsigned long long>(evicted_fingerprints),
-          static_cast<unsigned long long>(total_queries),
-          static_cast<unsigned long long>(piggybacked),
-          static_cast<unsigned long long>(dropped_samples));
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{\"fingerprints\": %" PRIu64
+                ", \"evicted_fingerprints\": %" PRIu64
+                ", \"total_queries\": %" PRIu64
+                ", \"dropped_samples\": %" PRIu64 ", \"top\": [",
+                fingerprints, evicted_fingerprints, total_queries,
+                dropped_samples);
+  std::string out = buf;
   for (size_t i = 0; i < top.size(); ++i) {
     const WorkloadEntrySnapshot& e = top[i];
-    if (i > 0) out += ", ";
-    AppendF(&out,
-            "{\"cube\": \"%s\", \"query\": \"%s\", \"lattice\": \"%s\", "
-            "\"executions\": %llu, \"exact_hits\": %llu, "
-            "\"subsumption_hits\": %llu, \"misses\": %llu, "
-            "\"piggybacked\": %llu, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-            "\"rows_scanned\": %llu, \"morsels_skipped\": %llu}",
-            JsonEscape(e.cube).c_str(), JsonEscape(e.display).c_str(),
-            JsonEscape(e.lattice).c_str(),
-            static_cast<unsigned long long>(e.executions),
-            static_cast<unsigned long long>(e.exact_hits),
-            static_cast<unsigned long long>(e.subsumption_hits),
-            static_cast<unsigned long long>(e.misses),
-            static_cast<unsigned long long>(e.piggybacked), e.p50_ms,
-            e.p99_ms, static_cast<unsigned long long>(e.rows_scanned),
-            static_cast<unsigned long long>(e.morsels_skipped));
-  }
-  out += "], \"lattice_heat\": [";
-  for (size_t i = 0; i < heat.size(); ++i) {
-    const LatticeHeatNode& n = heat[i];
-    if (i > 0) out += ", ";
-    AppendF(&out,
-            "{\"cube\": \"%s\", \"node\": \"%s\", \"fingerprints\": %llu, "
-            "\"executions\": %llu, \"estimated_rows\": %lld}",
-            JsonEscape(n.cube).c_str(), JsonEscape(n.node).c_str(),
-            static_cast<unsigned long long>(n.fingerprints),
-            static_cast<unsigned long long>(n.executions),
-            static_cast<long long>(n.estimated_rows));
-  }
-  out += "], \"recommendations\": [";
-  for (size_t i = 0; i < recommendations.size(); ++i) {
-    const MvRecommendation& r = recommendations[i];
-    if (i > 0) out += ", ";
-    AppendF(&out,
-            "{\"cube\": \"%s\", \"node\": \"%s\", \"levels\": [",
-            JsonEscape(r.cube).c_str(), JsonEscape(r.node).c_str());
-    for (size_t l = 0; l < r.level_names.size(); ++l) {
-      if (l > 0) out += ", ";
-      AppendF(&out, "\"%s\"", JsonEscape(r.level_names[l]).c_str());
-    }
-    AppendF(&out,
-            "], \"estimated_rows\": %lld, \"queries_covered\": %llu, "
-            "\"executions_covered\": %llu, "
-            "\"expected_scan_savings\": %.1f}",
-            static_cast<long long>(r.estimated_rows),
-            static_cast<unsigned long long>(r.queries_covered),
-            static_cast<unsigned long long>(r.executions_covered),
-            r.expected_scan_savings);
+    out += i > 0 ? ", {\"query\": \"" : "{\"query\": \"";
+    AppendJsonEscaped(&out, e.display);
+    std::snprintf(buf, sizeof(buf),
+                  "\", \"executions\": %" PRIu64 ", \"total_ms\": %.3f"
+                  ", \"exact_hits\": %" PRIu64
+                  ", \"subsumption_hits\": %" PRIu64 ", \"misses\": %" PRIu64
+                  "}",
+                  e.executions, static_cast<double>(e.total_us) / 1000.0,
+                  e.exact_hits, e.subsumption_hits, e.misses);
+    out += buf;
   }
   out += "]}";
   return out;

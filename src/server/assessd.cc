@@ -51,36 +51,6 @@ std::string TraceIdHex(uint64_t trace_id) {
   return buf;
 }
 
-void JsonEscapeInto(std::string* out, const std::string& in) {
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
 }  // namespace
 
 struct AssessServer::Connection {
@@ -135,10 +105,10 @@ Status AssessServer::Start() {
   // worker set instead of each sizing itself to the whole machine, so N
   // concurrent sessions cannot oversubscribe into N × cores scan threads.
   if (!options_.engine.pool) options_.engine.pool = TaskPool::Shared();
-  // Workload profiling: every session's engine (and the MQO collector's)
-  // records into this server's profile store. The kill switch only
-  // disables recording — the store, \workload and /workload stay wired so
-  // an operator sees an explicitly empty profile, not a missing feature.
+  // Workload profiling: every session's engine records into this server's
+  // profile store. The kill switch only
+  // disables recording — /workload stays wired so an operator sees an
+  // explicitly empty profile, not a missing feature.
   profiler_.set_enabled(options_.workload_profile);
   options_.engine.profiler = &profiler_;
   // The MQO collector shares the sessions' cache and pool (installed just
@@ -386,13 +356,6 @@ void AssessServer::ReaderLoop(Connection* conn) {
     }
     if (frame.type == FrameType::kPing) {
       if (!WriteFrame(conn->fd, FrameType::kPong, {}).ok()) break;
-      continue;
-    }
-    if (frame.type == FrameType::kWorkload) {
-      if (!WriteFrame(conn->fd, FrameType::kWorkloadReply, RenderWorkload())
-               .ok()) {
-        break;
-      }
       continue;
     }
     if (frame.type == FrameType::kStats) {
@@ -846,7 +809,7 @@ void AssessServer::RecordTrace(uint64_t trace_id, const std::string& statement,
   std::snprintf(num, sizeof(num), "%.3f", ms);
   entry += num;
   entry += ",\"statement\":\"";
-  JsonEscapeInto(&entry, statement);
+  AppendJsonEscaped(&entry, statement);
   entry += "\",\"trace\":";
   entry += trace.ToChromeTrace();
   entry += "}";
@@ -870,10 +833,6 @@ std::string AssessServer::RenderTracesJson() const {
   }
   out += "]}";
   return out;
-}
-
-std::string AssessServer::RenderWorkload() const {
-  return profiler_.BuildReport().ToText();
 }
 
 ServerStats AssessServer::Snapshot() const {

@@ -81,7 +81,7 @@ struct ServerOptions {
   int http_port = -1;
   /// Workload profiling kill switch (assessd --workload-profile=off):
   /// when false, queries are not recorded into the workload profile and
-  /// \workload / /workload report an empty profile.
+  /// /workload reports an empty profile.
   bool workload_profile = true;
   /// Multi-query optimization: queries are held for this micro-batch window
   /// (measured from the oldest held request) so concurrent statements whose
@@ -184,10 +184,6 @@ class AssessServer {
   /// histogram, and one series per ServerStats field-table row, read from
   /// Snapshot() — so every \stats number has a same-named sample.
   std::string RenderMetrics() const;
-
-  /// \brief The workload-profile + MV-advisor report (what kWorkload and
-  /// the REPL's \workload return).
-  std::string RenderWorkload() const;
 
   /// \brief The /traces payload: recent sampled span trees, newest last,
   /// each entry carrying its trace id and a Chrome trace_event object.
@@ -295,8 +291,8 @@ class AssessServer {
   std::atomic<uint64_t> trace_spans_{0};
   std::atomic<uint64_t> trace_emit_failures_{0};
 
-  // Workload intelligence: this server's profile store (every session's
-  // engine records into it; Start() points options_.engine.profiler here),
+  // Observability: this server's workload profile (every session's engine
+  // records into it; Start() points options_.engine.profiler here),
   // the observability HTTP listener, the /traces ring and the count of
   // frames that carried a client trace id.
   WorkloadProfiler profiler_;

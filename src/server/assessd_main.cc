@@ -68,8 +68,8 @@ int Usage(const char* argv0) {
       "fraction of queries (deterministic, default 1).\n"
       "--http-port serves the read-only observability endpoint on\n"
       "127.0.0.1:P (/metrics Prometheus exposition, /healthz drain-aware\n"
-      "health, /workload profile + MV-advisor report, /traces recent span\n"
-      "trees); 0 binds an ephemeral port. Off without the flag.\n"
+      "health, /workload top query fingerprints by total time, /traces\n"
+      "recent span trees); 0 binds an ephemeral port. Off without the flag.\n"
       "--workload-profile=off disables the per-fingerprint workload\n"
       "profiler (kill switch; default on).\n"
       "--mqo-window-us holds admitted queries for N microseconds so\n"

@@ -30,7 +30,8 @@ struct HttpObsOptions {
 ///
 ///   GET /metrics   -> Prometheus text exposition (scrape target)
 ///   GET /healthz   -> 200 "ok" while serving, 503 once draining
-///   GET /workload  -> workload profile + MV-advisor report (JSON)
+///   GET /workload  -> workload profile: top fingerprints by total time
+///                     (JSON)
 ///   GET /traces    -> ring buffer of recent sampled span trees (JSON,
 ///                     entries carry Chrome trace_event payloads)
 ///

@@ -1,5 +1,6 @@
 #include "server/mqo.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -14,7 +15,6 @@
 #include "common/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/workload_profiler.h"
 #include "storage/star_schema.h"
 
 namespace assess {
@@ -151,8 +151,8 @@ void MqoCollector::ProcessBatch(std::vector<Held> batch,
   std::vector<std::string> note(batch.size());
 
   if (shared_scans_allowed && batch.size() >= 2) {
-    // Group subplans by (cube, predicate conjunction, epoch), preserving
-    // submission order within and across groups.
+    // Group subplans by (cube, predicate conjunction, epoch). Groups run
+    // in submission order; each group's members are ranked below.
     struct Member {
       size_t held;
       size_t get;
@@ -173,22 +173,12 @@ void MqoCollector::ProcessBatch(std::vector<Held> batch,
     std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mutex());
     const std::shared_ptr<CubeResultCache>& cache = engine_.result_cache();
     for (const std::string& key : group_order) {
-      const std::vector<Member>& members = groups[key];
+      std::vector<Member>& members = groups[key];
       if (members.size() < 2) continue;
 
-      // Serial-trajectory consumer selection, in submission order — the
-      // same answers the queries would get running one after another
-      // against the shared cache:
-      //  - an exact duplicate of an earlier consumer single-flights,
-      //  - a subplan the cache already answers drops out,
-      //  - a subplan a finer earlier consumer subsumes piggybacks (its
-      //    session re-aggregates the consumer's seeded result),
-      //  - everything else becomes a consumer of the shared scan.
-      std::vector<CubeQuery> queries;
       std::vector<const CanonicalQuery*> consumer_canons;
       std::unordered_set<std::string> consumer_fps;
       std::vector<Member> participants;  // consumers + piggybackers
-      std::vector<const CanonicalQuery*> rider_canons;
       size_t piggybacked = 0;
       const CubeSchema* schema = nullptr;
       {
@@ -198,13 +188,45 @@ void MqoCollector::ProcessBatch(std::vector<Held> batch,
         if (!bound.ok()) continue;
         schema = &(*bound.value()).schema();
       }
+      // Finest group-by first: the rank sums each hierarchy's level (its
+      // level count when absent), which a finer-or-equal group-by never
+      // exceeds, so the order extends the roll-up order. The fingerprint
+      // breaks ties, and a stable sort keeps duplicates in submission
+      // order. Which member rides which scan then depends on what the
+      // batch holds, never on which worker reached the window first.
+      auto rank = [&](const Member& m) {
+        const GroupBySet& by = batch[m.held].gets[m.get].canon.group_by;
+        int sum = 0;
+        for (int h = 0; h < schema->hierarchy_count(); ++h) {
+          sum += by.HasHierarchy(h) ? by.LevelOf(h)
+                                    : schema->hierarchy(h).level_count();
+        }
+        return sum;
+      };
+      std::stable_sort(members.begin(), members.end(),
+                       [&](const Member& a, const Member& b) {
+                         const int ra = rank(a);
+                         const int rb = rank(b);
+                         if (ra != rb) return ra < rb;
+                         return batch[a.held].gets[a.get].fingerprint <
+                                batch[b.held].gets[b.get].fingerprint;
+                       });
+
+      // Serial-trajectory consumer selection in that order — the same
+      // answers the queries would get running one after another against
+      // the shared cache:
+      //  - an exact duplicate of an earlier consumer single-flights,
+      //  - a subplan the cache already answers drops out,
+      //  - a subplan a finer earlier consumer subsumes piggybacks (its
+      //    session re-aggregates the consumer's seeded result),
+      //  - everything else becomes a consumer of the shared scan.
+      std::vector<CubeQuery> queries;
       for (const Member& m : members) {
         if (!verdict[m.held].ok()) continue;  // already failed elsewhere
         const PlannedGet& get = batch[m.held].gets[m.get];
         if (consumer_fps.count(get.fingerprint)) {
           ++piggybacked;
           participants.push_back(m);
-          rider_canons.push_back(&get.canon);
           continue;
         }
         if (cache != nullptr && cache->Contains(get.fingerprint)) continue;
@@ -218,7 +240,6 @@ void MqoCollector::ProcessBatch(std::vector<Held> batch,
         if (subsumed) {
           ++piggybacked;
           participants.push_back(m);
-          rider_canons.push_back(&get.canon);
           continue;
         }
         consumer_fps.insert(get.fingerprint);
@@ -243,13 +264,6 @@ void MqoCollector::ProcessBatch(std::vector<Held> batch,
         shared_scans_.fetch_add(1, std::memory_order_relaxed);
         queries_piggybacked_.fetch_add(piggybacked,
                                        std::memory_order_relaxed);
-        // The rider's own Execute() will land as a cache hit; the workload
-        // profile still credits it as MQO demand on its lattice node.
-        if (WorkloadProfiler* profiler = engine_.profiler()) {
-          for (const CanonicalQuery* canon : rider_canons) {
-            profiler->RecordPiggyback(*schema, *canon);
-          }
-        }
         const std::string group_note = SharedScanNote(participants.size());
         for (const Member& m : participants) {
           if (note[m.held].empty()) note[m.held] = group_note;

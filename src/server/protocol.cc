@@ -95,8 +95,6 @@ bool IsKnownFrameType(uint8_t type) {
     case FrameType::kExplainReply:
     case FrameType::kIngest:
     case FrameType::kIngestReply:
-    case FrameType::kWorkload:
-    case FrameType::kWorkloadReply:
       return true;
   }
   return false;

@@ -85,8 +85,8 @@ enum class FrameType : uint8_t {
   kMetrics = 0x05,
   kExplainAnalyze = 0x06,
   kIngest = 0x07,
-  kWorkload = 0x08,  ///< payload empty; answered with kWorkloadReply (the
-                     ///< server's workload-profile + MV-advisor report)
+  // 0x08 and 0x19 are retired (a former workload-report request/reply pair)
+  // and must not be reused: decoders refuse them as unknown types.
   kResult = 0x11,
   kError = 0x12,
   kStatsReply = 0x13,
@@ -95,7 +95,6 @@ enum class FrameType : uint8_t {
   kMetricsReply = 0x16,
   kExplainReply = 0x17,
   kIngestReply = 0x18,
-  kWorkloadReply = 0x19,  ///< payload = workload report (text)
 };
 
 /// Wire versioning of the trace-id extension: a frame whose type byte has

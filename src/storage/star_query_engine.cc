@@ -857,17 +857,6 @@ StarQueryEngine::StarQueryEngine(const StarDatabase* db, bool use_views,
   threads_ = forced > 0 ? forced : std::max(1, threads);
 }
 
-namespace {
-
-// Per-thread scan tally, so ExecuteInternal can attribute morsel counts to
-// the one get it is timing. Correct because Scan() always runs on the get's
-// calling thread with that scan's totals (morsel partials are summed into a
-// MorselExec first, never counted from workers).
-thread_local uint64_t tl_morsels_scanned = 0;
-thread_local uint64_t tl_morsels_skipped = 0;
-
-}  // namespace
-
 Result<std::vector<Cube>> StarQueryEngine::Scan(
     Span& span, int64_t begin, int64_t end,
     std::vector<ScanConsumer>* consumers) const {
@@ -875,8 +864,6 @@ Result<std::vector<Cube>> StarQueryEngine::Scan(
   Result<std::vector<Cube>> result =
       ScanConsumers(begin, end, *consumers, &exec);
   if (exec.scanned != 0 || exec.skipped != 0) {
-    tl_morsels_scanned += exec.scanned;
-    tl_morsels_skipped += exec.skipped;
     morsels_scanned_.fetch_add(exec.scanned, std::memory_order_relaxed);
     morsels_skipped_.fetch_add(exec.skipped, std::memory_order_relaxed);
     if (pool_) pool_->AddScanCounts(exec.scanned, exec.skipped);
@@ -909,8 +896,6 @@ Result<Cube> StarQueryEngine::ExecuteInternal(const BoundCube& bound,
   if (span.active()) span.AddString("cube", query.cube_name);
   WorkloadProfiler* profiler =
       profiler_ != nullptr && profiler_->enabled() ? profiler_ : nullptr;
-  const uint64_t scanned_before = tl_morsels_scanned;
-  const uint64_t skipped_before = tl_morsels_skipped;
   Stopwatch watch;
   std::optional<CanonicalQuery> canon;
   Result<Cube> result =
@@ -921,31 +906,11 @@ Result<Cube> StarQueryEngine::ExecuteInternal(const BoundCube& bound,
   }
   if (profiler != nullptr && result.ok()) {
     const double ms = watch.ElapsedMillis();
-    const uint64_t scanned = tl_morsels_scanned - scanned_before;
-    const uint64_t skipped = tl_morsels_skipped - skipped_before;
-    WorkloadOutcome outcome = WorkloadOutcome::kBypass;
-    switch (last_cache_outcome_) {
-      case CacheOutcome::kBypass:
-        outcome = WorkloadOutcome::kBypass;
-        break;
-      case CacheOutcome::kMiss:
-        outcome = WorkloadOutcome::kMiss;
-        break;
-      case CacheOutcome::kExactHit:
-        outcome = WorkloadOutcome::kExactHit;
-        break;
-      case CacheOutcome::kSubsumptionHit:
-        outcome = WorkloadOutcome::kSubsumptionHit;
-        break;
-    }
-    const FactSnapshot snap = bound.facts().Snapshot();
-    if (!canon) canon = CanonicalizeQuery(query);
-    WorkloadProfiler::Seen seen = profiler->RecordQuery(
-        bound.schema(), *canon, outcome, ms,
-        scanned * static_cast<uint64_t>(kMorselRows), skipped, snap.rows);
-    if (span.active() && seen.count > 0) {
-      span.AddString("lattice", seen.lattice);
-      span.AddInt("seen", static_cast<int64_t>(seen.count));
+    const uint64_t seen = profiler->RecordQuery(
+        bound.schema(), canon ? std::move(*canon) : CanonicalizeQuery(query),
+        last_cache_outcome_, ms);
+    if (span.active() && seen > 0) {
+      span.AddInt("seen", static_cast<int64_t>(seen));
     }
   }
   return result;

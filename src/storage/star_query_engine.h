@@ -64,10 +64,10 @@ struct EngineOptions {
   /// When set, this cache instance is used instead of creating a private
   /// one — the way several sessions over one database share warm results.
   std::shared_ptr<CubeResultCache> shared_cache;
-  /// When set, every internal get records its fingerprint, latency, scan
-  /// volume and cache outcome into this workload profile (obs/
-  /// workload_profiler.h). Not owned; must outlive the engine. Null keeps
-  /// the engine profile-free.
+  /// When set, every internal get records its fingerprint, latency and
+  /// cache outcome into this workload profile (obs/workload_profiler.h).
+  /// Not owned; must outlive the engine. Null keeps the engine
+  /// profile-free.
   WorkloadProfiler* profiler = nullptr;
 };
 
@@ -77,14 +77,6 @@ struct EngineOptions {
 struct ScanStats {
   uint64_t morsels_scanned = 0;
   uint64_t morsels_skipped = 0;
-};
-
-/// \brief How the last Execute() was answered, for tests and benches.
-enum class CacheOutcome {
-  kBypass,          ///< cache disabled for this engine
-  kMiss,            ///< computed by scan (fact table or view)
-  kExactHit,        ///< served from an identical cached result
-  kSubsumptionHit,  ///< re-aggregated from a finer cached result
 };
 
 /// \brief The query engine over star-schema storage: the stand-in for the
@@ -202,9 +194,6 @@ class StarQueryEngine {
   }
 
   int threads() const { return threads_; }
-
-  /// \brief The workload profile internal gets record into, or nullptr.
-  WorkloadProfiler* profiler() const { return profiler_; }
 
   /// \brief The pool this engine schedules scans on (never null).
   const std::shared_ptr<TaskPool>& pool() const { return pool_; }

@@ -132,12 +132,11 @@ TEST_F(HttpObsTest, WorkloadEndpointServesAdvisorJson) {
             std::string::npos);
   EXPECT_NE(response.find("\"fingerprints\": 1"), std::string::npos);
   EXPECT_NE(response.find("\"total_queries\": 3"), std::string::npos);
-  EXPECT_NE(response.find("\"recommendations\": ["), std::string::npos);
-
-  // Same profile over the wire protocol, rendered as text.
-  auto text = client.Workload();
-  ASSERT_TRUE(text.ok()) << text.status().ToString();
-  EXPECT_NE(text->find("workload profile: 1 fingerprints"),
+  EXPECT_NE(response.find("\"dropped_samples\": 0"), std::string::npos);
+  // The one fingerprint leads the top list with all three executions.
+  EXPECT_NE(response.find("\"top\": [{\"query\": \"SALES "),
+            std::string::npos);
+  EXPECT_NE(response.find("\"executions\": 3, \"total_ms\": "),
             std::string::npos);
 }
 
@@ -278,8 +277,9 @@ TEST_F(HttpObsTest, TraceIdJoinsClientSlowQueryLogAndTraceRing) {
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   EXPECT_NE(analyzed->find("trace: " + TraceHex(client.last_trace_id())),
             std::string::npos);
-  // ...and the profiler surfaces the lattice node + seen count in it.
-  EXPECT_NE(analyzed->find("lattice"), std::string::npos);
+  // ...and the profiler surfaces the fingerprint's seen count in it: the
+  // query above was the first sighting, this get is the second.
+  EXPECT_NE(analyzed->find("seen=2"), std::string::npos) << *analyzed;
 }
 
 TEST_F(HttpObsTest, ErrorRepliesCarryTheTraceId) {

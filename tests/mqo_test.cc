@@ -2,8 +2,9 @@
 // bit-identical to solo execution, the server's micro-batch collector
 // produces the same answers batched as unbatched under a concurrent mixed
 // workload (the TSan target for the MQO paths), \analyze reports shared
-// scans, graceful drain flushes a pending window, and an injected batch
-// failure poisons only its own group.
+// scans, graceful drain flushes a pending window, an injected batch
+// failure poisons only its own group, and the collector picks the same
+// consumers whatever order a window's requests arrived in.
 
 #include "server/mqo.h"
 
@@ -526,6 +527,64 @@ TEST_F(MqoServerTest, FailpointPoisonsOnlyItsGroup) {
   }
   EXPECT_TRUE(saw_injected_error)
       << "failpoint never fired inside a shared-scan group in 5 attempts";
+}
+
+
+// ---------------------------------------------------------------------------
+// Collector-level tests: a MqoCollector driven directly, no server.
+// ---------------------------------------------------------------------------
+
+/// Runs one window of `statements` through a fresh collector (its own
+/// cache, so nothing is answered before the window) and returns its stats
+/// once every request has been handed back.
+MqoStats RunOneWindow(const StarDatabase* db,
+                      const std::vector<std::string>& statements) {
+  std::atomic<int> handed_back{0};
+  MqoCollector::Hooks hooks;
+  hooks.enqueue = [&](void*, const std::string&) { ++handed_back; };
+  hooks.reject = [&](void*, const Status& status) {
+    ADD_FAILURE() << "rejected: " << status.ToString();
+    ++handed_back;
+  };
+  MqoOptions options;
+  options.window_us = int64_t{10} * 1000 * 1000;  // flushes on max_batch
+  options.max_batch = static_cast<int>(statements.size());
+  MqoCollector collector(db, EngineOptions{}, options, std::move(hooks));
+  std::vector<int> tokens(statements.size());
+  for (size_t i = 0; i < statements.size(); ++i) {
+    EXPECT_TRUE(collector.Submit(&tokens[i], statements[i]));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (handed_back.load() < static_cast<int>(statements.size()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(handed_back.load(), static_cast<int>(statements.size()));
+  collector.Stop();
+  return collector.stats();
+}
+
+/// Which member of a window rides which scan must not depend on which
+/// request reached the window first: a fine get and a coarse get it
+/// answers select the same consumers in either arrival order.
+TEST(MqoCollectorTest, ConsumerSelectionIgnoresArrivalOrder) {
+  testutil::MiniDb mini = BuildMiniSales();
+  const std::string fine = "with SALES by date assess sales labels quartiles";
+  const std::string coarse = kRollup;  // by month: rolls up from by date
+  const MqoStats fine_first = RunOneWindow(mini.db.get(), {fine, coarse});
+  const MqoStats coarse_first = RunOneWindow(mini.db.get(), {coarse, fine});
+
+  // The fine get is the one consumer; the coarse get piggybacks on it.
+  EXPECT_EQ(fine_first.batches, 1u);
+  EXPECT_EQ(fine_first.queries_batched, 2u);
+  EXPECT_EQ(fine_first.shared_scans, 1u);
+  EXPECT_EQ(fine_first.queries_piggybacked, 1u);
+
+  EXPECT_EQ(coarse_first.batches, fine_first.batches);
+  EXPECT_EQ(coarse_first.queries_batched, fine_first.queries_batched);
+  EXPECT_EQ(coarse_first.shared_scans, fine_first.shared_scans);
+  EXPECT_EQ(coarse_first.queries_piggybacked, fine_first.queries_piggybacked);
 }
 
 }  // namespace

@@ -180,6 +180,8 @@ TEST_F(ServerTest, EightConcurrentClientsBitIdenticalResults) {
       auto client = AssessClient::Connect("127.0.0.1", server->port());
       if (!client.ok()) {
         ++failures;
+        ADD_FAILURE() << "client " << c
+                      << " could not connect: " << client.status().ToString();
         return;
       }
       for (int round = 0; round < kRoundsPerClient; ++round) {
@@ -188,7 +190,12 @@ TEST_F(ServerTest, EightConcurrentClientsBitIdenticalResults) {
         size_t pick = static_cast<size_t>(c + round) % statements.size();
         auto remote = client->Query(statements[pick]);
         if (!remote.ok()) {
+          // Name the refusal, so a loaded host's typed rejection can be
+          // told apart from a wrong answer.
           ++failures;
+          ADD_FAILURE() << "client " << c << " round " << round
+                        << " statement '" << statements[pick]
+                        << "' failed: " << remote.status().ToString();
           continue;
         }
         ExpectSameComputation(expected[pick], *remote);
@@ -346,17 +353,22 @@ TEST_F(ServerTest, MalformedTrafficLeavesServerServing) {
   }  // RawConnection closes here, likely before the response is ready
   expect_healthy();
 
-  // Unknown frame type (well-formed otherwise: correct CRC trailer).
-  {
+  // Unknown frame types (well-formed otherwise: correct CRC trailer): an
+  // unassigned byte, and the retired workload-report request and reply
+  // (0x08, 0x19), which must never be read as anything else.
+  for (uint8_t type : {uint8_t{0x7F}, uint8_t{0x08}, uint8_t{0x19}}) {
+    SCOPED_TRACE(static_cast<int>(type));
     RawConnection bad(server->port());
     ASSERT_TRUE(bad.ok());
-    std::string frame = EncodeFrame(static_cast<FrameType>(0x7F), "");
+    std::string frame = EncodeFrame(static_cast<FrameType>(type), "");
     bad.SendBytes(frame.data(), frame.size());
     Frame response;
     Status read = bad.ReadOneFrame(&response);
-    if (read.ok()) {
-      EXPECT_EQ(response.type, FrameType::kError);
-    }
+    ASSERT_TRUE(read.ok()) << read.ToString();
+    EXPECT_EQ(response.type, FrameType::kError);
+    Status remote = Status::OK();
+    ASSERT_TRUE(DeserializeStatus(response.payload, &remote).ok());
+    EXPECT_EQ(remote.code(), StatusCode::kInvalidArgument);
     expect_healthy();
   }
 

@@ -1,6 +1,6 @@
-// The workload profiler: candidate-node derivation, the sharded store under
-// concurrency, the lattice roll-up against a brute-force oracle, the greedy
-// advisor on a hand-computed shape, and the LRU eviction counter.
+// The workload profiler: epoch-less aggregation, the kill switch, LRU order
+// and the eviction counter, the sharded store under concurrency, the
+// obs.profile failpoint, and the top-by-total-time report.
 
 #include "obs/workload_profiler.h"
 
@@ -35,44 +35,15 @@ class WorkloadProfilerTest : public ::testing::Test {
     return *q;
   }
 
-  WorkloadProfiler::Seen Record(WorkloadProfiler& profiler,
-                                const CubeQuery& query,
-                                WorkloadOutcome outcome = WorkloadOutcome::kMiss,
-                                double latency_ms = 1.0,
-                                uint64_t rows_scanned = 1000,
-                                uint64_t morsels_skipped = 0) {
+  uint64_t Record(WorkloadProfiler& profiler, const CubeQuery& query,
+                  CacheOutcome outcome = CacheOutcome::kMiss,
+                  double latency_ms = 1.0) {
     return profiler.RecordQuery(*mini_.schema, CanonicalizeQuery(query),
-                                outcome, latency_ms, rows_scanned,
-                                morsels_skipped, /*fact_rows=*/1000);
+                                outcome, latency_ms);
   }
 
   testutil::MiniDb mini_;
 };
-
-// --- Candidate node -------------------------------------------------------
-
-TEST_F(WorkloadProfilerTest, CandidateNodeIsFinestTouchedLevelPerHierarchy) {
-  // Group by month (Date level 1) and country (Store level 1); Product
-  // untouched.
-  CubeQuery q = Query({"month", "country"}, {}, {"quantity"});
-  EXPECT_EQ(CandidateNode(*mini_.schema, CanonicalizeQuery(q)),
-            (std::vector<int>{1, -1, 1}));
-
-  // A predicate finer than the group-by drags the node down to it: group by
-  // month but filter a specific date.
-  CubeQuery pred = Query({"month"}, {{0, 0, PredicateOp::kEquals, {"1997-03-15"}}},
-                         {"quantity"});
-  EXPECT_EQ(CandidateNode(*mini_.schema, CanonicalizeQuery(pred)),
-            (std::vector<int>{0, -1, -1}));
-
-  // A predicate coarser than the group-by changes nothing: group by product,
-  // filter its type.
-  CubeQuery coarse = Query({"product"},
-                           {{1, 1, PredicateOp::kEquals, {"Fresh Fruit"}}},
-                           {"quantity"});
-  EXPECT_EQ(CandidateNode(*mini_.schema, CanonicalizeQuery(coarse)),
-            (std::vector<int>{-1, 0, -1}));
-}
 
 // --- The store ------------------------------------------------------------
 
@@ -81,27 +52,31 @@ TEST_F(WorkloadProfilerTest, AggregatesAcrossEpochsUnderOneFingerprint) {
   CubeQuery q = Query({"product"}, {}, {"quantity"});
   CanonicalQuery canon = CanonicalizeQuery(q);
   canon.epoch = 3;
-  profiler.RecordQuery(*mini_.schema, canon, WorkloadOutcome::kMiss, 1.0, 10,
-                       0, 1000);
+  profiler.RecordQuery(*mini_.schema, canon, CacheOutcome::kMiss, 1.0);
   canon.epoch = 7;  // same logical query after an ingest epoch bump
-  WorkloadProfiler::Seen seen = profiler.RecordQuery(
-      *mini_.schema, canon, WorkloadOutcome::kExactHit, 0.1, 0, 0, 1000);
-  EXPECT_EQ(seen.count, 2u);
+  EXPECT_EQ(profiler.RecordQuery(*mini_.schema, canon,
+                                 CacheOutcome::kExactHit, 0.1),
+            2u);
   EXPECT_EQ(profiler.fingerprints(), 1u);
-  EXPECT_EQ(seen.lattice, "<product>");
+  WorkloadReport report = profiler.BuildReport();
+  ASSERT_EQ(report.top.size(), 1u);
+  EXPECT_EQ(report.top[0].executions, 2u);
+  EXPECT_EQ(report.top[0].total_us, 1100u);
+  EXPECT_EQ(report.top[0].misses, 1u);
+  EXPECT_EQ(report.top[0].exact_hits, 1u);
+  EXPECT_EQ(report.top[0].display, "SALES <product> [quantity]");
 }
 
 TEST_F(WorkloadProfilerTest, DisabledProfilerRecordsNothing) {
   WorkloadProfiler profiler;
   profiler.set_enabled(false);
   CubeQuery q = Query({"product"}, {}, {"quantity"});
-  WorkloadProfiler::Seen seen = Record(profiler, q);
-  EXPECT_EQ(seen.count, 0u);
+  EXPECT_EQ(Record(profiler, q), 0u);
   EXPECT_EQ(profiler.fingerprints(), 0u);
   EXPECT_EQ(profiler.total_queries(), 0u);
 
   profiler.set_enabled(true);
-  EXPECT_EQ(Record(profiler, q).count, 1u);
+  EXPECT_EQ(Record(profiler, q), 1u);
 }
 
 TEST_F(WorkloadProfilerTest, LruCapEvictsColdestAndCountsEvictions) {
@@ -168,9 +143,9 @@ TEST_F(WorkloadProfilerTest, ShardedStoreIsCoherentUnderConcurrentRecording) {
       for (int i = 0; i < kIters; ++i) {
         const CubeQuery& q = queries[(t + i) % queries.size()];
         profiler.RecordQuery(*mini_.schema, CanonicalizeQuery(q),
-                             i % 2 == 0 ? WorkloadOutcome::kMiss
-                                        : WorkloadOutcome::kExactHit,
-                             0.5, 100, 1, 1000);
+                             i % 2 == 0 ? CacheOutcome::kMiss
+                                        : CacheOutcome::kExactHit,
+                             0.5);
       }
     });
   }
@@ -183,11 +158,15 @@ TEST_F(WorkloadProfilerTest, ShardedStoreIsCoherentUnderConcurrentRecording) {
   EXPECT_EQ(profiler.fingerprints(), queries.size());
   WorkloadReport report = profiler.BuildReport();
   uint64_t executions = 0;
+  uint64_t total_us = 0;
   for (const WorkloadEntrySnapshot& e : report.top) {
     executions += e.executions;
+    total_us += e.total_us;
     EXPECT_EQ(e.exact_hits + e.misses, e.executions);
   }
   EXPECT_EQ(executions, static_cast<uint64_t>(kThreads) * kIters);
+  // Every sample added exactly its 500 µs: no update was lost.
+  EXPECT_EQ(total_us, static_cast<uint64_t>(kThreads) * kIters * 500);
 }
 
 TEST_F(WorkloadProfilerTest, ObsProfileFailpointOnlyMovesDroppedCounter) {
@@ -199,165 +178,71 @@ TEST_F(WorkloadProfilerTest, ObsProfileFailpointOnlyMovesDroppedCounter) {
   ASSERT_TRUE(FailpointRegistry::Instance()
                   .ArmFromString("obs.profile=error:budget=2")
                   .ok());
-  EXPECT_EQ(Record(profiler, q).count, 0u);
-  EXPECT_EQ(Record(profiler, q).count, 0u);
+  EXPECT_EQ(Record(profiler, q), 0u);
+  EXPECT_EQ(Record(profiler, q), 0u);
   // Budget exhausted: the third record lands normally.
-  EXPECT_EQ(Record(profiler, q).count, 1u);
+  EXPECT_EQ(Record(profiler, q), 1u);
   FailpointRegistry::Instance().DisarmAll();
   EXPECT_EQ(profiler.dropped_samples(), 2u);
   EXPECT_EQ(profiler.total_queries(), 1u);
 }
 
-// --- Lattice roll-up vs brute-force oracle --------------------------------
-
-LatticeHeat::CubeShape TwoHierarchyShape() {
-  LatticeHeat::CubeShape shape;
-  shape.cube = "SALES";
-  shape.fact_rows = 1'000'000;
-  shape.level_names = {{"day", "month", "year"}, {"store", "country"}};
-  shape.level_cardinality = {{1000, 40, 4}, {100, 10}};
-  return shape;
-}
-
-TEST(LatticeHeatTest, CoversMatchesRollupApplicability) {
-  // view answers query iff every hierarchy the query touches is present in
-  // the view at a finer-or-equal level.
-  EXPECT_TRUE(LatticeHeat::Covers({0, 0}, {1, 1}));
-  EXPECT_TRUE(LatticeHeat::Covers({1, 0}, {1, -1}));
-  EXPECT_TRUE(LatticeHeat::Covers({0, 1}, {2, 1}));
-  EXPECT_FALSE(LatticeHeat::Covers({1, 1}, {0, 1}));   // too coarse on h0
-  EXPECT_FALSE(LatticeHeat::Covers({-1, 0}, {1, 0}));  // h0 absent
-  EXPECT_TRUE(LatticeHeat::Covers({0, -1}, {2, -1}));
-  EXPECT_FALSE(LatticeHeat::Covers({0, 0}, {0, 0, -1}));  // shape mismatch
-}
-
-TEST(LatticeHeatTest, RollupMatchesBruteForceOracle) {
-  LatticeHeat heat(TwoHierarchyShape());
-  // A deliberately overlapping set of candidate nodes.
-  const std::vector<std::pair<std::vector<int>, uint64_t>> observed = {
-      {{0, 0}, 3},  {{0, 1}, 5},   {{1, 0}, 7},  {{1, 1}, 11},
-      {{2, 1}, 13}, {{0, -1}, 17}, {{-1, 0}, 19}, {{-1, 1}, 23},
-      {{2, -1}, 29}, {{1, -1}, 31},
-  };
-  for (const auto& [node, executions] : observed) {
-    heat.Add(node, executions);
-  }
-
-  std::vector<LatticeHeatNode> nodes = heat.Nodes();
-  ASSERT_EQ(nodes.size(), observed.size());
-  for (const LatticeHeatNode& node : nodes) {
-    // Oracle: recompute the roll-up for this node the slow, obvious way.
-    uint64_t fingerprints = 0;
-    uint64_t executions = 0;
-    for (const auto& [other, count] : observed) {
-      if (LatticeHeat::Covers(node.levels, other)) {
-        fingerprints += 1;
-        executions += count;
-      }
-    }
-    EXPECT_EQ(node.fingerprints, fingerprints) << node.node;
-    EXPECT_EQ(node.executions, executions) << node.node;
-  }
-  // Sorted hottest-first.
-  for (size_t i = 1; i < nodes.size(); ++i) {
-    EXPECT_GE(nodes[i - 1].executions, nodes[i].executions);
-  }
-}
-
-TEST(LatticeHeatTest, EstimatedRowsIsCardinalityProductCappedAtFactRows) {
-  LatticeHeat heat(TwoHierarchyShape());
-  EXPECT_EQ(heat.EstimatedRows({1, 1}), 40 * 10);
-  EXPECT_EQ(heat.EstimatedRows({2, -1}), 4);
-  EXPECT_EQ(heat.EstimatedRows({0, 0}), 1000 * 100);
-  // An over-wide node caps at the fact rows instead of overflowing.
-  LatticeHeat::CubeShape wide = TwoHierarchyShape();
-  wide.level_cardinality = {{2'000'000, 40, 4}, {100, 10}};
-  LatticeHeat capped(wide);
-  EXPECT_EQ(capped.EstimatedRows({0, 0}), wide.fact_rows);
-}
-
-// --- Greedy advisor golden -----------------------------------------------
-
-TEST(LatticeHeatTest, GreedyAdvisorGolden) {
-  // Hand-computed workload: the hot <month, country> shape, a coarse
-  // <year> rollup, and one fine <day, store> drill-down.
-  LatticeHeat heat(TwoHierarchyShape());
-  heat.Add({1, 1}, 100);  // month x country: 400-row view
-  heat.Add({2, -1}, 50);  // year: 4-row view
-  heat.Add({0, 0}, 1);    // day x store: 100000-row view
-
-  std::vector<MvRecommendation> recs = heat.Greedy(3);
-  ASSERT_EQ(recs.size(), 3u);
-
-  // Round 1: <month, country> covers itself (100x) and <year> (50x), both
-  // currently answered by the 1M-row fact table:
-  //   150 * (1,000,000 - 400) = 149,940,000.
-  EXPECT_EQ(recs[0].node, "<month, country>");
-  EXPECT_EQ(recs[0].level_names, (std::vector<std::string>{"month", "country"}));
-  EXPECT_EQ(recs[0].estimated_rows, 400);
-  EXPECT_EQ(recs[0].queries_covered, 2u);
-  EXPECT_EQ(recs[0].executions_covered, 150u);
-  EXPECT_DOUBLE_EQ(recs[0].expected_scan_savings, 150.0 * (1'000'000 - 400));
-
-  // Round 2: <day, store> covers everything, but the hot shapes now cost
-  // 400 — only the drill-down still benefits: 1 * (1M - 100,000) = 900,000.
-  EXPECT_EQ(recs[1].node, "<day, store>");
-  EXPECT_DOUBLE_EQ(recs[1].expected_scan_savings, 1.0 * (1'000'000 - 100'000));
-
-  // Round 3: <year> refines its own 400-row answer: 50 * (400 - 4) = 19,800.
-  EXPECT_EQ(recs[2].node, "<year>");
-  EXPECT_DOUBLE_EQ(recs[2].expected_scan_savings, 50.0 * (400 - 4));
-}
-
-TEST(LatticeHeatTest, GreedyStopsWhenNothingSaves) {
-  // One observed node as big as the fact table: materializing it saves
-  // nothing, so the advisor recommends nothing rather than something.
-  LatticeHeat::CubeShape shape = TwoHierarchyShape();
-  shape.fact_rows = 1000;  // day x store (100,000) caps to 1000 = fact rows
-  LatticeHeat heat(shape);
-  heat.Add({0, 0}, 100);
-  EXPECT_TRUE(heat.Greedy(3).empty());
-}
-
 // --- Report ---------------------------------------------------------------
 
-TEST_F(WorkloadProfilerTest, ReportRanksAndRecommends) {
+TEST_F(WorkloadProfilerTest, ReportRanksByTotalTime) {
   WorkloadProfiler profiler;
-  CubeQuery hot = Query({"month", "country"}, {}, {"quantity"});
-  CubeQuery cold = Query({"year"}, {}, {"quantity"});
+  // The most frequent query is not the most expensive one: 9 x 1 ms cache
+  // hits lose to 2 x 8 ms scans, which lose to nothing.
+  CubeQuery frequent = Query({"month", "country"}, {}, {"quantity"});
+  CubeQuery costly = Query({"year"}, {}, {"quantity"});
+  CubeQuery tied_a = Query({"type"}, {}, {"quantity"});
+  CubeQuery tied_b = Query({"store"}, {}, {"quantity"});
   for (int i = 0; i < 9; ++i) {
-    Record(profiler, hot, WorkloadOutcome::kMiss, 2.0, 1000, 0);
+    Record(profiler, frequent, CacheOutcome::kExactHit, 1.0);
   }
-  Record(profiler, cold, WorkloadOutcome::kMiss, 8.0, 1000, 0);
-  profiler.RecordPiggyback(*mini_.schema,
-                           CanonicalizeQuery(hot));  // MQO rider
+  Record(profiler, costly, CacheOutcome::kMiss, 8.0);
+  Record(profiler, costly, CacheOutcome::kSubsumptionHit, 8.0);
+  Record(profiler, tied_b, CacheOutcome::kMiss, 3.0);
+  Record(profiler, tied_a, CacheOutcome::kMiss, 3.0);
 
   WorkloadReport report = profiler.BuildReport();
-  EXPECT_EQ(report.fingerprints, 2u);
-  EXPECT_EQ(report.total_queries, 10u);
-  EXPECT_EQ(report.piggybacked, 1u);
-  ASSERT_EQ(report.top.size(), 2u);
-  EXPECT_EQ(report.top[0].lattice, "<month, country>");
-  EXPECT_EQ(report.top[0].executions, 9u);
-  EXPECT_EQ(report.top[0].piggybacked, 1u);
-  EXPECT_NEAR(report.top[0].p50_ms, 2.0, 2.0);
+  EXPECT_EQ(report.fingerprints, 4u);
+  EXPECT_EQ(report.total_queries, 13u);
+  ASSERT_EQ(report.top.size(), 4u);
+  EXPECT_EQ(report.top[0].display, "SALES <year> [quantity]");
+  EXPECT_EQ(report.top[0].total_us, 16000u);
+  EXPECT_EQ(report.top[0].executions, 2u);
+  EXPECT_EQ(report.top[0].misses, 1u);
+  EXPECT_EQ(report.top[0].subsumption_hits, 1u);
+  EXPECT_EQ(report.top[1].display, "SALES <month, country> [quantity]");
+  EXPECT_EQ(report.top[1].total_us, 9000u);
+  EXPECT_EQ(report.top[1].exact_hits, 9u);
+  // Equal totals fall back to the display text, whatever the record order.
+  EXPECT_EQ(report.top[2].display, "SALES <store> [quantity]");
+  EXPECT_EQ(report.top[3].display, "SALES <type> [quantity]");
 
-  // The hot node leads the heat section and the advisor's first pick
-  // answers it.
-  ASSERT_FALSE(report.heat.empty());
-  EXPECT_EQ(report.heat[0].node, "<month, country>");
-  ASSERT_FALSE(report.recommendations.empty());
-  EXPECT_EQ(report.recommendations[0].node, "<month, country>");
+  // The list is capped, keeping the most expensive entries.
+  for (int month = 3; month <= 7; ++month) {
+    const std::string member = "1997-0" + std::to_string(month);
+    for (const char* measure : {"quantity", "sales"}) {
+      Record(profiler,
+             Query({"date"}, {{0, 1, PredicateOp::kEquals, {member}}},
+                   {measure}),
+             CacheOutcome::kMiss, 0.5);
+    }
+  }
+  report = profiler.BuildReport();
+  EXPECT_EQ(report.fingerprints, 14u);
+  ASSERT_EQ(report.top.size(), WorkloadReport::kTopQueries);
+  EXPECT_EQ(report.top[0].display, "SALES <year> [quantity]");
+  for (size_t i = 1; i < report.top.size(); ++i) {
+    EXPECT_GE(report.top[i - 1].total_us, report.top[i].total_us);
+  }
 
-  // Renderings carry the load-bearing identifiers.
-  std::string text = report.ToText();
-  EXPECT_NE(text.find("workload profile: 2 fingerprints"), std::string::npos);
-  EXPECT_NE(text.find("<month, country>"), std::string::npos);
-  EXPECT_NE(text.find("recommended views"), std::string::npos);
   std::string json = report.ToJson();
-  EXPECT_NE(json.find("\"fingerprints\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"recommendations\": ["), std::string::npos);
-  EXPECT_NE(json.find("\"levels\": [\"month\", \"country\"]"),
+  EXPECT_NE(json.find("\"fingerprints\": 14"), std::string::npos);
+  EXPECT_NE(json.find("\"top\": [{\"query\": \"SALES <year> [quantity]\", "
+                      "\"executions\": 2, \"total_ms\": 16.000"),
             std::string::npos);
 }
 
