@@ -92,7 +92,6 @@ struct ChurnResult {
   uint64_t mv_incremental_updates = 0;
   uint64_t mv_full_rebuilds = 0;
   uint64_t cache_invalidations = 0;
-  uint64_t repacks = 0;
 };
 
 ChurnResult RunChurn(double sf, int rounds, int batch_rows) {
@@ -163,7 +162,6 @@ ChurnResult RunChurn(double sf, int rounds, int batch_rows) {
     result.mv_incremental_updates += stats->mv_incremental_updates;
     result.mv_full_rebuilds += stats->mv_full_rebuilds;
     result.cache_invalidations += stats->cache_invalidations;
-    result.repacks += stats->repacks;
   }
 
   result.query_p50_ms = PercentileMs(query_seconds, 0.50);
@@ -185,7 +183,7 @@ void PrintMode(const char* name, const ChurnResult& r) {
       "             cache: hit rate %.1f%% (%llu lookups, %llu hits, "
       "%llu epoch-swept)\n"
       "             maintenance: %llu delta-merges, %llu full rebuilds, "
-      "%llu rows, %llu repacks\n",
+      "%llu rows\n",
       name, r.query_p50_ms, r.query_p99_ms, r.ingest_p50_ms, r.ingest_p99_ms,
       100.0 * r.hit_rate,
       static_cast<unsigned long long>(r.cache.lookups),
@@ -193,8 +191,7 @@ void PrintMode(const char* name, const ChurnResult& r) {
       static_cast<unsigned long long>(r.cache.epoch_invalidations),
       static_cast<unsigned long long>(r.mv_incremental_updates),
       static_cast<unsigned long long>(r.mv_full_rebuilds),
-      static_cast<unsigned long long>(r.rows_ingested),
-      static_cast<unsigned long long>(r.repacks));
+      static_cast<unsigned long long>(r.rows_ingested));
 }
 
 void WriteModeJson(std::FILE* json, const char* name, const ChurnResult& r) {
@@ -212,8 +209,7 @@ void WriteModeJson(std::FILE* json, const char* name, const ChurnResult& r) {
       "    \"cache_invalidations\": %llu,\n"
       "    \"rows_ingested\": %llu,\n"
       "    \"mv_incremental_updates\": %llu,\n"
-      "    \"mv_full_rebuilds\": %llu,\n"
-      "    \"repacks\": %llu\n"
+      "    \"mv_full_rebuilds\": %llu\n"
       "  }\n",
       name, r.query_p50_ms, r.query_p99_ms, r.ingest_p50_ms, r.ingest_p99_ms,
       r.hit_rate, static_cast<unsigned long long>(r.cache.lookups),
@@ -222,8 +218,7 @@ void WriteModeJson(std::FILE* json, const char* name, const ChurnResult& r) {
       static_cast<unsigned long long>(r.cache_invalidations),
       static_cast<unsigned long long>(r.rows_ingested),
       static_cast<unsigned long long>(r.mv_incremental_updates),
-      static_cast<unsigned long long>(r.mv_full_rebuilds),
-      static_cast<unsigned long long>(r.repacks));
+      static_cast<unsigned long long>(r.mv_full_rebuilds));
 }
 
 }  // namespace

@@ -31,7 +31,6 @@
 #include "common/simd.h"
 #include "common/stopwatch.h"
 #include "common/task_pool.h"
-#include "storage/packed_column.h"
 #include "storage/predicate.h"
 #include "storage/scan_kernels.h"
 #include "storage/star_query_engine.h"
@@ -177,17 +176,11 @@ int main() {
   for (size_t c = 0; c < cust_lane.size(); ++c) {
     cust_lane[c] = static_cast<uint32_t>(nation_of[c]) + 1u;
   }
-  const FactSnapshot snap = facts.SnapshotWithDerived();
-  const PackedFactColumns& packed = snap.derived->packed;
   FusedScanArgs args;
-  KernelColumn date_col;
-  date_col.packed = &packed.dims[0];
-  date_col.lane = date_lane.data();
-  args.columns.push_back(date_col);
-  KernelColumn cust_col;
-  cust_col.packed = &packed.dims[1];
-  cust_col.lane = cust_lane.data();
-  args.columns.push_back(cust_col);
+  args.columns.push_back(
+      KernelColumn{facts.fk_column(0).data(), date_lane.data()});
+  args.columns.push_back(
+      KernelColumn{facts.fk_column(1).data(), cust_lane.data()});
   args.groups.push_back(KernelGroup{1, nations + 1});
   args.measures.push_back(KernelMeasure{
       facts.measure_column(1).data(), AggOp::kSum});

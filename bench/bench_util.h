@@ -32,9 +32,9 @@ inline int RepsFromEnv(int fallback = 3) {
 inline double DefaultBaseSf() { return BaseScaleFactorFromEnv(0.02); }
 
 /// Builds one scale point of the series, reporting progress on stderr so
-/// long generations are visible. The fact tables' scan accelerators (packed
-/// columns, zone maps) are built here too: they are built lazily by the
-/// first scan, and a timed run should not pay for it.
+/// long generations are visible. The fact tables' zone maps are built here
+/// too: they are built lazily by the first scan, and a timed run should not
+/// pay for it.
 inline std::unique_ptr<StarDatabase> BuildScale(const SsbScalePoint& point,
                                                 bool include_budget = true) {
   std::fprintf(stderr, "[bench] generating %s (SF %.3g, %lld lineorders)...\n",

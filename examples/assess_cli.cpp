@@ -7,7 +7,6 @@
 //   \analyze <stmt>    EXPLAIN ANALYZE: execute under a trace and print the
 //                      span tree + Figure 4 phase breakdown
 //   \sql <stmt>        show the SQL the plan pushes to the engine
-//   \rank <stmt>       rank the feasible plans by estimated cost
 //   \suggest <partial> complete a partial statement (labels etc. optional)
 //   \csv <stmt>        execute and print the result as CSV
 //   \functions         list comparison functions
@@ -50,8 +49,8 @@ void PrintHelp() {
     assess quantity against 10000 using ratio(quantity, 10000)
     labels {[0, 0.9): bad, [0.9, 1.1]: acceptable, (1.1, inf): good}
 Meta commands: \plan NP|JOP|POP, \explain <stmt>, \analyze <stmt>,
-               \sql <stmt>, \rank <stmt>, \csv <stmt>,
-               \suggest <partial stmt>, \ingest <file> [cube],
+               \sql <stmt>, \csv <stmt>, \suggest <partial stmt>,
+               \ingest <file> [cube],
                \functions, \labelings, \help, \quit
 Monitoring:    \cache  result-cache counters (this session's engine)
                \stats  alias of \cache here; against a server
@@ -234,19 +233,6 @@ int main(int argc, char** argv) {
         }
         for (assess::PlanKind plan : assess::FeasiblePlans(*analyzed)) {
           std::cout << assess::ExplainPlan(*analyzed, plan);
-        }
-        continue;
-      }
-      if (assess::StartsWith(input, "\\rank")) {
-        std::string_view stmt = assess::Trim(input.substr(5));
-        auto ranked = session.RankPlans(stmt);
-        if (!ranked.ok()) {
-          std::cout << ranked.status().ToString() << "\n";
-          continue;
-        }
-        for (const assess::PlanCost& pc : *ranked) {
-          std::cout << "  " << assess::PlanKindToString(pc.plan)
-                    << "  estimated cost " << pc.cost << "\n";
         }
         continue;
       }

@@ -1,7 +1,7 @@
 // Ancestor (roll-up) benchmark walkthrough — the Section 8 extension:
 // assess a member against its own ancestor in the roll-up order, e.g. each
 // product against its type ("how much of the Fresh Fruit business is
-// Apples?"), and let the cost-based optimizer pick the plan.
+// Apples?"), under the plan BestPlan() picks.
 
 #include <iostream>
 #include <sstream>
@@ -18,7 +18,6 @@ int main() {
     return 1;
   }
   assess::AssessSession session(db->get());
-  session.set_plan_selection(assess::PlanSelection::kCostBased);
 
   // Apples as a share of all fresh fruit, per country.
   const char* statement =
@@ -26,16 +25,6 @@ int main() {
       "assess quantity against type "
       "using percentage(quantity, benchmark.quantity) "
       "labels {[0, 20): niche, [20, 50): strong, [50, 100]: dominant}";
-
-  auto ranked = session.RankPlans(statement);
-  if (ranked.ok()) {
-    std::cout << "cost model ranking:\n";
-    for (const assess::PlanCost& pc : *ranked) {
-      std::cout << "  " << assess::PlanKindToString(pc.plan)
-                << "  cost=" << pc.cost << "\n";
-    }
-    std::cout << "\n";
-  }
 
   auto result = session.Query(statement);
   if (!result.ok()) {

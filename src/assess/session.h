@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "assess/analyzer.h"
-#include "assess/cost_model.h"
 #include "assess/executor.h"
 #include "assess/parser.h"
 #include "assess/planner.h"
@@ -13,14 +12,6 @@
 #include "obs/trace.h"
 
 namespace assess {
-
-/// \brief How Query() picks among feasible plans: the fixed empirical
-/// preference of Section 6.2 (POP, else JOP, else NP), or the cost model
-/// of assess/cost_model.h (the future-work strategy of Section 8).
-enum class PlanSelection {
-  kRuleBased,
-  kCostBased,
-};
 
 /// \brief The library's front door: parses, analyzes, plans and executes
 /// assess statements against a StarDatabase.
@@ -66,11 +57,6 @@ class AssessSession {
   }
   CacheStats cache_stats() const { return executor_.engine().cache_stats(); }
 
-  void set_plan_selection(PlanSelection selection) {
-    plan_selection_ = selection;
-  }
-  PlanSelection plan_selection() const { return plan_selection_; }
-
   /// \brief Parses and analyzes a statement without executing it.
   ///
   /// Every public entry point holds the database's schema mutex shared for
@@ -82,8 +68,8 @@ class AssessSession {
     return PrepareLocked(statement);
   }
 
-  /// \brief Executes a statement with the plan chosen by the configured
-  /// selection strategy (rule-based by default).
+  /// \brief Executes a statement with the plan BestPlan() picks: the fixed
+  /// preference of Section 6.2 (POP, else JOP, else NP).
   Result<AssessResult> Query(std::string_view statement) const {
     std::shared_lock<std::shared_mutex> lock(db_->schema_mutex());
     ASSESS_ASSIGN_OR_RETURN(AnalyzedStatement analyzed,
@@ -92,22 +78,9 @@ class AssessSession {
     {
       Span span("plan");
       plan = BestPlan(analyzed);
-      if (plan_selection_ == PlanSelection::kCostBased) {
-        CostEstimator estimator(db_);
-        ASSESS_ASSIGN_OR_RETURN(plan, estimator.ChoosePlan(analyzed));
-      }
       if (span.active()) span.AddString("chosen", PlanKindToString(plan));
     }
     return executor_.Execute(analyzed, plan);
-  }
-
-  /// \brief Feasible plans ranked by the cost model, cheapest first.
-  Result<std::vector<PlanCost>> RankPlans(std::string_view statement) const {
-    std::shared_lock<std::shared_mutex> lock(db_->schema_mutex());
-    ASSESS_ASSIGN_OR_RETURN(AnalyzedStatement analyzed,
-                            PrepareLocked(statement));
-    CostEstimator estimator(db_);
-    return estimator.RankPlans(analyzed);
   }
 
   /// \brief Executes a statement with an explicit plan.
@@ -148,7 +121,6 @@ class AssessSession {
   LabelingRegistry labelings_;
   AnalyzerOptions options_;
   Executor executor_;
-  PlanSelection plan_selection_ = PlanSelection::kRuleBased;
 };
 
 }  // namespace assess

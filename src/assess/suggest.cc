@@ -1,17 +1,45 @@
 #include "assess/suggest.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/str_util.h"
 
 #include "assess/analyzer.h"
-#include "assess/cost_model.h"
 #include "storage/star_query_engine.h"
 
 namespace assess {
 
 namespace {
+
+// Fraction of Dom(level) members matched by one predicate.
+double PredicateSelectivity(const Hierarchy& hierarchy,
+                            const Predicate& predicate) {
+  double card =
+      std::max<double>(1.0, hierarchy.LevelCardinality(predicate.level));
+  switch (predicate.op) {
+    case PredicateOp::kEquals:
+      return 1.0 / card;
+    case PredicateOp::kIn:
+      return std::min(1.0, static_cast<double>(predicate.members.size()) /
+                               card);
+    case PredicateOp::kBetween: {
+      // Count matching members exactly; dictionaries are in memory and
+      // levels with range predicates (months) are small.
+      int64_t matched = 0;
+      for (MemberId m = 0; m < hierarchy.LevelCardinality(predicate.level);
+           ++m) {
+        const std::string& name = hierarchy.MemberName(predicate.level, m);
+        if (name >= predicate.members[0] && name <= predicate.members[1]) {
+          ++matched;
+        }
+      }
+      return static_cast<double>(matched) / card;
+    }
+  }
+  return 1.0;
+}
 
 // Per-benchmark-type prior on expected interest: siblings are the most
 // natural comparisons, then forecasts, then roll-up shares, then a bare
@@ -160,6 +188,47 @@ LabelsClause Quartiles() {
 
 }  // namespace
 
+Result<double> EstimateSelectivity(const CubeSchema& schema,
+                                   const std::vector<Predicate>& predicates) {
+  double selectivity = 1.0;
+  for (const Predicate& p : predicates) {
+    if (p.hierarchy < 0 || p.hierarchy >= schema.hierarchy_count()) {
+      return Status::InvalidArgument("predicate on unknown hierarchy");
+    }
+    selectivity *= PredicateSelectivity(schema.hierarchy(p.hierarchy), p);
+  }
+  return selectivity;
+}
+
+Result<double> EstimateCells(const StarDatabase& db, const CubeQuery& query) {
+  ASSESS_ASSIGN_OR_RETURN(const BoundCube* bound, db.Find(query.cube_name));
+  const CubeSchema& schema = bound->schema();
+  ASSESS_ASSIGN_OR_RETURN(double selectivity,
+                          EstimateSelectivity(schema, query.predicates));
+  double rows = static_cast<double>(bound->facts().NumRows()) * selectivity;
+  double space = 1.0;
+  for (int h = 0; h < schema.hierarchy_count(); ++h) {
+    if (!query.group_by.HasHierarchy(h)) continue;
+    int level = query.group_by.LevelOf(h);
+    double card = schema.hierarchy(h).LevelCardinality(level);
+    // Predicates on this hierarchy shrink the populated part of the axis.
+    double axis_selectivity = 1.0;
+    for (const Predicate& p : query.predicates) {
+      if (p.hierarchy != h) continue;
+      axis_selectivity =
+          std::min(axis_selectivity,
+                   PredicateSelectivity(schema.hierarchy(h), p) *
+                       std::max(1.0, card / std::max<double>(
+                                         1.0, schema.hierarchy(h)
+                                                  .LevelCardinality(p.level))));
+    }
+    space *= std::max(1.0, card * std::min(1.0, axis_selectivity));
+  }
+  // Poisson occupancy: expected distinct coordinates hit by `rows` events.
+  if (space <= 0.0) return 0.0;
+  return space * (1.0 - std::exp(-rows / space));
+}
+
 Result<std::vector<Suggestion>> SuggestCompletions(
     const AssessStatement& partial, const StarDatabase& db,
     const FunctionRegistry& functions, const LabelingRegistry& labelings,
@@ -196,7 +265,6 @@ Result<std::vector<Suggestion>> SuggestCompletions(
   }
 
   // Analyze every candidate; rank valid ones by expected support.
-  CostEstimator estimator(&db);
   std::vector<Suggestion> suggestions;
   for (auto& [stmt, rationale] : completed) {
     stmt.original_text = stmt.ToString();
@@ -204,12 +272,11 @@ Result<std::vector<Suggestion>> SuggestCompletions(
         Analyze(stmt, db, functions, labelings);
     if (!analyzed.ok()) continue;
     double support = 0.0;
-    Result<double> target_cells = estimator.EstimateCells(analyzed->target);
+    Result<double> target_cells = EstimateCells(db, analyzed->target);
     if (target_cells.ok()) support = *target_cells;
     if (analyzed->type != BenchmarkType::kConstant &&
         analyzed->type != BenchmarkType::kNone) {
-      Result<double> benchmark_cells =
-          estimator.EstimateCells(analyzed->benchmark);
+      Result<double> benchmark_cells = EstimateCells(db, analyzed->benchmark);
       if (benchmark_cells.ok()) {
         support = std::min(support, *benchmark_cells);
       }

@@ -12,6 +12,19 @@
 
 namespace assess {
 
+/// \brief Estimated fraction of detailed rows satisfying the conjunction
+/// of `predicates`, under the independence assumption:
+///   selectivity(l = u)  = 1 / |Dom(l)|
+///   selectivity(l in S) = |S| / |Dom(l)|
+/// and a between counts its matching members exactly.
+Result<double> EstimateSelectivity(const CubeSchema& schema,
+                                   const std::vector<Predicate>& predicates);
+
+/// \brief Estimated number of cells in the query's derived cube:
+/// rows = |C0| * selectivity spread over the group-by space by Poisson
+/// occupancy, cells = space * (1 - e^{-rows/space}).
+Result<double> EstimateCells(const StarDatabase& db, const CubeQuery& query);
+
 /// \brief A completed statement proposed for a partial one, with a score
 /// estimating its expected interest for the user.
 struct Suggestion {

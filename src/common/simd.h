@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 namespace assess {
 
@@ -51,34 +49,9 @@ void ForceSimdLevelForTest(int level);
 /// (exposed for tests of the parsing rules).
 SimdLevel ResolveSimdLevel(const char* spec, SimdLevel detected);
 
-/// \brief Cache-line-aligned allocator for columnar buffers the vector
-/// kernels load with full-width aligned reads. Allocations are padded to a
-/// multiple of kSimdAlign bytes so a kernel may always read one whole
-/// vector at the tail without touching unowned memory.
+/// \brief Alignment (one cache line) of the kernels' on-stack key and
+/// bitmap staging buffers.
 inline constexpr size_t kSimdAlign = 64;
-
-template <class T>
-struct SimdAllocator {
-  using value_type = T;
-
-  SimdAllocator() = default;
-  template <class U>
-  SimdAllocator(const SimdAllocator<U>&) {}
-
-  T* allocate(size_t n) {
-    size_t bytes = (n * sizeof(T) + kSimdAlign - 1) / kSimdAlign * kSimdAlign;
-    void* p = ::operator new(bytes, std::align_val_t{kSimdAlign});
-    return static_cast<T*>(p);
-  }
-  void deallocate(T* p, size_t) {
-    ::operator delete(p, std::align_val_t{kSimdAlign});
-  }
-
-  template <class U>
-  bool operator==(const SimdAllocator<U>&) const {
-    return true;
-  }
-};
 
 }  // namespace assess
 

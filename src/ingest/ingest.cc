@@ -90,9 +90,6 @@ std::string IngestStats::ToString() const {
   out += "; views: " + std::to_string(mv_incremental_updates) +
          " incremental / " + std::to_string(mv_full_rebuilds) + " rebuilt";
   out += "; cache: " + std::to_string(cache_invalidations) + " swept";
-  if (repacks > 0) {
-    out += "; " + std::to_string(repacks) + " repacks";
-  }
   return out;
 }
 

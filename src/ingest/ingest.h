@@ -63,8 +63,8 @@ struct IngestOptions {
   bool auto_insert_members = false;
 
   /// Rows per atomic fact-table batch: each batch commits under one epoch,
-  /// extends the derived scan structures, maintains the materialized views
-  /// and invalidates superseded cache entries before the next batch starts.
+  /// extends the zone maps, maintains the materialized views and
+  /// invalidates superseded cache entries before the next batch starts.
   int64_t batch_rows = 8192;
 
   /// Malformed or unresolvable rows beyond this many abort the ingest with
@@ -90,7 +90,9 @@ struct IngestStats {
   uint64_t mv_incremental_updates = 0;  ///< view delta-merges applied
   uint64_t mv_full_rebuilds = 0;        ///< views rebuilt from scratch
   uint64_t cache_invalidations = 0;     ///< cache entries swept
-  uint64_t repacks = 0;  ///< packed-column width overflows hit
+  /// Always 0: fact scans read the int32 FK columns, which never repack.
+  /// Kept so the fixed kIngestReply layout stays unchanged.
+  uint64_t repacks = 0;
 
   std::string Serialize() const;
   static Result<IngestStats> Deserialize(std::string_view payload);

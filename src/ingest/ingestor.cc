@@ -130,7 +130,6 @@ struct Ingestor::Run {
   std::vector<char> measure_set;
 
   bool has_avg_measure = false;
-  uint64_t repack_base = 0;
   IngestStats stats;
 
   // Write-ahead capture (populated only when options_.durability is set):
@@ -391,7 +390,7 @@ Status Ingestor::CommitBatch(Run* run) {
   // batch publishes anything — earlier batches stay committed.
   ASSESS_FAILPOINT("ingest.commit");
 
-  // One whole commit (append + derived extension + view maintenance +
+  // One whole commit (append + zone-map extension + view maintenance +
   // cache sweep) at a time per cube; queries never wait here — they scan
   // admission snapshots. The schema lock is shared: view maintenance reads
   // dimensions and hierarchies, which a concurrent auto-insert (exclusive)
@@ -427,8 +426,8 @@ Status Ingestor::CommitBatch(Run* run) {
         std::to_string(commit_epoch) + ", published " +
         std::to_string(app.epoch));
   }
-  // Extend packed FK views and zone maps to the new prefix right away (if
-  // they were ever built), so query latency stays flat under churn.
+  // Extend the zone maps to the new prefix right away (if they were ever
+  // built), so query latency stays flat under churn.
   facts.ExtendDerivedIfBuilt();
 
   run->stats.rows_ingested += static_cast<uint64_t>(app.rows);
@@ -587,14 +586,12 @@ Result<IngestStats> Ingestor::IngestText(std::string_view cube_name,
   for (int m = 0; m < num_measures; ++m) {
     if (schema.measure(m).op == AggOp::kAvg) run.has_avg_measure = true;
   }
-  run.repack_base = bound->facts().derived_repacks();
   for (int h = 0; h < hierarchies; ++h) {
     run.level_values[h].resize(schema.hierarchy(h).level_count(), nullptr);
   }
   run.stats.epoch = bound->facts().epoch();
 
   Status st = IngestLines(&run, text);
-  run.stats.repacks = bound->facts().derived_repacks() - run.repack_base;
   if (!st.ok()) return st;
   return run.stats;
 }

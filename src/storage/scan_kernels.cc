@@ -69,30 +69,4 @@ void MinMaxInt32(SimdLevel level, const int32_t* values, int64_t n,
   kernel_detail::IsaScalar::MinMax(values, n, min_out, max_out);
 }
 
-void DecodePackedCodes(const PackedColumn& packed, int64_t begin, int64_t end,
-                       int32_t* out) {
-  const uint8_t* base = packed.data();
-  switch (packed.width()) {
-    case PackedColumn::Width::kU8:
-      for (int64_t r = begin; r < end; ++r) {
-        out[r - begin] = base[r];
-      }
-      return;
-    case PackedColumn::Width::kU16: {
-      const uint16_t* src = reinterpret_cast<const uint16_t*>(base);
-      for (int64_t r = begin; r < end; ++r) {
-        out[r - begin] = src[r];
-      }
-      return;
-    }
-    case PackedColumn::Width::kU32: {
-      const uint32_t* src = reinterpret_cast<const uint32_t*>(base);
-      for (int64_t r = begin; r < end; ++r) {
-        out[r - begin] = static_cast<int32_t>(src[r]);
-      }
-      return;
-    }
-  }
-}
-
 }  // namespace assess

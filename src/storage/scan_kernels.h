@@ -8,7 +8,6 @@
 #include "common/simd.h"
 #include "olap/cube_schema.h"
 #include "olap/hierarchy.h"
-#include "storage/packed_column.h"
 
 namespace assess {
 
@@ -44,11 +43,10 @@ inline constexpr uint32_t kLaneReject = 0x80000000u;
 /// = a 1 MiB key→group array per in-flight morsel, freed at morsel end.
 inline constexpr uint32_t kDenseKeyLimit = 1u << 18;
 
-/// \brief One hierarchy's input to the fused kernel. Exactly one of
-/// `packed` (fact scans) / `codes32` (view and cached-result roll-ups) is
-/// set; `lane` spans the code domain of that source.
+/// \brief One hierarchy's input to the fused kernel: its int32 codes (a
+/// fact table's FK column, or a view's or cached result's coordinate
+/// column) and the lane table spanning their code domain.
 struct KernelColumn {
-  const PackedColumn* packed = nullptr;
   const int32_t* codes32 = nullptr;
   const uint32_t* lane = nullptr;
 };
@@ -107,12 +105,6 @@ FusedScanFn GetFusedScanKernel(SimdLevel level);
 /// `level`. Exact, so trivially tier-independent. `n` must be > 0.
 void MinMaxInt32(SimdLevel level, const int32_t* values, int64_t n,
                  int32_t* min_out, int32_t* max_out);
-
-/// \brief Decodes rows [begin, end) of a packed FK column into `out`
-/// (out[i] = code of row begin + i) — the codes PackedColumn::CodeAt
-/// reads. The MQO shared scan tests its common predicate over them.
-void DecodePackedCodes(const PackedColumn& packed, int64_t begin, int64_t end,
-                       int32_t* out);
 
 }  // namespace assess
 

@@ -36,10 +36,6 @@ namespace {
 /// and the block length is a multiple of 64 (whole bitmap words).
 inline constexpr int64_t kKernelBlock = 4096;
 
-inline int32_t CodeOf(const KernelColumn& col, int64_t row) {
-  return col.packed != nullptr ? col.packed->CodeAt(row) : col.codes32[row];
-}
-
 /// Key of row `r`, the scalar definition every tier agrees with: 1 plus
 /// the sum of the row's lane entries. Returns false when a lane rejects.
 inline bool RowKey(const std::vector<KernelColumn>& cols, int64_t r,
@@ -47,7 +43,7 @@ inline bool RowKey(const std::vector<KernelColumn>& cols, int64_t r,
   uint32_t k = 1;
   uint32_t rej = 0;
   for (const KernelColumn& c : cols) {
-    const uint32_t lane = c.lane[CodeOf(c, r)];
+    const uint32_t lane = c.lane[c.codes32[r]];
     rej |= lane;
     k += lane;
   }
@@ -228,26 +224,6 @@ struct IsaScalar {
 struct IsaAvx2 {
   static constexpr SimdLevel kLevel = SimdLevel::kAVX2;
 
-  static __m256i LoadCodes8(const KernelColumn& col, int64_t row) {
-    if (col.codes32 != nullptr) {
-      return _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(col.codes32 + row));
-    }
-    const uint8_t* base = col.packed->data();
-    switch (col.packed->width()) {
-      case PackedColumn::Width::kU8:
-        return _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(base + row)));
-      case PackedColumn::Width::kU16:
-        return _mm256_cvtepu16_epi32(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(base + row * 2)));
-      case PackedColumn::Width::kU32:
-        return _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(base + row * 4));
-    }
-    return _mm256_setzero_si256();
-  }
-
   static void ComputeKeys(const std::vector<KernelColumn>& cols, int64_t row0,
                           int64_t n, uint32_t* keys, uint64_t* bitmap) {
     std::memset(bitmap, 0, static_cast<size_t>((n + 63) >> 6) * 8);
@@ -257,8 +233,10 @@ struct IsaAvx2 {
       __m256i key = _mm256_set1_epi32(1);
       __m256i rej = _mm256_setzero_si256();
       for (const KernelColumn& c : cols) {
-        __m256i lanes = _mm256_i32gather_epi32(
-            reinterpret_cast<const int*>(c.lane), LoadCodes8(c, row0 + i), 4);
+        const __m256i codes = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(c.codes32 + row0 + i));
+        const __m256i lanes = _mm256_i32gather_epi32(
+            reinterpret_cast<const int*>(c.lane), codes, 4);
         rej = _mm256_or_si256(rej, lanes);
         key = _mm256_add_epi32(key, lanes);
       }

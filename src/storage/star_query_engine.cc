@@ -33,9 +33,6 @@ struct HierScanPlan {
   // or a rolled-up cube's coordinate column) so plans never re-read a
   // vector object a concurrent appender may be growing.
   const int32_t* codes = nullptr;
-  // Dictionary-compressed view of `codes` (fact scans only); the fused
-  // kernels read it instead of the int32 column when present.
-  const PackedColumn* packed = nullptr;
   // Exclusive upper bound of the source's code domain (dimension row count
   // for fact scans, Dom(view level) for roll-up scans): the lane-table
   // length of the fused kernels.
@@ -355,11 +352,8 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
         }
       }
       comp.lane_tables.push_back(std::move(lane));
-      KernelColumn col;
-      col.packed = h->packed;
-      if (h->packed == nullptr) col.codes32 = h->codes;
-      col.lane = comp.lane_tables.back().data();
-      comp.args.columns.push_back(col);
+      comp.args.columns.push_back(
+          KernelColumn{h->codes, comp.lane_tables.back().data()});
       if (h->grouped) {
         comp.args.groups.push_back(KernelGroup{
             static_cast<uint32_t>(h->radix),
@@ -386,27 +380,17 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
   // conjunction tests, plus dedup lists of the code and measure sources the
   // compacted consumers read.
   struct SelColumn {
-    const PackedColumn* packed = nullptr;    // packed source, or
-    const int32_t* codes = nullptr;          // absolute int32 source
+    const int32_t* codes = nullptr;  // absolute source
     const std::vector<uint8_t>* pass = nullptr;
   };
   std::vector<SelColumn> sel_columns;
   if (num_consumers > 1 && any_fused) {
     for (HierScanPlan& h : consumers[0].hiers) {
-      if (h.pass.empty()) continue;
-      SelColumn sc;
-      sc.pass = &h.pass;
-      if (h.packed != nullptr) {
-        sc.packed = h.packed;
-      } else {
-        sc.codes = h.codes;
-      }
-      sel_columns.push_back(sc);
+      if (!h.pass.empty()) sel_columns.push_back(SelColumn{h.codes, &h.pass});
     }
   }
   const bool compact = !sel_columns.empty();
-  using CodeSource = std::pair<const PackedColumn*, const int32_t*>;
-  std::vector<CodeSource> code_sources;
+  std::vector<const int32_t*> code_sources;
   std::vector<const double*> msources;
   auto intern = [](auto& list, const auto& item) {
     for (size_t d = 0; d < list.size(); ++d) {
@@ -419,8 +403,7 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
     for (Compiled& comp : compiled) {
       if (!comp.fused) continue;
       for (const KernelColumn& col : comp.args.columns) {
-        comp.code_of.push_back(
-            intern(code_sources, CodeSource{col.packed, col.codes32}));
+        comp.code_of.push_back(intern(code_sources, col.codes32));
       }
       for (const KernelMeasure& km : comp.args.measures) {
         comp.msource_of.push_back(
@@ -512,63 +495,32 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
         // Default-initialized: no memset of a buffer about to be written.
         std::unique_ptr<int32_t[]> sel(new int32_t[static_cast<size_t>(n)]);
         int32_t* out = sel.get();
-        // Chunked test: packed sel columns decode into an L1-resident
-        // buffer, so the conjunction pass streams the packed bytes once
-        // without a morsel-wide scratch round trip.
-        constexpr int64_t kSelChunk = 4096;
-        std::vector<std::vector<int32_t>> sel_buf(sel_columns.size());
-        for (size_t ci = 0; ci < sel_columns.size(); ++ci) {
-          if (sel_columns[ci].packed != nullptr) {
-            sel_buf[ci].resize(kSelChunk);
+        if (sel_columns.size() == 1) {
+          // The common shape (one predicated hierarchy): a tight two-array
+          // loop the compiler can keep branch-cheap.
+          const uint8_t* pass = sel_columns[0].pass->data();
+          const int32_t* codes = sel_columns[0].codes + mbegin;
+          for (int64_t r = 0; r < n; ++r) {
+            if (pass[codes[r]]) out[n_pass++] = static_cast<int32_t>(r);
           }
-        }
-        for (int64_t r0 = 0; r0 < n; r0 += kSelChunk) {
-          const int64_t len = std::min(kSelChunk, n - r0);
-          for (size_t ci = 0; ci < sel_columns.size(); ++ci) {
-            const SelColumn& sc = sel_columns[ci];
-            if (sc.packed != nullptr) {
-              DecodePackedCodes(*sc.packed, mbegin + r0, mbegin + r0 + len,
-                                sel_buf[ci].data());
-            }
-          }
-          if (sel_columns.size() == 1) {
-            // The common shape (one predicated hierarchy): a tight
-            // two-array loop the compiler can keep branch-cheap.
-            const SelColumn& sc = sel_columns[0];
-            const uint8_t* pass = sc.pass->data();
-            const int32_t* codes = sc.packed != nullptr
-                                       ? sel_buf[0].data()
-                                       : sc.codes + mbegin + r0;
-            for (int64_t r = 0; r < len; ++r) {
-              if (pass[codes[r]]) {
-                out[n_pass++] = static_cast<int32_t>(r0 + r);
+        } else {
+          for (int64_t r = 0; r < n; ++r) {
+            bool ok = true;
+            for (const SelColumn& sc : sel_columns) {
+              if (!(*sc.pass)[sc.codes[mbegin + r]]) {
+                ok = false;
+                break;
               }
             }
-          } else {
-            for (int64_t r = 0; r < len; ++r) {
-              bool ok = true;
-              for (size_t ci = 0; ci < sel_columns.size(); ++ci) {
-                const SelColumn& sc = sel_columns[ci];
-                const int32_t code = sc.packed != nullptr
-                                         ? sel_buf[ci][r]
-                                         : sc.codes[mbegin + r0 + r];
-                if (!(*sc.pass)[code]) {
-                  ok = false;
-                  break;
-                }
-              }
-              if (ok) out[n_pass++] = static_cast<int32_t>(r0 + r);
-            }
+            if (ok) out[n_pass++] = static_cast<int32_t>(r);
           }
         }
         const size_t np = static_cast<size_t>(n_pass);
         ccodes.resize(code_sources.size());
         for (size_t d = 0; d < code_sources.size(); ++d) {
-          const auto [packed, codes] = code_sources[d];
           ccodes[d].resize(np);
           for (size_t k = 0; k < np; ++k) {
-            const int64_t r = mbegin + sel[k];
-            ccodes[d][k] = packed != nullptr ? packed->CodeAt(r) : codes[r];
+            ccodes[d][k] = code_sources[d][mbegin + sel[k]];
           }
         }
         cmeas.resize(msources.size());
@@ -590,7 +542,6 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
           if (n_pass > 0) {
             FusedScanArgs args = comp.args;
             for (size_t j = 0; j < args.columns.size(); ++j) {
-              args.columns[j].packed = nullptr;
               args.columns[j].codes32 = ccodes[comp.code_of[j]].data();
             }
             for (size_t m = 0; m < args.measures.size(); ++m) {
@@ -688,9 +639,9 @@ Result<std::vector<std::vector<Predicate>>> PartitionPredicates(
 
 // The one fact-scan plan builder (solo gets, delta merges and every MQO
 // consumer): a plan per hierarchy `group_by` or `predicates` touches and
-// per measure in `measures`, over the rows `snap` pins. Reads the packed FK
-// columns when `snap` carries derived accelerators (else the int32
-// columns) and attaches their zone maps when a predicate can prune.
+// per measure in `measures`, over the rows `snap` pins. Reads the int32 FK
+// columns and attaches the snapshot's zone maps (if built) when a predicate
+// can prune.
 Result<ScanConsumer> PlanFactScan(const BoundCube& bound,
                                   const FactSnapshot& snap,
                                   const GroupBySet& group_by,
@@ -707,7 +658,6 @@ Result<ScanConsumer> PlanFactScan(const BoundCube& bound,
     plan.hierarchy = schema.hierarchy_ptr(h);
     plan.grouped = grouped;
     plan.codes = snap.fk[h];
-    if (snap.derived != nullptr) plan.packed = &snap.derived->packed.dims[h];
     plan.code_domain = dim.NumRows();
     plan.fact_dim = h;
     if (grouped) {
@@ -717,7 +667,7 @@ Result<ScanConsumer> PlanFactScan(const BoundCube& bound,
     if (!preds[h].empty()) {
       ASSESS_ASSIGN_OR_RETURN(plan.pass,
                               BuildDimensionRowFlags(dim, preds[h]));
-      if (snap.derived != nullptr) consumer.zones = &snap.derived->zones;
+      consumer.zones = snap.zones.get();
     }
     consumer.hiers.push_back(std::move(plan));
   }
@@ -1009,10 +959,10 @@ Result<Cube> StarQueryEngine::ExecuteUncached(const BoundCube& bound,
     span.AddInt("rows", snap->rows);
     span.AddInt("epoch", static_cast<int64_t>(snap->epoch));
   }
-  // Build or extend the packed/zone accelerators up to the snapshot before
-  // reading any dimension state: every code they cover then predates the
-  // dimension rows visible below, keeping lane tables and pass flags large
-  // enough for every code a scan or pruner can meet.
+  // Build or extend the zone maps up to the snapshot before reading any
+  // dimension state: every code they cover then predates the dimension
+  // rows visible below, keeping lane tables and pass flags large enough
+  // for every code a scan or pruner can meet.
   bound.facts().EnsureDerived(snap);
   ASSESS_ASSIGN_OR_RETURN(
       ScanConsumer consumer,

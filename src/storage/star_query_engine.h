@@ -218,8 +218,8 @@ class StarQueryEngine {
   Result<Cube> ExecuteGet(const BoundCube& bound, const CubeQuery& query,
                           std::optional<CanonicalQuery>* canon_out) const;
   /// The fact scan at admission snapshot `snap` (the epoch the get answers
-  /// at, so cache keys and scanned rows agree); extends its derived
-  /// accelerators in place.
+  /// at, so cache keys and scanned rows agree); extends the table's zone
+  /// maps to it first.
   Result<Cube> ExecuteUncached(const BoundCube& bound, const CubeQuery& query,
                                FactSnapshot* snap) const;
   /// The scan driver call every scan goes through (solo gets, roll-ups,

@@ -191,44 +191,28 @@ FactSnapshot FactTable::SnapshotWithDerived() const {
 }
 
 void FactTable::EnsureDerived(FactSnapshot* snap) const {
-  std::lock_guard<std::mutex> lock(state_->derived_mu);
-  std::shared_ptr<const FactDerived> cur = state_->derived;
-  if (cur != nullptr && cur->rows() >= snap->rows) {
-    snap->derived = std::move(cur);
+  std::lock_guard<std::mutex> lock(state_->zones_mu);
+  std::shared_ptr<const FactZoneMaps> cur = state_->zones;
+  if (cur != nullptr && cur->built_rows >= snap->rows) {
+    snap->zones = std::move(cur);
     return;
   }
-  const int64_t old_rows = cur != nullptr ? cur->rows() : 0;
+  const int64_t old_rows = cur != nullptr ? cur->built_rows : 0;
   const int64_t rows = snap->rows;
   const SimdLevel simd = ActiveSimdLevel();
 
-  auto next = std::make_shared<FactDerived>();
-  next->repacks = cur != nullptr ? cur->repacks : 0;
-  next->packed.built_rows = rows;
-  next->packed.dims.reserve(dims_);
-  for (int d = 0; d < dims_; ++d) {
-    const int32_t* codes = snap->fk[d];
-    if (cur != nullptr) {
-      bool repacked = false;
-      next->packed.dims.push_back(cur->packed.dims[d].ExtendedWith(
-          codes + old_rows, rows - old_rows, &repacked));
-      if (repacked) ++next->repacks;
-    } else {
-      next->packed.dims.push_back(PackedColumn::Pack(codes, rows));
-    }
-  }
-
-  FactZoneMaps& zones = next->zones;
-  zones.built_rows = rows;
-  zones.num_morsels = rows == 0 ? 0 : (rows + kMorselRows - 1) / kMorselRows;
-  zones.dims.resize(dims_);
+  auto next = std::make_shared<FactZoneMaps>();
+  next->built_rows = rows;
+  next->num_morsels = rows == 0 ? 0 : (rows + kMorselRows - 1) / kMorselRows;
+  next->dims.resize(dims_);
   // Only the boundary morsel (which the suffix may have grown) and the
   // brand-new morsels need computing; complete older morsels are copied.
   const int64_t first_dirty = old_rows / kMorselRows;
   for (int d = 0; d < dims_; ++d) {
-    std::vector<ZoneRange>& zd = zones.dims[d];
-    if (cur != nullptr) zd = cur->zones.dims[d];
-    zd.resize(zones.num_morsels);
-    for (int64_t m = first_dirty; m < zones.num_morsels; ++m) {
+    std::vector<ZoneRange>& zd = next->dims[d];
+    if (cur != nullptr) zd = cur->dims[d];
+    zd.resize(next->num_morsels);
+    for (int64_t m = first_dirty; m < next->num_morsels; ++m) {
       int64_t begin = m * kMorselRows;
       int64_t end = std::min(rows, begin + kMorselRows);
       MinMaxInt32(simd, snap->fk[d] + begin, end - begin, &zd[m].min,
@@ -236,22 +220,17 @@ void FactTable::EnsureDerived(FactSnapshot* snap) const {
     }
   }
 
-  state_->derived = next;
-  snap->derived = std::move(next);
+  state_->zones = next;
+  snap->zones = std::move(next);
 }
 
 void FactTable::ExtendDerivedIfBuilt() const {
   {
-    std::lock_guard<std::mutex> lock(state_->derived_mu);
-    if (state_->derived == nullptr) return;
+    std::lock_guard<std::mutex> lock(state_->zones_mu);
+    if (state_->zones == nullptr) return;
   }
   FactSnapshot snap = Snapshot();
   EnsureDerived(&snap);
-}
-
-uint64_t FactTable::derived_repacks() const {
-  std::lock_guard<std::mutex> lock(state_->derived_mu);
-  return state_->derived != nullptr ? state_->derived->repacks : 0;
 }
 
 }  // namespace assess

@@ -10,7 +10,6 @@
 
 #include "common/result.h"
 #include "olap/hierarchy.h"
-#include "storage/packed_column.h"
 
 namespace assess {
 
@@ -36,27 +35,6 @@ struct FactZoneMaps {
   std::vector<std::vector<ZoneRange>> dims;
 };
 
-/// \brief Dictionary-compressed (width-reduced, cache-line-aligned) views
-/// of a fact table's foreign-key columns: what the vector scan kernels
-/// read instead of the int32 columns. Built lazily like zone maps and
-/// extended in place for appended suffixes (see PackedColumn).
-struct PackedFactColumns {
-  int64_t built_rows = 0;
-  std::vector<PackedColumn> dims;
-};
-
-/// \brief The derived scan accelerators of one fact table, versioned
-/// together: both members always cover the same committed row prefix.
-struct FactDerived {
-  FactZoneMaps zones;
-  PackedFactColumns packed;
-  /// Cumulative width-tier overflows that forced a full repack of a packed
-  /// column over this table's lifetime (surfaced by ingest stats).
-  uint64_t repacks = 0;
-
-  int64_t rows() const { return packed.built_rows; }
-};
-
 /// \brief One consistent view of a fact table: the committed row prefix at
 /// admission time, its epoch, and raw column pointers valid for the
 /// snapshot's lifetime (`bank` pins the storage even if the table grows its
@@ -70,11 +48,11 @@ struct FactSnapshot {
   uint64_t epoch = 0;
   std::vector<const int32_t*> fk;       // one pointer per dimension
   std::vector<const double*> measures;  // one pointer per measure
-  /// Derived accelerators covering >= `rows` (a newer snapshot may have
-  /// extended them further; scans bounded by `rows` read only their own
-  /// prefix, and a boundary-morsel zone range is then a superset —
-  /// conservative for pruning, never wrong). Null until EnsureDerived.
-  std::shared_ptr<const FactDerived> derived;
+  /// Zone maps covering >= `rows` (a newer snapshot may have extended them
+  /// further; scans bounded by `rows` read only their own prefix, and a
+  /// boundary-morsel zone range is then a superset — conservative for
+  /// pruning, never wrong). Null until EnsureDerived.
+  std::shared_ptr<const FactZoneMaps> zones;
   std::shared_ptr<const void> bank;  // keepalive for fk/measures pointers
 };
 
@@ -220,21 +198,17 @@ class FactTable {
   /// \brief Snapshot() plus EnsureDerived() — what fact scans use.
   FactSnapshot SnapshotWithDerived() const;
 
-  /// \brief Fills `snap->derived` with accelerators covering at least
+  /// \brief Fills `snap->zones` with zone maps covering at least
   /// `snap->rows`, building them on first use and otherwise *extending* the
-  /// previous version for the appended suffix: packed columns append in
-  /// place (full repack only on width-tier overflow), zone maps recompute
-  /// only the boundary morsel. Serialized by an internal mutex.
+  /// previous version for the appended suffix: only the boundary morsel and
+  /// the new ones are computed. Serialized by an internal mutex.
   void EnsureDerived(FactSnapshot* snap) const;
 
-  /// \brief Extends the derived accelerators to the current committed
-  /// prefix if they were ever built; no-op otherwise (stays lazy so pure
+  /// \brief Extends the zone maps to the current committed prefix if they
+  /// were ever built; no-op otherwise (stays lazy so pure
   /// bulk loads never pay for them). Ingest commits call this so query
   /// latency stays flat under churn.
   void ExtendDerivedIfBuilt() const;
-
-  /// \brief Cumulative packed-column width-overflow repacks.
-  uint64_t derived_repacks() const;
 
   /// \brief Legacy columnar accessors. Valid only while no appender runs
   /// concurrently (setup, persistence, validation); serving paths use
@@ -256,8 +230,8 @@ class FactTable {
     std::shared_ptr<ColumnBank> bank;
     std::atomic<int64_t> rows{0};
     std::atomic<uint64_t> epoch{0};
-    std::mutex derived_mu;  // serializes derived build/extension
-    std::shared_ptr<const FactDerived> derived;
+    std::mutex zones_mu;  // serializes zone-map build/extension
+    std::shared_ptr<const FactZoneMaps> zones;
   };
 
   /// Clones the column bank with geometric headroom when an append of

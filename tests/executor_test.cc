@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "assess/session.h"
 #include "test_util.h"
@@ -285,6 +287,51 @@ TEST_F(ExecutorTest, ResultToStringShowsContractColumns) {
   EXPECT_NE(s.find("benchmark.quantity"), std::string::npos);
   EXPECT_NE(s.find("label"), std::string::npos);
   EXPECT_NE(s.find("bad"), std::string::npos);
+}
+
+// --- CSV export --------------------------------------------------------
+
+TEST(CsvExportTest, CubeCsvRoundsTripStructure) {
+  testutil::MiniDb mini = BuildMiniSales();
+  AssessSession session(mini.db.get());
+  auto result = session.Query(
+      "with SALES for type = 'Fresh Fruit', country = 'Italy' "
+      "by product, country assess quantity against country = 'France' "
+      "using difference(quantity, benchmark.quantity) "
+      "labels {[-inf, 0): behind, [0, inf]: ahead}");
+  ASSERT_TRUE(result.ok());
+  std::ostringstream out;
+  result->WriteCsv(out);
+  std::string csv = out.str();
+  EXPECT_NE(csv.find("product,country,quantity,benchmark.quantity,"
+                     "difference,label"),
+            std::string::npos);
+  EXPECT_NE(csv.find("Apple,Italy,100,150,-50,behind"), std::string::npos);
+  EXPECT_NE(csv.find("Lemon,Italy,30,20,10,ahead"), std::string::npos);
+  // Header + 3 cells.
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);
+}
+
+TEST(CsvExportTest, FieldsWithSeparatorsAreQuoted) {
+  auto hier = std::make_shared<Hierarchy>("H");
+  hier->AddLevel("k");
+  MemberId weird = hier->AddMember(0, "a,b\"c");
+  Cube cube({LevelRef{hier, 0}}, {"m"});
+  cube.AddRow({weird}, {1.0});
+  std::ostringstream out;
+  cube.WriteCsv(out);
+  EXPECT_NE(out.str().find("\"a,b\"\"c\""), std::string::npos);
+}
+
+TEST(CsvExportTest, NullMeasuresAreEmptyFields) {
+  auto hier = std::make_shared<Hierarchy>("H");
+  hier->AddLevel("k");
+  MemberId a = hier->AddMember(0, "a");
+  Cube cube({LevelRef{hier, 0}}, {"m", "n"});
+  cube.AddRow({a}, {kNullMeasure, 2.0});
+  std::ostringstream out;
+  cube.WriteCsv(out);
+  EXPECT_NE(out.str().find("a,,2"), std::string::npos);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // The vectorized-scan determinism contract: both SIMD tiers (scalar /
 // AVX2), every thread count and every run must produce bit-identical
-// cubes — the tier is a pure performance knob. Plus the
-// packed-column representation, the vectorized zone-map min/max, tail
-// handling at every alignment boundary, and incremental extension of
-// derived scan structures after appends.
+// cubes — the tier is a pure performance knob. Plus the vectorized
+// zone-map min/max, tail handling at every alignment boundary, and
+// incremental extension of the zone maps after appends.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 #include "common/simd.h"
 #include "common/task_pool.h"
 #include "olap/cube_query.h"
-#include "storage/packed_column.h"
 #include "storage/scan_kernels.h"
 #include "storage/star_query_engine.h"
 #include "storage/star_schema.h"
@@ -130,37 +128,6 @@ TEST_F(SimdKernelTest, ResolveSimdLevelParsesTheKnob) {
   EXPECT_EQ(ResolveSimdLevel("avx2", avx2), avx2);
   EXPECT_EQ(ResolveSimdLevel("auto", avx2), avx2);
   EXPECT_EQ(ResolveSimdLevel("definitely-not-a-tier", scalar), scalar);
-}
-
-TEST_F(SimdKernelTest, PackedColumnPicksNarrowestWidth) {
-  struct Case {
-    int32_t max_code;
-    PackedColumn::Width want;
-  };
-  for (const Case& c :
-       {Case{0, PackedColumn::Width::kU8},
-        Case{255, PackedColumn::Width::kU8},
-        Case{256, PackedColumn::Width::kU16},
-        Case{65535, PackedColumn::Width::kU16},
-        Case{65536, PackedColumn::Width::kU32}}) {
-    Rng rng(c.max_code);
-    std::vector<int32_t> codes;
-    for (int i = 0; i < 1000; ++i) {
-      codes.push_back(static_cast<int32_t>(
-          rng.Uniform(static_cast<uint64_t>(c.max_code) + 1)));
-    }
-    codes[500] = c.max_code;  // force the boundary to appear
-    PackedColumn col = PackedColumn::Pack(codes);
-    EXPECT_EQ(col.width(), c.want) << c.max_code;
-    EXPECT_EQ(col.size(), static_cast<int64_t>(codes.size()));
-    // Cache-line alignment is part of the layout contract.
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(col.data()) % kSimdAlign, 0u);
-    for (size_t i = 0; i < codes.size(); ++i) {
-      ASSERT_EQ(col.CodeAt(static_cast<int64_t>(i)), codes[i]) << i;
-    }
-  }
-  PackedColumn empty = PackedColumn::Pack({});
-  EXPECT_EQ(empty.size(), 0);
 }
 
 TEST_F(SimdKernelTest, MinMaxAgreesAcrossTiersAndLengths) {
@@ -441,16 +408,15 @@ TEST_F(SimdKernelTest, NoGroupBySumsAddInRowOrder) {
   }
 }
 
-// Derived scan structures (packed columns, zone maps) used to fail the
-// scan hard when rows were appended after they were built. Appends now
-// *extend* them incrementally for the suffix: queries after an append see
-// the new rows, the epoch advances, and the packed columns are shared and
-// appended in place rather than rebuilt.
+// Zone maps used to fail the scan hard when rows were appended after they
+// were built. Appends now *extend* them incrementally for the suffix:
+// queries after an append see the new rows and the epoch advances, while
+// a snapshot taken earlier keeps its own shorter map.
 TEST_F(SimdKernelTest, AppendExtendsDerivedStructures) {
   auto hier = std::make_shared<Hierarchy>("H");
   hier->AddLevel("k");
   DimensionTable dim("K", hier);
-  for (int g = 0; g < 2; ++g) {
+  for (int g = 0; g < 3; ++g) {
     dim.AddRow({hier->AddMember(0, "g" + std::to_string(g))});
   }
   auto schema = std::make_shared<CubeSchema>("T");
@@ -460,31 +426,29 @@ TEST_F(SimdKernelTest, AppendExtendsDerivedStructures) {
   for (int64_t i = 0; i < 100; ++i) {
     facts.AddRow({static_cast<int32_t>(i % 2)}, {1.0});
   }
-  // Build the derived views at 100 rows, then keep loading.
+  // Build the zone maps at 100 rows (codes 0 and 1 only), then keep
+  // loading.
   FactSnapshot before = facts.SnapshotWithDerived();
-  ASSERT_NE(before.derived, nullptr);
-  EXPECT_EQ(before.derived->rows(), 100);
-  facts.AddRow({0}, {1.0});
+  ASSERT_NE(before.zones, nullptr);
+  EXPECT_EQ(before.zones->built_rows, 100);
+  ASSERT_EQ(before.zones->num_morsels, 1);
+  EXPECT_EQ(before.zones->dims[0][0].max, 1);
+  facts.AddRow({2}, {1.0});
   EXPECT_GT(facts.epoch(), before.epoch);
 
-  // A fresh snapshot extends the previous accelerators instead of failing:
-  // the packed column covers the appended row without a width repack. The
-  // first extension reallocates (Pack sizes its buffer exactly) but leaves
-  // geometric headroom, so the next extension appends in place and shares
-  // the buffer with the prior snapshot.
+  // A fresh snapshot extends the previous maps instead of failing: the
+  // boundary morsel's range now covers the appended code.
   FactSnapshot after = facts.SnapshotWithDerived();
-  EXPECT_EQ(after.derived->rows(), 101);
-  EXPECT_EQ(after.derived->repacks, 0u);
-  EXPECT_EQ(after.derived->packed.dims[0].CodeAt(100), 0);
-  // The old snapshot still reads its own shorter prefix.
-  EXPECT_EQ(before.derived->packed.dims[0].size(), 100);
+  EXPECT_EQ(after.zones->built_rows, 101);
+  EXPECT_EQ(after.zones->dims[0][0].min, 0);
+  EXPECT_EQ(after.zones->dims[0][0].max, 2);
   facts.AddRow({1}, {1.0});
   FactSnapshot third = facts.SnapshotWithDerived();
-  EXPECT_EQ(third.derived->rows(), 102);
-  EXPECT_EQ(third.derived->repacks, 0u);
-  EXPECT_EQ(third.derived->packed.dims[0].data(),
-            after.derived->packed.dims[0].data());
-  EXPECT_EQ(third.derived->packed.dims[0].CodeAt(101), 1);
+  EXPECT_EQ(third.zones->built_rows, 102);
+  EXPECT_EQ(third.zones->dims[0][0].max, 2);
+  // The old snapshot still holds its own shorter map.
+  EXPECT_EQ(before.zones->built_rows, 100);
+  EXPECT_EQ(before.zones->dims[0][0].max, 1);
 
   StarDatabase db;
   ASSERT_TRUE(db.Register("T", std::make_unique<BoundCube>(
@@ -497,8 +461,9 @@ TEST_F(SimdKernelTest, AppendExtendsDerivedStructures) {
   auto result = engine.Execute(q);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto sums = CellMap(*result, "s");
-  EXPECT_EQ(sums.at(K("g0")), 51.0);  // 50 original + 1 appended
+  EXPECT_EQ(sums.at(K("g0")), 50.0);
   EXPECT_EQ(sums.at(K("g1")), 51.0);  // 50 original + 1 appended
+  EXPECT_EQ(sums.at(K("g2")), 1.0);   // appended only
 }
 
 }  // namespace

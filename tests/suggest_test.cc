@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "assess/parser.h"
 #include "assess/session.h"
+#include "ssb/ssb_generator.h"
+#include "ssb/workload.h"
 #include "test_util.h"
 
 namespace assess {
@@ -140,6 +144,80 @@ TEST_F(SuggestTest, UnknownCubeFails) {
   ASSERT_TRUE(partial.ok());
   EXPECT_FALSE(
       SuggestCompletions(*partial, *mini_.db, functions_, labelings_).ok());
+}
+
+// --- Support estimate ----------------------------------------------------
+// The cell-support estimate the ranking above is built on. The fixture
+// keeps the name these cases had when the estimate lived in a plan cost
+// model, so their test ids are unchanged.
+
+class CostModelTest : public ::testing::Test {
+ protected:
+  CostModelTest() {
+    SsbConfig config;
+    config.scale_factor = 0.01;
+    db_ = std::move(BuildSsbDatabase(config)).value();
+    session_ = std::make_unique<AssessSession>(db_.get());
+  }
+
+  AnalyzedStatement Must(const std::string& text) {
+    auto analyzed = session_->Prepare(text);
+    EXPECT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    return std::move(analyzed).value();
+  }
+
+  std::unique_ptr<StarDatabase> db_;
+  std::unique_ptr<AssessSession> session_;
+};
+
+TEST_F(CostModelTest, SelectivityOfEquality) {
+  AnalyzedStatement a =
+      Must("with SSB for s_region = 'ASIA' by customer, s_region assess "
+           "quantity against s_region = 'AMERICA' labels quartiles");
+  auto selectivity =
+      EstimateSelectivity(*a.schema, a.target.predicates);
+  ASSERT_TRUE(selectivity.ok());
+  EXPECT_DOUBLE_EQ(*selectivity, 0.2);  // 1 of 5 regions
+}
+
+TEST_F(CostModelTest, SelectivityOfConjunction) {
+  AnalyzedStatement a = Must(
+      "with SSB for s_region = 'ASIA', c_region = 'EUROPE' by customer "
+      "assess quantity labels quartiles");
+  auto selectivity =
+      EstimateSelectivity(*a.schema, a.target.predicates);
+  ASSERT_TRUE(selectivity.ok());
+  EXPECT_DOUBLE_EQ(*selectivity, 0.04);  // independence: 0.2 * 0.2
+}
+
+TEST_F(CostModelTest, SelectivityOfInAndBetween) {
+  AnalyzedStatement in_stmt = Must(
+      "with SSB for s_region in ('ASIA', 'EUROPE') by customer assess "
+      "quantity labels quartiles");
+  EXPECT_DOUBLE_EQ(*EstimateSelectivity(
+                       *in_stmt.schema, in_stmt.target.predicates),
+                   0.4);
+  AnalyzedStatement between = Must(
+      "with SSB for month between '1998-01' and '1998-06' by customer "
+      "assess quantity labels quartiles");
+  EXPECT_NEAR(*EstimateSelectivity(*between.schema,
+                                               between.target.predicates),
+              6.0 / 84.0, 1e-12);
+}
+
+TEST_F(CostModelTest, CellEstimateWithinFactorOfActual) {
+  // The estimate should land within a small factor of the real |C| for
+  // the workload queries (enough precision to rank completions).
+  for (const WorkloadStatement& stmt : SsbWorkload()) {
+    AnalyzedStatement a = Must(stmt.text);
+    auto estimate = EstimateCells(*db_, a.target);
+    ASSERT_TRUE(estimate.ok()) << stmt.name;
+    auto actual = session_->Query(stmt.text);
+    ASSERT_TRUE(actual.ok());
+    double real = static_cast<double>(actual->cube.NumRows());
+    EXPECT_GT(*estimate, real / 5.0) << stmt.name;
+    EXPECT_LT(*estimate, real * 5.0 + 10.0) << stmt.name;
+  }
 }
 
 }  // namespace
