@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "assess/session.h"
+#include "bench_util.h"
 #include "common/flat_map64.h"
 #include "common/rng.h"
 #include "forecast/forecast.h"
@@ -81,7 +82,9 @@ BENCHMARK(BM_EngineAggregateParallel)->Arg(1)->Arg(2)->Arg(4);
 // --- P3 ablation: the same sibling statement under each plan --------------
 
 void RunSiblingPlan(benchmark::State& state, PlanKind plan) {
-  AssessSession session(&SharedDb());
+  // No result cache: with one, every iteration after the first would time
+  // a cache hit plus the client-side join or pivot, not the plan's gets.
+  AssessSession session(&SharedDb(), bench::PlanBenchOptions());
   const std::string text = SsbWorkload()[2].text;
   for (auto _ : state) {
     auto result = session.Query(text, plan);

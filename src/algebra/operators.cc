@@ -51,7 +51,7 @@ Result<Cube> JoinCubes(const Cube& left, const Cube& right,
   std::vector<MemberId> coords(left.level_count());
   std::vector<double> values(left.measure_count() + right.measure_count());
   for (int64_t r = 0; r < left.NumRows(); ++r) {
-    const std::vector<int32_t>& matches = index.Lookup(left, left_pos, r);
+    const std::span<const int32_t> matches = index.Lookup(left, left_pos, r);
     if (matches.empty() && !left_outer) continue;
     for (int i = 0; i < left.level_count(); ++i) coords[i] = left.CoordAt(r, i);
     for (int m = 0; m < left.measure_count(); ++m) {
@@ -111,7 +111,8 @@ Result<Cube> ConcatJoinCubes(
   std::vector<double> values(left.measure_count() + expected * rm);
   std::vector<int32_t> ordered;
   for (int64_t r = 0; r < left.NumRows(); ++r) {
-    ordered = index.Lookup(left, left_pos, r);
+    const std::span<const int32_t> matches = index.Lookup(left, left_pos, r);
+    ordered.assign(matches.begin(), matches.end());
     if (static_cast<int>(ordered.size()) < expected && require_complete) {
       continue;
     }

@@ -10,8 +10,9 @@ namespace assess {
 /// \brief Open-addressing hash map from non-zero uint64 keys to int32 values,
 /// for hot loops that map ids to dense indexes: the aggregation inner loop
 /// of StarQueryEngine (key = mixed-radix coordinate encoding, value = group
-/// index) and the wire encoder's per-level dictionary (key = member id + 1,
-/// value = first-appearance index).
+/// index), the wire encoder's per-level dictionary (key = member id + 1,
+/// value = first-appearance index) and CoordinateIndex, the algebra's join
+/// and pivot index (key = coordinate hash, value = bucket id).
 ///
 /// Callers offset their keys so they are always >= 1, so key 0 serves as the
 /// empty-slot sentinel and slots need no separate occupancy bits. Linear

@@ -63,7 +63,7 @@ Result<Cube> MergeViewDelta(const CubeSchema& schema, const Cube& view,
   std::vector<MemberId> coords(levels);
   std::vector<double> measures(num_measures);
   for (int64_t r = 0; r < delta_rows; ++r) {
-    const std::vector<int32_t>& rows = index.Lookup(delta, keys, r);
+    const std::span<const int32_t> rows = index.Lookup(delta, keys, r);
     if (!rows.empty()) {
       const int64_t row = rows[0];
       for (int i = 0; i < num_measures; ++i) {

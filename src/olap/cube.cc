@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <ostream>
 #include <numeric>
 #include <sstream>
@@ -174,48 +173,77 @@ void Cube::WriteCsv(std::ostream& out) const {
 // CoordinateIndex
 // ---------------------------------------------------------------------------
 
-const std::vector<int32_t> CoordinateIndex::kEmpty;
+namespace {
+// Even, so the probe keys of an (odd) key never reach the empty key 0.
+constexpr uint64_t kProbeStep = 0x9E3779B97F4A7C16ULL;
+}  // namespace
 
 CoordinateIndex::CoordinateIndex(const Cube& cube,
                                  std::vector<int> key_positions)
-    : key_positions_(std::move(key_positions)) {
-  // Mixed-radix multipliers from level cardinalities: the encoding is a
-  // bijection from coordinates to integers, so bucket keys never collide.
-  radix_.resize(key_positions_.size());
-  Key factor = 1;
-  const Key kLimit = Key(1) << 120;
-  for (size_t i = 0; i < key_positions_.size(); ++i) {
-    radix_[i] = factor;
-    Key card =
-        static_cast<Key>(cube.level(key_positions_[i]).cardinality()) + 1;
-    if (card != 0 && factor > kLimit / card) {
-      // > 2^120 distinct coordinates cannot arise from the supported
-      // schemas; fail loudly rather than risk silent key wraparound.
-      std::abort();
+    : cube_(&cube),
+      key_positions_(std::move(key_positions)),
+      buckets_(cube.NumRows()) {
+  // A dense bucket id per row, numbered in order of first appearance. Keys
+  // hash the coordinates, so a bucket is confirmed against its first row.
+  const int64_t n = cube.NumRows();
+  std::vector<int32_t> bucket_of(n), first_row;
+  for (int64_t row = 0; row < n; ++row) {
+    for (uint64_t key = KeyOf(cube, key_positions_, row);; key += kProbeStep) {
+      bool inserted = false;
+      const int32_t b = buckets_.FindOrInsert(
+          key, static_cast<int32_t>(first_row.size()), &inserted);
+      if (inserted) first_row.push_back(static_cast<int32_t>(row));
+      if (inserted || SameCoords(cube, key_positions_, row, first_row[b])) {
+        bucket_of[row] = b;
+        break;
+      }
     }
-    factor *= card;
   }
-  for (int64_t row = 0; row < cube.NumRows(); ++row) {
-    buckets_[EncodeRow(cube, key_positions_, row)].push_back(
-        static_cast<int32_t>(row));
+  // Counting sort by bucket. Filling each bucket from its end, rows in
+  // reverse, keeps it ascending and leaves offsets_[b] at its start.
+  offsets_.assign(first_row.size() + 1, 0);
+  for (int32_t b : bucket_of) ++offsets_[b];
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  rows_.resize(n);
+  for (int64_t row = n - 1; row >= 0; --row) {
+    rows_[--offsets_[bucket_of[row]]] = static_cast<int32_t>(row);
   }
 }
 
-CoordinateIndex::Key CoordinateIndex::EncodeRow(
-    const Cube& cube, const std::vector<int>& positions, int64_t row) const {
-  Key key = 0;
+uint64_t CoordinateIndex::KeyOf(const Cube& cube,
+                                const std::vector<int>& positions,
+                                int64_t row) {
+  uint64_t key = 0;
+  for (int pos : positions) {
+    key = (key ^ static_cast<uint32_t>(cube.CoordAt(row, pos))) *
+          0x9E3779B97F4A7C15ULL;
+  }
+  return key | 1;
+}
+
+bool CoordinateIndex::SameCoords(const Cube& probe,
+                                 const std::vector<int>& positions,
+                                 int64_t row, int32_t indexed_row) const {
   for (size_t i = 0; i < positions.size(); ++i) {
-    key += radix_[i] *
-           (static_cast<Key>(cube.CoordAt(row, positions[i])) + 1);
+    if (probe.CoordAt(row, positions[i]) !=
+        cube_->CoordAt(indexed_row, key_positions_[i])) {
+      return false;
+    }
   }
-  return key;
+  return true;
 }
 
-const std::vector<int32_t>& CoordinateIndex::Lookup(
+std::span<const int32_t> CoordinateIndex::Lookup(
     const Cube& probe, const std::vector<int>& probe_positions,
     int64_t row) const {
-  auto it = buckets_.find(EncodeRow(probe, probe_positions, row));
-  return it == buckets_.end() ? kEmpty : it->second;
+  for (uint64_t key = KeyOf(probe, probe_positions, row);; key += kProbeStep) {
+    const int32_t b = buckets_.Find(key);
+    if (b < 0) return {};
+    const int32_t begin = offsets_[b];
+    if (SameCoords(probe, probe_positions, row, rows_[begin])) {
+      return std::span(rows_).subspan(begin, offsets_[b + 1] - begin);
+    }
+  }
 }
 
 }  // namespace assess

@@ -5,10 +5,11 @@
 #include <iosfwd>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map64.h"
 #include "common/result.h"
 #include "olap/cube_schema.h"
 #include "olap/group_by_set.h"
@@ -139,47 +140,44 @@ class Cube {
   std::vector<std::string> labels_;
 };
 
-/// \brief Hash index from (a subset of) a cube's coordinates to row ids.
+/// \brief Multimap from (a subset of) a cube's coordinates to row ids, in
+/// three flat arrays: a FlatMap64 from key to dense bucket id, and the CSR
+/// pair `offsets_`/`rows_` holding each bucket's rows in ascending row order.
 ///
-/// Coordinates are encoded collision-free in mixed radix over the level
-/// cardinalities using 128-bit keys, which covers any group-by set of up to
-/// four 32-bit-encoded levels (the maximum arity of the schemas here) with
-/// room to spare; wider encodings are rejected loudly at construction.
+/// Keys hash the coordinates, and each probe is confirmed by comparing them
+/// with the bucket's first row, so any arity and any member count is
+/// answered. The indexed cube must outlive the index.
 class CoordinateIndex {
  public:
   /// \brief Builds an index of `cube` keyed on the axes at `key_positions`.
   CoordinateIndex(const Cube& cube, std::vector<int> key_positions);
 
-  /// \brief Rows of the indexed cube whose key equals the key formed by
-  /// `probe`'s coordinates at `probe_positions` in row `row`. Empty when no
-  /// match. `probe_positions` must parallel this index's key positions.
-  const std::vector<int32_t>& Lookup(const Cube& probe,
-                                     const std::vector<int>& probe_positions,
-                                     int64_t row) const;
+  /// \brief Rows of the indexed cube, ascending, whose key equals the key
+  /// formed by `probe`'s coordinates at `probe_positions` in row `row`.
+  /// Empty when no match. `probe_positions` must parallel this index's key
+  /// positions.
+  std::span<const int32_t> Lookup(const Cube& probe,
+                                  const std::vector<int>& probe_positions,
+                                  int64_t row) const;
 
   int64_t DistinctKeys() const {
-    return static_cast<int64_t>(buckets_.size());
+    return static_cast<int64_t>(offsets_.size()) - 1;
   }
 
+  /// \brief The hash key of `cube`'s coordinates at `positions` in row `row`;
+  /// odd, so never FlatMap64's empty key. Distinct coordinates may collide.
+  static uint64_t KeyOf(const Cube& cube, const std::vector<int>& positions,
+                        int64_t row);
+
  private:
-  using Key = unsigned __int128;
-  struct KeyHash {
-    size_t operator()(Key k) const {
-      uint64_t lo = static_cast<uint64_t>(k);
-      uint64_t hi = static_cast<uint64_t>(k >> 64);
-      uint64_t h = lo * 0x9E3779B97F4A7C15ULL ^ (hi + 0x2545F4914F6CDD1DULL);
-      h ^= h >> 29;
-      return static_cast<size_t>(h);
-    }
-  };
+  bool SameCoords(const Cube& probe, const std::vector<int>& positions,
+                  int64_t row, int32_t indexed_row) const;
 
-  Key EncodeRow(const Cube& cube, const std::vector<int>& positions,
-                int64_t row) const;
-
+  const Cube* cube_;
   std::vector<int> key_positions_;
-  std::vector<Key> radix_;  // multiplier per key position
-  std::unordered_map<Key, std::vector<int32_t>, KeyHash> buckets_;
-  static const std::vector<int32_t> kEmpty;
+  FlatMap64 buckets_;             // key -> bucket id
+  std::vector<int32_t> offsets_;  // bucket b: rows_[offsets_[b], offsets_[b+1])
+  std::vector<int32_t> rows_;
 };
 
 }  // namespace assess

@@ -107,6 +107,24 @@ TEST_F(AlgebraTest, MultiMatchJoinEmitsOneRowPerPair) {
   EXPECT_EQ(d.NumRows(), 6);
 }
 
+TEST_F(AlgebraTest, MultiMatchJoinKeepsRightRowOrder) {
+  // The right cube lists Apple's slices France first: the join emits a left
+  // row's matches in the right cube's row order, not by coordinate.
+  Cube right({LevelRef{products_, 0}, LevelRef{countries_, 0}}, {"quantity"});
+  right.AddRow({0, 1}, {150});  // Apple, France
+  right.AddRow({1, 0}, {90});   // Pear, Italy
+  right.AddRow({0, 0}, {100});  // Apple, Italy
+  right.AddRow({0, 1}, {7});    // Apple, France again
+  Cube left({LevelRef{products_, 0}, LevelRef{countries_, 0}}, {"quantity"});
+  left.AddRow({0, 0}, {1});
+  Cube d = *JoinCubes(left, right, {"product"}, "b", false);
+  ASSERT_EQ(d.NumRows(), 3);
+  const int b = *d.MeasureIndex("b.quantity");
+  EXPECT_EQ(d.MeasureAt(0, b), 150);
+  EXPECT_EQ(d.MeasureAt(1, b), 100);
+  EXPECT_EQ(d.MeasureAt(2, b), 7);
+}
+
 TEST_F(AlgebraTest, JoinUnknownLevelFails) {
   EXPECT_FALSE(JoinCubes(MakeItaly(), MakeFrance(), {"month"}, "b", false).ok());
 }
@@ -125,6 +143,33 @@ TEST_F(AlgebraTest, ConcatJoinOrdersSlotsByOrderLevel) {
   auto second = CellMap(d, "second");
   EXPECT_EQ(first[K("Apple", "Italy")], 100);   // Italy slice
   EXPECT_EQ(second[K("Apple", "Italy")], 150);  // France slice
+}
+
+TEST_F(AlgebraTest, ConcatJoinSlotsAreChronologicalWhateverRowOrder) {
+  // Past benchmark: the right cube holds three months per product, stored
+  // newest first. Slots follow the months' chronological member order.
+  auto months = std::make_shared<Hierarchy>("Date");
+  months->AddLevel("month");
+  months->set_temporal(true);
+  for (const char* m : {"2021-01", "2021-02", "2021-03"}) {
+    months->AddMember(0, m);
+  }
+  Cube right({LevelRef{products_, 0}, LevelRef{months, 0}}, {"quantity"});
+  for (MemberId p : {0, 1}) {
+    for (MemberId m : {2, 0, 1}) right.AddRow({p, m}, {10.0 * p + m});
+  }
+  Cube left({LevelRef{products_, 0}}, {"quantity"});
+  left.AddRow({1}, {0});
+  left.AddRow({0}, {0});
+  Cube d = *ConcatJoinCubes(left, right, {"product"}, "month", 3,
+                            {{"jan"}, {"feb"}, {"mar"}}, true);
+  ASSERT_EQ(d.NumRows(), 2);
+  const std::vector<std::string> slots = {"jan", "feb", "mar"};
+  for (int s = 0; s < 3; ++s) {
+    const int col = *d.MeasureIndex(slots[s]);
+    EXPECT_EQ(d.MeasureAt(0, col), 10.0 + s);  // Pear
+    EXPECT_EQ(d.MeasureAt(1, col), 0.0 + s);   // Apple
+  }
 }
 
 TEST_F(AlgebraTest, ConcatJoinRequireCompleteDropsPartial) {
@@ -183,6 +228,20 @@ TEST_F(AlgebraTest, PivotKeepsOnlyReferenceSlice) {
   for (int64_t r = 0; r < d.NumRows(); ++r) {
     EXPECT_EQ(d.CoordName(r, 1), "France");
   }
+}
+
+TEST_F(AlgebraTest, PivotOfOneLevelCubeFoldsEveryRow) {
+  // Pivoting the only level leaves no rest levels: every row shares the
+  // empty key, so the reference row gathers all other slices.
+  Cube cube({LevelRef{countries_, 0}}, {"quantity"});
+  cube.AddRow({1}, {150});  // France
+  cube.AddRow({0}, {100});  // Italy
+  Cube d = *PivotCube(cube, "country", "Italy", {"France"}, {{"qtyFrance"}},
+                      true);
+  ASSERT_EQ(d.NumRows(), 1);
+  EXPECT_EQ(d.CoordName(0, 0), "Italy");
+  EXPECT_EQ(d.MeasureAt(0, 0), 100);
+  EXPECT_EQ(d.MeasureAt(0, 1), 150);
 }
 
 TEST_F(AlgebraTest, PivotErrors) {
