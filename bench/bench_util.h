@@ -32,9 +32,7 @@ inline int RepsFromEnv(int fallback = 3) {
 inline double DefaultBaseSf() { return BaseScaleFactorFromEnv(0.02); }
 
 /// Builds one scale point of the series, reporting progress on stderr so
-/// long generations are visible. The fact tables' zone maps are built here
-/// too: they are built lazily by the first scan, and a timed run should not
-/// pay for it.
+/// long generations are visible.
 inline std::unique_ptr<StarDatabase> BuildScale(const SsbScalePoint& point,
                                                 bool include_budget = true) {
   std::fprintf(stderr, "[bench] generating %s (SF %.3g, %lld lineorders)...\n",
@@ -48,9 +46,6 @@ inline std::unique_ptr<StarDatabase> BuildScale(const SsbScalePoint& point,
     std::fprintf(stderr, "generation failed: %s\n",
                  db.status().ToString().c_str());
     std::exit(1);
-  }
-  for (const std::string& name : (*db)->CubeNames()) {
-    (void)(*(*db)->Find(name))->facts().SnapshotWithDerived();
   }
   return std::move(db).value();
 }

@@ -178,9 +178,12 @@ Status TaskPool::RunMorsels(int64_t num_morsels, int max_participants,
   return job.failed.load(std::memory_order_acquire) ? job.error : Status::OK();
 }
 
-void TaskPool::AddScanCounts(uint64_t scanned, uint64_t skipped) {
+void TaskPool::AddScanCounts(uint64_t scanned, uint64_t skipped,
+                             uint64_t rows_visited, uint64_t rows_passed) {
   morsels_scanned_.fetch_add(scanned, std::memory_order_relaxed);
   morsels_skipped_.fetch_add(skipped, std::memory_order_relaxed);
+  rows_visited_.fetch_add(rows_visited, std::memory_order_relaxed);
+  rows_passed_.fetch_add(rows_passed, std::memory_order_relaxed);
 }
 
 TaskPoolStats TaskPool::stats() const {
@@ -190,6 +193,8 @@ TaskPoolStats TaskPool::stats() const {
   stats.morsels_run = morsels_run_.load(std::memory_order_relaxed);
   stats.morsels_scanned = morsels_scanned_.load(std::memory_order_relaxed);
   stats.morsels_skipped = morsels_skipped_.load(std::memory_order_relaxed);
+  stats.rows_visited = rows_visited_.load(std::memory_order_relaxed);
+  stats.rows_passed = rows_passed_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const Job* job : active_jobs_) {

@@ -18,15 +18,16 @@ namespace assess {
 /// \brief Rows per scan morsel: the unit of work the pool schedules. Small
 /// enough that a skewed predicate cannot strand one worker with most of the
 /// scan, large enough that the per-morsel dispatch (one atomic fetch-add)
-/// is invisible next to 64K row visits. Zone maps (storage/table.h) share
-/// this granularity so one morsel is also one skippable block.
+/// is invisible next to 64K row visits. A predicated fact scan narrows each
+/// morsel to the rows its slice can hold and skips a morsel holding none.
 inline constexpr int64_t kMorselRows = int64_t{1} << 16;
 
 /// \brief Counters a TaskPool accumulates over its lifetime. `queue_depth`
 /// is a point-in-time gauge (jobs that still have unclaimed morsels);
-/// everything else is monotonic. The morsel scan/skip counters are fed by
-/// the storage engine (see StarQueryEngine), so a pool shared by many
-/// sessions — the assessd deployment — reports fleet-wide scan activity.
+/// everything else is monotonic. The morsel scan/skip and row visit/pass
+/// counters are fed by the storage engine (see StarQueryEngine), so a pool
+/// shared by many sessions — the assessd deployment — reports fleet-wide
+/// scan activity.
 struct TaskPoolStats {
   uint64_t workers = 0;
   uint64_t queue_depth = 0;
@@ -34,6 +35,8 @@ struct TaskPoolStats {
   uint64_t morsels_run = 0;
   uint64_t morsels_scanned = 0;
   uint64_t morsels_skipped = 0;
+  uint64_t rows_visited = 0;
+  uint64_t rows_passed = 0;
 };
 
 /// \brief A process-wide pool of workers executing morsel-decomposed jobs
@@ -88,9 +91,11 @@ class TaskPool {
   Status RunMorsels(int64_t num_morsels, int max_participants,
                     const MorselFn& fn);
 
-  /// \brief Accumulates engine-side scan accounting (morsels actually
-  /// scanned vs. skipped by zone maps) into this pool's stats.
-  void AddScanCounts(uint64_t scanned, uint64_t skipped);
+  /// \brief Accumulates engine-side scan accounting (morsels scanned vs.
+  /// skipped, rows the scans visited and rows that passed) into this pool's
+  /// stats.
+  void AddScanCounts(uint64_t scanned, uint64_t skipped,
+                     uint64_t rows_visited, uint64_t rows_passed);
 
   TaskPoolStats stats() const;
 
@@ -116,6 +121,8 @@ class TaskPool {
   std::atomic<uint64_t> morsels_run_{0};
   std::atomic<uint64_t> morsels_scanned_{0};
   std::atomic<uint64_t> morsels_skipped_{0};
+  std::atomic<uint64_t> rows_visited_{0};
+  std::atomic<uint64_t> rows_passed_{0};
 };
 
 /// \brief The ASSESS_THREADS override: when the environment variable is set

@@ -62,9 +62,10 @@ struct IngestOptions {
   /// exclusive schema lock; member-stable ingest never does.
   bool auto_insert_members = false;
 
-  /// Rows per atomic fact-table batch: each batch commits under one epoch,
-  /// extends the zone maps, maintains the materialized views and
-  /// invalidates superseded cache entries before the next batch starts.
+  /// Rows per atomic fact-table batch: each batch commits under one epoch
+  /// (extending the table's row-range index while its rows stay in order),
+  /// maintains the materialized views and invalidates superseded cache
+  /// entries before the next batch starts.
   int64_t batch_rows = 8192;
 
   /// Malformed or unresolvable rows beyond this many abort the ingest with

@@ -390,11 +390,11 @@ Status Ingestor::CommitBatch(Run* run) {
   // batch publishes anything — earlier batches stay committed.
   ASSESS_FAILPOINT("ingest.commit");
 
-  // One whole commit (append + zone-map extension + view maintenance +
-  // cache sweep) at a time per cube; queries never wait here — they scan
-  // admission snapshots. The schema lock is shared: view maintenance reads
-  // dimensions and hierarchies, which a concurrent auto-insert (exclusive)
-  // may not mutate mid-scan.
+  // One whole commit (append + view maintenance + cache sweep) at a time
+  // per cube; queries never wait here — they scan admission snapshots. The
+  // schema lock is shared: view maintenance reads dimensions and
+  // hierarchies, which a concurrent auto-insert (exclusive) may not mutate
+  // mid-scan.
   std::lock_guard<std::mutex> commit_lock(run->bound->ingest_mutex());
   std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mutex());
 
@@ -426,9 +426,6 @@ Status Ingestor::CommitBatch(Run* run) {
         std::to_string(commit_epoch) + ", published " +
         std::to_string(app.epoch));
   }
-  // Extend the zone maps to the new prefix right away (if they were ever
-  // built), so query latency stays flat under churn.
-  facts.ExtendDerivedIfBuilt();
 
   run->stats.rows_ingested += static_cast<uint64_t>(app.rows);
   run->stats.batches += 1;

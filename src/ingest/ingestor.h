@@ -15,9 +15,9 @@ namespace assess {
 
 /// \brief Streaming row ingestion into a bound cube: parses CSV or JSONL
 /// rows, resolves dimension keys (optionally auto-inserting new members),
-/// appends facts in atomic epoch-stamped batches, extends the zone maps,
-/// maintains the materialized views incrementally and sweeps superseded
-/// result-cache entries.
+/// appends facts in atomic epoch-stamped batches, maintains the
+/// materialized views incrementally and sweeps superseded result-cache
+/// entries.
 ///
 /// Columns are matched by name against the cube's schema: for every
 /// hierarchy the finest level's column is required (it is the dimension

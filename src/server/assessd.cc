@@ -883,6 +883,8 @@ ServerStats AssessServer::Snapshot() const {
     stats.pool_queue_depth = pool.queue_depth;
     stats.morsels_scanned = pool.morsels_scanned;
     stats.morsels_skipped = pool.morsels_skipped;
+    stats.scan_rows_visited = pool.rows_visited;
+    stats.scan_rows_passed = pool.rows_passed;
   }
   if (mqo_ != nullptr) {
     const MqoStats mqo = mqo_->stats();

@@ -465,8 +465,14 @@ constexpr StatsField kStatsFields[] = {
      kGauge, &S::pool_queue_depth},
     {"engine", "assess_morsels_scanned_total", "Morsels aggregated",
      kCounter, &S::morsels_scanned},
-    {"engine", "assess_morsels_skipped_total", "Morsels pruned by zone maps",
-     kCounter, &S::morsels_skipped},
+    {"engine", "assess_morsels_skipped_total",
+     "Morsels skipped because no row of them can pass the slice", kCounter,
+     &S::morsels_skipped},
+    {"engine", "assess_scan_rows_visited_total",
+     "Source rows the scans visited", kCounter, &S::scan_rows_visited},
+    {"engine", "assess_scan_rows_passed_total",
+     "Visited rows that passed the scans' predicates", kCounter,
+     &S::scan_rows_passed},
     {"obs", "assessd_slow_queries_total",
      "Queries at or over the slow-query threshold", kCounter,
      &S::slow_queries},

@@ -224,7 +224,9 @@ struct ServerStats {
   uint64_t pool_workers = 0;      ///< shared task pool: worker threads
   uint64_t pool_queue_depth = 0;  ///< scan jobs with unclaimed morsels
   uint64_t morsels_scanned = 0;   ///< morsels aggregated, all sessions
-  uint64_t morsels_skipped = 0;   ///< morsels pruned by zone maps
+  uint64_t morsels_skipped = 0;   ///< morsels no slice row can reach
+  uint64_t scan_rows_visited = 0;  ///< fact and roll-up rows scans visited
+  uint64_t scan_rows_passed = 0;   ///< visited rows that passed predicates
   // Observability counters. The latency percentiles above are estimated
   // from a fixed-bucket histogram over the server's whole lifetime (not a
   // sliding window); latency_samples is that histogram's total count.

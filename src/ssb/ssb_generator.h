@@ -37,8 +37,9 @@ struct SsbConfig {
 ///
 /// The bulk load clusters each fact table by the key of the temporal
 /// hierarchy (Date): rows are stored in stable order of their date code,
-/// which follows the calendar, so a morsel's zone map on the date column is
-/// a narrow band and date-sliced scans skip every other morsel. The rows
+/// which follows the calendar, so the whole date column is the fact table's
+/// clustered prefix and a date-sliced scan visits only the rows of its
+/// slice (FactTable's row-range index, storage/table.h). The rows
 /// themselves are those drawn in generation order; only their physical
 /// order differs.
 Result<std::unique_ptr<StarDatabase>> BuildSsbDatabase(const SsbConfig& config);

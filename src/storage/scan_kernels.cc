@@ -12,8 +12,6 @@ namespace assess {
 namespace simd_detail {
 void FusedScanAvx2(const FusedScanArgs& args, int64_t begin, int64_t end,
                    AggState* state);
-void MinMaxInt32Avx2(const int32_t* values, int64_t n, int32_t* min_out,
-                     int32_t* max_out);
 }  // namespace simd_detail
 #endif
 
@@ -53,20 +51,6 @@ FusedScanFn GetFusedScanKernel(SimdLevel level) {
   (void)level;
 #endif
   return &FusedScanScalar;
-}
-
-void MinMaxInt32(SimdLevel level, const int32_t* values, int64_t n,
-                 int32_t* min_out, int32_t* max_out) {
-#if defined(ASSESS_SIMD_X86)
-  switch (level) {
-    case SimdLevel::kAVX2:
-      simd_detail::MinMaxInt32Avx2(values, n, min_out, max_out);
-      return;
-    case SimdLevel::kScalar:
-      break;
-  }
-#endif
-  kernel_detail::IsaScalar::MinMax(values, n, min_out, max_out);
 }
 
 }  // namespace assess

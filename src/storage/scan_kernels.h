@@ -101,11 +101,6 @@ using FusedScanFn = void (*)(const FusedScanArgs& args, int64_t begin,
 /// asking for a tier that is not compiled in returns the scalar kernel).
 FusedScanFn GetFusedScanKernel(SimdLevel level);
 
-/// \brief Min/max of `n` int32 codes (zone-map construction), vectorized at
-/// `level`. Exact, so trivially tier-independent. `n` must be > 0.
-void MinMaxInt32(SimdLevel level, const int32_t* values, int64_t n,
-                 int32_t* min_out, int32_t* max_out);
-
 }  // namespace assess
 
 #endif  // ASSESS_STORAGE_SCAN_KERNELS_H_

@@ -13,10 +13,5 @@ void FusedScanAvx2(const FusedScanArgs& args, int64_t begin, int64_t end,
                                                        state);
 }
 
-void MinMaxInt32Avx2(const int32_t* values, int64_t n, int32_t* min_out,
-                     int32_t* max_out) {
-  kernel_detail::IsaAvx2::MinMax(values, n, min_out, max_out);
-}
-
 }  // namespace simd_detail
 }  // namespace assess

@@ -7,10 +7,10 @@
 // that flag).
 //
 // The tier-specific code is confined to Isa::ComputeKeys (group keys + pass
-// bitmap for a run of rows) and Isa::MinMax. Everything stateful — dense
-// group assignment, first-seen coordinate decode, measure accumulation —
-// is the shared scalar code below, executed in row order in every tier,
-// which is what makes the tiers bit-identical.
+// bitmap for a run of rows). Everything stateful — dense group assignment,
+// first-seen coordinate decode, measure accumulation — is the shared
+// scalar code below, executed in row order in every tier, which is what
+// makes the tiers bit-identical.
 //
 // Everything here lives in an unnamed namespace, so each tier's TU gets its
 // own internal-linkage copy. With external linkage the scalar and AVX2 TUs
@@ -204,17 +204,6 @@ inline void DenseScanScalar(const FusedScanArgs& args, int64_t begin,
 
 struct IsaScalar {
   static constexpr SimdLevel kLevel = SimdLevel::kScalar;
-
-  static void MinMax(const int32_t* v, int64_t n, int32_t* lo, int32_t* hi) {
-    int32_t mn = v[0];
-    int32_t mx = v[0];
-    for (int64_t i = 1; i < n; ++i) {
-      mn = std::min(mn, v[i]);
-      mx = std::max(mx, v[i]);
-    }
-    *lo = mn;
-    *hi = mx;
-  }
 };
 
 // -- AVX2 tier --------------------------------------------------------------
@@ -247,38 +236,6 @@ struct IsaAvx2 {
           ~_mm256_movemask_ps(_mm256_castsi256_ps(rej)));
     }
     ComputeKeysScalar(cols, row0, i, n, keys, bitmap);
-  }
-
-  static void MinMax(const int32_t* v, int64_t n, int32_t* lo, int32_t* hi) {
-    if (n < 16) {
-      IsaScalar::MinMax(v, n, lo, hi);
-      return;
-    }
-    __m256i mn = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
-    __m256i mx = mn;
-    int64_t i = 8;
-    for (; i + 8 <= n; i += 8) {
-      __m256i x =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-      mn = _mm256_min_epi32(mn, x);
-      mx = _mm256_max_epi32(mx, x);
-    }
-    alignas(32) int32_t mins[8];
-    alignas(32) int32_t maxs[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(mins), mn);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(maxs), mx);
-    int32_t best_lo = mins[0];
-    int32_t best_hi = maxs[0];
-    for (int l = 1; l < 8; ++l) {
-      best_lo = std::min(best_lo, mins[l]);
-      best_hi = std::max(best_hi, maxs[l]);
-    }
-    for (; i < n; ++i) {
-      best_lo = std::min(best_lo, v[i]);
-      best_hi = std::max(best_hi, v[i]);
-    }
-    *lo = best_lo;
-    *hi = best_hi;
   }
 };
 

@@ -37,9 +37,9 @@ struct HierScanPlan {
   // for fact scans, Dom(view level) for roll-up scans): the lane-table
   // length of the fused kernels.
   int64_t code_domain = 0;
-  // Fact-table dimension index behind `codes` (for zone-map lookup), or -1
-  // when the source is a rolled-up cube (views, cached results) — those
-  // carry no zone maps.
+  // Fact-table dimension index behind `codes` (for the row-range index), or
+  // -1 when the source is a rolled-up cube (views, cached results) — those
+  // carry no row-range index.
   int fact_dim = -1;
   // Translation domain -> group member id: either borrowed from a dimension
   // table column (fact scans) or owned (view scans). Never point
@@ -229,6 +229,38 @@ void CountKernelDispatch(const MorselExec& exec) {
   }
 }
 
+// A half-open source row range [begin, end).
+struct RowRange {
+  int64_t begin = 0;
+  int64_t end = 0;
+};
+
+// The rows of [0, end) a scan predicated on `pass` can accept, as ascending
+// disjoint runs: the rows each passing code of `prefix` occupies (adjacent
+// ones fused), then every row past the clustered prefix, whose order says
+// nothing.
+std::vector<RowRange> PassingRowRuns(const ClusteredPrefix& prefix,
+                                     const std::vector<uint8_t>& pass,
+                                     int64_t end) {
+  std::vector<RowRange> runs;
+  auto add = [&](int64_t lo, int64_t hi) {
+    hi = std::min(hi, end);
+    if (lo >= hi) return;
+    if (!runs.empty() && runs.back().end == lo) {
+      runs.back().end = hi;
+    } else {
+      runs.push_back(RowRange{lo, hi});
+    }
+  };
+  const size_t n = prefix.codes.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (!pass[prefix.codes[i]]) continue;
+    add(prefix.first_row[i], i + 1 < n ? prefix.first_row[i + 1] : prefix.rows);
+  }
+  add(prefix.rows, end);
+  return runs;
+}
+
 // Annotates a scan span with the kernel path and observed selectivity.
 void AddKernelSpanAttrs(Span& span, const MorselExec& exec) {
   if (!span.active()) return;
@@ -246,12 +278,13 @@ void AddKernelSpanAttrs(Span& span, const MorselExec& exec) {
 }  // namespace
 
 // One query's compiled scan: its per-hierarchy and per-measure plans and,
-// for predicated fact scans, the zone maps that let whole morsels be
-// skipped (null for roll-up sources, which carry none).
+// for fact scans, the snapshot's row-range index that narrows a predicated
+// scan to the rows its slice can hold (null for roll-up sources, which
+// carry none).
 struct ScanConsumer {
   std::vector<HierScanPlan> hiers;
   std::vector<MeasureScanPlan> measures;
-  const FactZoneMaps* zones = nullptr;
+  const std::vector<ClusteredPrefix>* clustered = nullptr;
 };
 
 namespace {
@@ -261,15 +294,18 @@ namespace {
 // consumer's accumulator set. Morsels are kMorselRows-sized, anchored at
 // `begin` and pulled dynamically by pool workers; each morsel evaluates
 // predicate-and-aggregate in a single pass into its own partial state per
-// consumer (no intermediate row-id vector), and morsels whose zone maps
-// prove the predicate unsatisfiable are skipped outright. Partials merge
-// in morsel index order, so the floating-point reduction order — and
+// consumer (no intermediate row-id vector). A predicated fact scan visits
+// each morsel only over the one row range its slice can occupy there (see
+// PassingRowRuns), and skips a morsel that holds no such row. Rows outside
+// the range fail the predicate, so every partial holds the same rows, added
+// in the same order, as a scan of the whole morsel. Partials merge in
+// morsel index order, so the floating-point reduction order — and
 // therefore every output bit — is a function of the data alone, identical
 // across thread counts and across runs.
 //
 // N consumers (an MQO batch) must share one predicate conjunction (the
-// caller's group contract): the zone-pruned work list is computed from
-// consumer 0 and is valid for every consumer. Without a predicate, or with
+// caller's group contract): the row ranges are computed from consumer 0
+// and are valid for every consumer. Without a predicate, or with
 // one consumer (a solo get, a view or cache roll-up, a delta merge), each
 // consumer runs exactly its solo kernel over the morsel at absolute rows.
 //
@@ -415,50 +451,41 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
   const int64_t num_morsels =
       rows <= 0 ? 0 : (rows + kMorselRows - 1) / kMorselRows;
 
-  // Zone-map pruning over consumer 0's predicated hierarchies (the shared
-  // conjunction makes the surviving work list right for every consumer): a
-  // morsel is skippable when, for some predicated hierarchy, no code in the
-  // morsel's [min, max] range passes. The per-hierarchy prefix sums over
-  // the pass flags make that an O(1) check per (morsel, hierarchy);
-  // building them costs one pass over the dimension rows, negligible next
-  // to the fact scan they prune. Zone maps index the table's own morsel
-  // grid, so only scans anchored at row 0 use them.
-  std::vector<int64_t> work;
+  // Row runs the scan can pass: for a fact scan anchored at row 0, those of
+  // consumer 0's predicated column with the longest clustered prefix (the
+  // shared conjunction makes them right for every consumer); otherwise the
+  // whole scan.
+  std::vector<RowRange> runs{RowRange{begin, end}};
+  const std::vector<ClusteredPrefix>* clustered =
+      num_consumers > 0 ? consumers[0].clustered : nullptr;
+  if (clustered != nullptr && begin == 0) {
+    const HierScanPlan* best = nullptr;
+    for (const HierScanPlan& h : consumers[0].hiers) {
+      if (h.pass.empty()) continue;
+      if (best == nullptr || (*clustered)[h.fact_dim].rows >
+                                 (*clustered)[best->fact_dim].rows) {
+        best = &h;
+      }
+    }
+    if (best != nullptr) {
+      runs = PassingRowRuns((*clustered)[best->fact_dim], best->pass, end);
+    }
+  }
+  // Each morsel is scanned over one range, from its first to its last row a
+  // run covers; a morsel no run reaches is skipped.
+  std::vector<RowRange> work;
   work.reserve(num_morsels);
-  const FactZoneMaps* zones = num_consumers > 0 ? consumers[0].zones : nullptr;
-  if (zones != nullptr && begin == 0 && num_morsels > 1) {
-    struct Pruner {
-      const std::vector<ZoneRange>* zones = nullptr;
-      std::vector<int32_t> pass_prefix;
-    };
-    std::vector<Pruner> pruners;
-    for (HierScanPlan& h : consumers[0].hiers) {
-      if (h.pass.empty() || h.fact_dim < 0) continue;
-      Pruner pruner;
-      pruner.zones = &zones->dims[h.fact_dim];
-      pruner.pass_prefix.resize(h.pass.size() + 1);
-      pruner.pass_prefix[0] = 0;
-      for (size_t i = 0; i < h.pass.size(); ++i) {
-        pruner.pass_prefix[i + 1] =
-            pruner.pass_prefix[i] + (h.pass[i] ? 1 : 0);
-      }
-      pruners.push_back(std::move(pruner));
-    }
-    for (int64_t m = 0; m < num_morsels; ++m) {
-      bool runnable = true;
-      for (const Pruner& pruner : pruners) {
-        const ZoneRange& zone = (*pruner.zones)[m];
-        if (pruner.pass_prefix[zone.max + 1] -
-                pruner.pass_prefix[zone.min] ==
-            0) {
-          runnable = false;
-          break;
-        }
-      }
-      if (runnable) work.push_back(m);
-    }
-  } else {
-    for (int64_t m = 0; m < num_morsels; ++m) work.push_back(m);
+  size_t run = 0;
+  for (int64_t m = 0; m < num_morsels; ++m) {
+    const int64_t mbegin = begin + m * kMorselRows;
+    const int64_t mend = std::min(end, mbegin + kMorselRows);
+    while (run < runs.size() && runs[run].end <= mbegin) ++run;
+    if (run == runs.size() || runs[run].begin >= mend) continue;
+    size_t last = run;
+    while (last + 1 < runs.size() && runs[last + 1].begin < mend) ++last;
+    work.push_back(RowRange{std::max(mbegin, runs[run].begin),
+                            std::min(mend, runs[last].end)});
+    run = last;
   }
   exec->scanned = work.size();
   exec->skipped = static_cast<uint64_t>(num_morsels) - work.size();
@@ -482,8 +509,8 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
 
   if (!work.empty()) {
     auto task = [&](int64_t i) -> Status {
-      const int64_t mbegin = begin + work[i] * kMorselRows;
-      const int64_t mend = std::min(end, mbegin + kMorselRows);
+      const int64_t mbegin = work[i].begin;
+      const int64_t mend = work[i].end;
       const int64_t n = mend - mbegin;
       // The shared conjunction, tested once: `sel` holds the morsel-relative
       // indices of passing rows, in order. Everything a compacted consumer
@@ -640,8 +667,7 @@ Result<std::vector<std::vector<Predicate>>> PartitionPredicates(
 // The one fact-scan plan builder (solo gets, delta merges and every MQO
 // consumer): a plan per hierarchy `group_by` or `predicates` touches and
 // per measure in `measures`, over the rows `snap` pins. Reads the int32 FK
-// columns and attaches the snapshot's zone maps (if built) when a predicate
-// can prune.
+// columns and attaches the snapshot's row-range index.
 Result<ScanConsumer> PlanFactScan(const BoundCube& bound,
                                   const FactSnapshot& snap,
                                   const GroupBySet& group_by,
@@ -650,6 +676,7 @@ Result<ScanConsumer> PlanFactScan(const BoundCube& bound,
   const CubeSchema& schema = bound.schema();
   ASSESS_ASSIGN_OR_RETURN(auto preds, PartitionPredicates(schema, predicates));
   ScanConsumer consumer;
+  consumer.clustered = snap.clustered.get();
   for (int h = 0; h < schema.hierarchy_count(); ++h) {
     bool grouped = group_by.HasHierarchy(h);
     if (!grouped && preds[h].empty()) continue;
@@ -667,7 +694,6 @@ Result<ScanConsumer> PlanFactScan(const BoundCube& bound,
     if (!preds[h].empty()) {
       ASSESS_ASSIGN_OR_RETURN(plan.pass,
                               BuildDimensionRowFlags(dim, preds[h]));
-      consumer.zones = snap.zones.get();
     }
     consumer.hiers.push_back(std::move(plan));
   }
@@ -814,9 +840,15 @@ Result<std::vector<Cube>> StarQueryEngine::Scan(
   Result<std::vector<Cube>> result =
       ScanConsumers(begin, end, *consumers, &exec);
   if (exec.scanned != 0 || exec.skipped != 0) {
+    const auto visited = static_cast<uint64_t>(exec.rows_visited);
+    const auto passed = static_cast<uint64_t>(exec.rows_passed);
     morsels_scanned_.fetch_add(exec.scanned, std::memory_order_relaxed);
     morsels_skipped_.fetch_add(exec.skipped, std::memory_order_relaxed);
-    if (pool_) pool_->AddScanCounts(exec.scanned, exec.skipped);
+    rows_visited_.fetch_add(visited, std::memory_order_relaxed);
+    rows_passed_.fetch_add(passed, std::memory_order_relaxed);
+    if (pool_) {
+      pool_->AddScanCounts(exec.scanned, exec.skipped, visited, passed);
+    }
   }
   if (span.active()) {
     span.AddInt("morsels_scanned", static_cast<int64_t>(exec.scanned));
@@ -879,13 +911,13 @@ Result<Cube> StarQueryEngine::ExecuteGet(
   // exactly this prefix.
   FactSnapshot snap = bound.facts().Snapshot();
   if (cache_ == nullptr && !use_views_) {
-    return ExecuteUncached(bound, query, &snap);
+    return ExecuteUncached(bound, query, snap);
   }
   const CubeSchema& schema = bound.schema();
   for (const Predicate& p : query.predicates) {
     if (p.hierarchy < 0 || p.hierarchy >= schema.hierarchy_count()) {
       // Let the fact scan produce its usual diagnostic.
-      return ExecuteUncached(bound, query, &snap);
+      return ExecuteUncached(bound, query, snap);
     }
   }
   CanonicalQuery canon = CanonicalizeQuery(query);
@@ -942,7 +974,7 @@ Result<Cube> StarQueryEngine::ExecuteGet(
     ASSESS_ASSIGN_OR_RETURN(
         cube, ScanOne(span, 0, source->cube.NumRows(), std::move(consumer)));
   } else {
-    ASSESS_ASSIGN_OR_RETURN(cube, ExecuteUncached(bound, query, &snap));
+    ASSESS_ASSIGN_OR_RETURN(cube, ExecuteUncached(bound, query, snap));
   }
   if (canon_out != nullptr) *canon_out = canon;
   if (cache_ != nullptr) cache_->Insert(key, std::move(canon), cube);
@@ -951,24 +983,19 @@ Result<Cube> StarQueryEngine::ExecuteGet(
 
 Result<Cube> StarQueryEngine::ExecuteUncached(const BoundCube& bound,
                                               const CubeQuery& query,
-                                              FactSnapshot* snap) const {
+                                              const FactSnapshot& snap) const {
   ASSESS_FAILPOINT("storage.scan");
   Span span("engine.scan");
   if (span.active()) {
     span.AddString("source", "fact");
-    span.AddInt("rows", snap->rows);
-    span.AddInt("epoch", static_cast<int64_t>(snap->epoch));
+    span.AddInt("rows", snap.rows);
+    span.AddInt("epoch", static_cast<int64_t>(snap.epoch));
   }
-  // Build or extend the zone maps up to the snapshot before reading any
-  // dimension state: every code they cover then predates the dimension
-  // rows visible below, keeping lane tables and pass flags large enough
-  // for every code a scan or pruner can meet.
-  bound.facts().EnsureDerived(snap);
   ASSESS_ASSIGN_OR_RETURN(
       ScanConsumer consumer,
-      PlanFactScan(bound, *snap, query.group_by, query.predicates,
+      PlanFactScan(bound, snap, query.group_by, query.predicates,
                    query.measures));
-  return ScanOne(span, 0, snap->rows, std::move(consumer));
+  return ScanOne(span, 0, snap.rows, std::move(consumer));
 }
 
 Result<Cube> StarQueryEngine::AggregateFactRange(const BoundCube& bound,
@@ -1030,7 +1057,6 @@ Result<std::vector<Cube>> StarQueryEngine::ExecuteSharedScan(
     return Status::Unavailable(
         "shared scan epoch changed (an ingest raced the batch)");
   }
-  facts.EnsureDerived(&snap);
 
   Span span("engine.shared_scan");
   if (span.active()) {
@@ -1123,7 +1149,7 @@ Result<int64_t> StarQueryEngine::MaterializeView(
   // morsel merge keeps it deterministic — stamped with the epoch it
   // aggregates.
   FactSnapshot snap = bound->facts().Snapshot();
-  ASSESS_ASSIGN_OR_RETURN(Cube data, ExecuteUncached(*bound, query, &snap));
+  ASSESS_ASSIGN_OR_RETURN(Cube data, ExecuteUncached(*bound, query, snap));
   const int64_t rows = data.NumRows();
   CanonicalQuery view = CanonicalizeQuery(query);
   view.epoch = snap.epoch;

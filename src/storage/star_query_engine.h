@@ -71,12 +71,15 @@ struct EngineOptions {
   WorkloadProfiler* profiler = nullptr;
 };
 
-/// \brief Morsel accounting for one engine: how many scan morsels were
-/// actually aggregated vs. skipped outright because their zone maps proved
-/// no row could pass the pushed-down predicate.
+/// \brief Scan accounting for one engine: how many scan morsels were
+/// aggregated vs. skipped outright because the fact table's row-range index
+/// showed no row of them can pass the pushed-down predicate, and how many
+/// rows the scans visited and how many of those passed.
 struct ScanStats {
   uint64_t morsels_scanned = 0;
   uint64_t morsels_skipped = 0;
+  uint64_t rows_visited = 0;
+  uint64_t rows_passed = 0;
 };
 
 /// \brief The query engine over star-schema storage: the stand-in for the
@@ -198,12 +201,14 @@ class StarQueryEngine {
   /// \brief The pool this engine schedules scans on (never null).
   const std::shared_ptr<TaskPool>& pool() const { return pool_; }
 
-  /// \brief Morsel counters for every scan this engine has run. The same
+  /// \brief Scan counters for every scan this engine has run. The same
   /// counts also accumulate into the pool, where assessd reads them
   /// fleet-wide for the stats frame.
   ScanStats scan_stats() const {
     return ScanStats{morsels_scanned_.load(std::memory_order_relaxed),
-                     morsels_skipped_.load(std::memory_order_relaxed)};
+                     morsels_skipped_.load(std::memory_order_relaxed),
+                     rows_visited_.load(std::memory_order_relaxed),
+                     rows_passed_.load(std::memory_order_relaxed)};
   }
 
  private:
@@ -218,10 +223,9 @@ class StarQueryEngine {
   Result<Cube> ExecuteGet(const BoundCube& bound, const CubeQuery& query,
                           std::optional<CanonicalQuery>* canon_out) const;
   /// The fact scan at admission snapshot `snap` (the epoch the get answers
-  /// at, so cache keys and scanned rows agree); extends the table's zone
-  /// maps to it first.
+  /// at, so cache keys and scanned rows agree).
   Result<Cube> ExecuteUncached(const BoundCube& bound, const CubeQuery& query,
-                               FactSnapshot* snap) const;
+                               const FactSnapshot& snap) const;
   /// The scan driver call every scan goes through (solo gets, roll-ups,
   /// delta merges, MQO batches): runs `consumers` over source rows
   /// [begin, end), counts its morsels and annotates `span` with them and
@@ -240,6 +244,8 @@ class StarQueryEngine {
   WorkloadProfiler* profiler_ = nullptr;
   mutable std::atomic<uint64_t> morsels_scanned_{0};
   mutable std::atomic<uint64_t> morsels_skipped_{0};
+  mutable std::atomic<uint64_t> rows_visited_{0};
+  mutable std::atomic<uint64_t> rows_passed_{0};
   mutable bool last_used_view_ = false;
   mutable CacheOutcome last_cache_outcome_ = CacheOutcome::kBypass;
 };

@@ -3,11 +3,28 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/simd.h"
-#include "common/task_pool.h"
-#include "storage/scan_kernels.h"
-
 namespace assess {
+
+namespace {
+
+// Appends column rows [from, to) to `prefix` while they stay non-decreasing;
+// the first smaller code ends the prefix for good.
+void ExtendPrefix(ClusteredPrefix* prefix, const int32_t* column,
+                  int64_t from, int64_t to) {
+  assert(prefix->rows == from);
+  for (int64_t r = from; r < to; ++r) {
+    const int32_t code = column[r];
+    if (prefix->codes.empty() || code > prefix->codes.back()) {
+      prefix->codes.push_back(code);
+      prefix->first_row.push_back(r);
+    } else if (code < prefix->codes.back()) {
+      return;
+    }
+    prefix->rows = r + 1;
+  }
+}
+
+}  // namespace
 
 void DimensionTable::AddRow(const std::vector<MemberId>& codes) {
   for (size_t l = 0; l < level_codes_.size(); ++l) {
@@ -63,6 +80,7 @@ FactTable::FactTable(std::string name, int dimension_count, int measure_count)
   state_->bank = std::make_shared<ColumnBank>();
   state_->bank->fk.resize(dims_);
   state_->bank->measures.resize(meas_);
+  state_->clustered = std::make_shared<std::vector<ClusteredPrefix>>(dims_);
 }
 
 FactTable FactTable::FromColumns(std::string name,
@@ -75,6 +93,7 @@ FactTable FactTable::FromColumns(std::string name,
                                       : 0;
   table.state_->bank->fk = std::move(fks);
   table.state_->bank->measures = std::move(measures);
+  table.ExtendClusteredLocked(0, rows);
   table.state_->rows.store(rows, std::memory_order_release);
   table.state_->epoch.store(rows > 0 ? 1 : 0, std::memory_order_release);
   return table;
@@ -113,6 +132,23 @@ void FactTable::EnsureCapacityLocked(int64_t extra) {
   state_->bank = std::move(grown);
 }
 
+void FactTable::ExtendClusteredLocked(int64_t from, int64_t to) {
+  const std::vector<ClusteredPrefix>& cur = *state_->clustered;
+  if (std::none_of(cur.begin(), cur.end(), [&](const ClusteredPrefix& c) {
+        return c.rows == from;
+      })) {
+    return;
+  }
+  auto next = std::make_shared<std::vector<ClusteredPrefix>>(cur);
+  for (int d = 0; d < dims_; ++d) {
+    ClusteredPrefix& prefix = (*next)[d];
+    if (prefix.rows == from) {
+      ExtendPrefix(&prefix, state_->bank->fk[d].data(), from, to);
+    }
+  }
+  state_->clustered = std::move(next);
+}
+
 void FactTable::Reserve(int64_t rows) {
   std::lock_guard<std::mutex> lock(state_->mu);
   int64_t have = state_->rows.load(std::memory_order_relaxed);
@@ -126,8 +162,9 @@ void FactTable::AddRow(const std::vector<int32_t>& fks,
   ColumnBank& bank = *state_->bank;
   for (int d = 0; d < dims_; ++d) bank.fk[d].push_back(fks[d]);
   for (int m = 0; m < meas_; ++m) bank.measures[m].push_back(measures[m]);
-  state_->rows.store(state_->rows.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_release);
+  const int64_t rows = state_->rows.load(std::memory_order_relaxed);
+  ExtendClusteredLocked(rows, rows + 1);
+  state_->rows.store(rows + 1, std::memory_order_release);
   state_->epoch.store(state_->epoch.load(std::memory_order_relaxed) + 1,
                       std::memory_order_release);
 }
@@ -157,6 +194,7 @@ AppendResult FactTable::AppendBatch(
     bank.measures[m].insert(bank.measures[m].end(), measures[m].begin(),
                             measures[m].end());
   }
+  ExtendClusteredLocked(result.first_row, result.first_row + n);
   result.epoch += 1;
   state_->rows.store(result.first_row + n, std::memory_order_release);
   state_->epoch.store(result.epoch, std::memory_order_release);
@@ -180,57 +218,9 @@ FactSnapshot FactTable::Snapshot() const {
   for (int m = 0; m < meas_; ++m) {
     snap.measures.push_back(bank.measures[m].data());
   }
+  snap.clustered = state_->clustered;
   snap.bank = state_->bank;
   return snap;
-}
-
-FactSnapshot FactTable::SnapshotWithDerived() const {
-  FactSnapshot snap = Snapshot();
-  EnsureDerived(&snap);
-  return snap;
-}
-
-void FactTable::EnsureDerived(FactSnapshot* snap) const {
-  std::lock_guard<std::mutex> lock(state_->zones_mu);
-  std::shared_ptr<const FactZoneMaps> cur = state_->zones;
-  if (cur != nullptr && cur->built_rows >= snap->rows) {
-    snap->zones = std::move(cur);
-    return;
-  }
-  const int64_t old_rows = cur != nullptr ? cur->built_rows : 0;
-  const int64_t rows = snap->rows;
-  const SimdLevel simd = ActiveSimdLevel();
-
-  auto next = std::make_shared<FactZoneMaps>();
-  next->built_rows = rows;
-  next->num_morsels = rows == 0 ? 0 : (rows + kMorselRows - 1) / kMorselRows;
-  next->dims.resize(dims_);
-  // Only the boundary morsel (which the suffix may have grown) and the
-  // brand-new morsels need computing; complete older morsels are copied.
-  const int64_t first_dirty = old_rows / kMorselRows;
-  for (int d = 0; d < dims_; ++d) {
-    std::vector<ZoneRange>& zd = next->dims[d];
-    if (cur != nullptr) zd = cur->dims[d];
-    zd.resize(next->num_morsels);
-    for (int64_t m = first_dirty; m < next->num_morsels; ++m) {
-      int64_t begin = m * kMorselRows;
-      int64_t end = std::min(rows, begin + kMorselRows);
-      MinMaxInt32(simd, snap->fk[d] + begin, end - begin, &zd[m].min,
-                  &zd[m].max);
-    }
-  }
-
-  state_->zones = next;
-  snap->zones = std::move(next);
-}
-
-void FactTable::ExtendDerivedIfBuilt() const {
-  {
-    std::lock_guard<std::mutex> lock(state_->zones_mu);
-    if (state_->zones == nullptr) return;
-  }
-  FactSnapshot snap = Snapshot();
-  EnsureDerived(&snap);
 }
 
 }  // namespace assess

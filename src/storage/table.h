@@ -13,26 +13,18 @@
 
 namespace assess {
 
-/// \brief Min/max foreign-key code of one morsel of one fact column: the
-/// zone-map block statistic that lets a scan skip a whole morsel when the
-/// pushed-down predicate rejects every code in [min, max].
-struct ZoneRange {
-  int32_t min = 0;
-  int32_t max = 0;
-};
-
-/// \brief Per-morsel zone maps over a fact table: dims[d][m] is the code
-/// range of dimension d within morsel m (kMorselRows rows per morsel, the
-/// scheduling granularity of common/task_pool.h). Built lazily on the first
-/// scan that can use them and *extended* incrementally when rows are
-/// appended afterwards (only the boundary morsel is recomputed).
-struct FactZoneMaps {
-  int64_t num_morsels = 0;
-  /// The committed row count the maps cover. A scan over a shorter prefix
-  /// may still prune with them: its boundary-morsel range is a superset of
-  /// the prefix's true range, which can only make pruning conservative.
-  int64_t built_rows = 0;
-  std::vector<std::vector<ZoneRange>> dims;
+/// \brief The row-range index of one fact FK column: the length of the
+/// column's longest non-decreasing prefix and, in ascending code order, each
+/// distinct code of that prefix with the first row holding it. Code
+/// `codes[i]` occupies prefix rows [first_row[i], first_row[i + 1]) — the
+/// last code up to `rows` — so the rows a set of codes can hold are a union
+/// of runs computed without reading the column. A table bulk-loaded in
+/// date order (the SSB and BUDGET generators) has its whole date column as
+/// the prefix; an unordered column's prefix ends after a few rows.
+struct ClusteredPrefix {
+  int64_t rows = 0;
+  std::vector<int32_t> codes;
+  std::vector<int64_t> first_row;
 };
 
 /// \brief One consistent view of a fact table: the committed row prefix at
@@ -48,11 +40,10 @@ struct FactSnapshot {
   uint64_t epoch = 0;
   std::vector<const int32_t*> fk;       // one pointer per dimension
   std::vector<const double*> measures;  // one pointer per measure
-  /// Zone maps covering >= `rows` (a newer snapshot may have extended them
-  /// further; scans bounded by `rows` read only their own prefix, and a
-  /// boundary-morsel zone range is then a superset — conservative for
-  /// pruning, never wrong). Null until EnsureDerived.
-  std::shared_ptr<const FactZoneMaps> zones;
+  /// The row-range index of every FK column (one per dimension) as of
+  /// `rows`: published together with the rows it describes, so a scan
+  /// reads it without a lock and its prefixes never exceed `rows`.
+  std::shared_ptr<const std::vector<ClusteredPrefix>> clustered;
   std::shared_ptr<const void> bank;  // keepalive for fk/measures pointers
 };
 
@@ -192,23 +183,9 @@ class FactTable {
   /// race appenders.
   void SetEpochForRecovery(uint64_t epoch);
 
-  /// \brief Captures the committed prefix: O(columns), no derived build.
+  /// \brief Captures the committed prefix and its row-range index:
+  /// O(columns).
   FactSnapshot Snapshot() const;
-
-  /// \brief Snapshot() plus EnsureDerived() — what fact scans use.
-  FactSnapshot SnapshotWithDerived() const;
-
-  /// \brief Fills `snap->zones` with zone maps covering at least
-  /// `snap->rows`, building them on first use and otherwise *extending* the
-  /// previous version for the appended suffix: only the boundary morsel and
-  /// the new ones are computed. Serialized by an internal mutex.
-  void EnsureDerived(FactSnapshot* snap) const;
-
-  /// \brief Extends the zone maps to the current committed prefix if they
-  /// were ever built; no-op otherwise (stays lazy so pure
-  /// bulk loads never pay for them). Ingest commits call this so query
-  /// latency stays flat under churn.
-  void ExtendDerivedIfBuilt() const;
 
   /// \brief Legacy columnar accessors. Valid only while no appender runs
   /// concurrently (setup, persistence, validation); serving paths use
@@ -226,18 +203,23 @@ class FactTable {
     std::vector<std::vector<double>> measures;
   };
   struct State {
-    std::mutex mu;  // guards bank_/rows/epoch publication
+    std::mutex mu;  // guards bank/clustered/rows/epoch publication
     std::shared_ptr<ColumnBank> bank;
+    // Replaced, never mutated, once published: snapshots share it.
+    std::shared_ptr<const std::vector<ClusteredPrefix>> clustered;
     std::atomic<int64_t> rows{0};
     std::atomic<uint64_t> epoch{0};
-    std::mutex zones_mu;  // serializes zone-map build/extension
-    std::shared_ptr<const FactZoneMaps> zones;
   };
 
   /// Clones the column bank with geometric headroom when an append of
   /// `extra` rows would reallocate a column in place (which would
   /// invalidate live snapshots' raw pointers). Callers hold state_->mu.
   void EnsureCapacityLocked(int64_t extra);
+
+  /// Extends the row-range index over just-appended rows [from, to): a
+  /// copy of it, and only when some column's prefix still reaches `from`.
+  /// Callers hold state_->mu.
+  void ExtendClusteredLocked(int64_t from, int64_t to);
 
   std::string name_;
   int dims_ = 0;

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "algebra/operators.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/task_pool.h"
 #include "ssb/ssb_generator.h"
 #include "test_util.h"
@@ -126,9 +130,10 @@ TEST_F(EngineTest, UnknownCubeFails) {
   EXPECT_FALSE(engine_.Execute(q).ok());
 }
 
-TEST(EngineZoneMapTest, DateRangeOnClusteredSsbSkipsMorsels) {
+TEST(EngineRowRangeTest, DateRangeOnClusteredSsbSkipsMorsels) {
   // The SSB bulk load clusters facts by date, so a 45-day slice lands in at
-  // most two adjacent morsels and the zone maps prove every other one empty.
+  // most two adjacent morsels, the row-range index shows every other one
+  // empty, and the scan visits exactly the slice's rows.
   SsbConfig config;
   config.scale_factor = 0.05;
   config.include_budget = false;
@@ -148,6 +153,383 @@ TEST(EngineZoneMapTest, DateRangeOnClusteredSsbSkipsMorsels) {
   EXPECT_LE(stats.morsels_scanned, 2u);
   EXPECT_EQ(stats.morsels_scanned + stats.morsels_skipped,
             static_cast<uint64_t>(morsels));
+
+  const DimensionTable& dates = ssb.dimension(0);
+  const std::vector<int32_t>& date_fk = ssb.facts().fk_column(0);
+  uint64_t slice_rows = 0;
+  for (int32_t code : date_fk) {
+    const std::string& day =
+        ssb.schema().hierarchy(0).MemberName(0, dates.CodeAt(code, 0));
+    if (day >= "1995-03-10" && day <= "1995-04-23") ++slice_rows;
+  }
+  ASSERT_GT(slice_rows, 0u);
+  EXPECT_EQ(stats.rows_visited, slice_rows);
+  EXPECT_EQ(stats.rows_passed, slice_rows);
+}
+
+// --- Row-range index: clustered vs. unclustered facts ---------------------
+
+// A date-sliced star: Date (day → month → year over two 360-day years),
+// Store (store → region) and a 400-member Item, whose product with day
+// overflows the dense kernel so the generic hash kernel runs too.
+// Measures cover every operator; `integer_values` keeps every sum exact, so
+// no result depends on the order its rows are added in.
+struct DatedRow {
+  int32_t day = 0;
+  int32_t store = 0;
+  int32_t item = 0;
+  double value = 0.0;
+};
+
+constexpr int kDatedDays = 720;
+constexpr int kDatedStores = 7;
+constexpr int kDatedItems = 400;
+
+std::string Pad2(int v) { return (v < 10 ? "0" : "") + std::to_string(v); }
+
+// Member name of day code `day`: "Y<year>-<month>-<day>", sorting by date.
+std::string DayName(int day) {
+  return "Y" + std::to_string(day / 360) + "-" + Pad2(day % 360 / 30 + 1) +
+         "-" + Pad2(day % 30 + 1);
+}
+
+std::vector<DatedRow> DatedRows(uint64_t seed, int64_t rows,
+                                bool integer_values) {
+  Rng rng(seed);
+  std::vector<DatedRow> out(static_cast<size_t>(rows));
+  for (DatedRow& row : out) {
+    row.day = static_cast<int32_t>(rng.Uniform(kDatedDays));
+    row.store = static_cast<int32_t>(rng.Uniform(kDatedStores));
+    row.item = static_cast<int32_t>(rng.Uniform(kDatedItems));
+    row.value = integer_values
+                    ? static_cast<double>(rng.UniformRange(-50, 50))
+                    : rng.NextDouble() * 1000.0 - 500.0;
+  }
+  return out;
+}
+
+// Stable-sorts `rows` by day: the date column becomes one clustered prefix.
+std::vector<DatedRow> Clustered(std::vector<DatedRow> rows) {
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const DatedRow& a, const DatedRow& b) {
+                     return a.day < b.day;
+                   });
+  return rows;
+}
+
+// Shuffles `rows`, then puts a latest-day row first and an earliest-day row
+// second, so the date column's clustered prefix is that one first row.
+std::vector<DatedRow> Shuffled(std::vector<DatedRow> rows, uint64_t seed) {
+  Rng rng(seed);
+  for (size_t i = rows.size() - 1; i > 0; --i) {
+    std::swap(rows[i], rows[rng.Uniform(i + 1)]);
+  }
+  auto by_day = [](const DatedRow& a, const DatedRow& b) {
+    return a.day < b.day;
+  };
+  std::iter_swap(rows.begin(),
+                 std::max_element(rows.begin(), rows.end(), by_day));
+  std::iter_swap(rows.begin() + 1,
+                 std::min_element(rows.begin() + 1, rows.end(), by_day));
+  return rows;
+}
+
+struct DatedStar {
+  std::unique_ptr<StarDatabase> db;
+  std::shared_ptr<CubeSchema> schema;
+};
+
+// Builds cube "D" over `rows` (FromColumns), then appends `tail` as one
+// batch when it is non-empty.
+DatedStar BuildDatedStar(const std::vector<DatedRow>& rows,
+                         const std::vector<DatedRow>& tail = {}) {
+  auto date = std::make_shared<Hierarchy>("Date");
+  date->set_temporal(true);
+  date->AddLevel("day");
+  date->AddLevel("month");
+  date->AddLevel("year");
+  DimensionTable dates("date", date);
+  for (int day = 0; day < kDatedDays; ++day) {
+    const std::string name = DayName(day);
+    const MemberId year = date->AddMember(2, name.substr(0, 2));
+    const MemberId month = date->AddMember(1, name.substr(0, 5));
+    const MemberId id = date->AddMember(0, name);
+    date->SetParent(1, month, year);
+    date->SetParent(0, id, month);
+    dates.AddRow({id, month, year});
+  }
+  auto store = std::make_shared<Hierarchy>("Store");
+  store->AddLevel("store");
+  store->AddLevel("region");
+  DimensionTable stores("store", store);
+  for (int s = 0; s < kDatedStores; ++s) {
+    const MemberId region = store->AddMember(1, "R" + std::to_string(s % 2));
+    const MemberId id = store->AddMember(0, "S" + std::to_string(s));
+    store->SetParent(0, id, region);
+    stores.AddRow({id, region});
+  }
+  auto item = std::make_shared<Hierarchy>("Item");
+  item->AddLevel("item");
+  DimensionTable items("item", item);
+  for (int i = 0; i < kDatedItems; ++i) {
+    items.AddRow({item->AddMember(0, "I" + std::to_string(i))});
+  }
+  DatedStar star;
+  star.schema = std::make_shared<CubeSchema>("D");
+  star.schema->AddHierarchy(date);
+  star.schema->AddHierarchy(store);
+  star.schema->AddHierarchy(item);
+  star.schema->AddMeasure({"s", AggOp::kSum});
+  star.schema->AddMeasure({"a", AggOp::kAvg});
+  star.schema->AddMeasure({"lo", AggOp::kMin});
+  star.schema->AddMeasure({"hi", AggOp::kMax});
+  star.schema->AddMeasure({"n", AggOp::kCount});
+  auto columns = [](const std::vector<DatedRow>& part,
+                    std::vector<std::vector<int32_t>>* fks,
+                    std::vector<std::vector<double>>* measures) {
+    fks->assign(3, {});
+    measures->assign(5, {});
+    for (const DatedRow& row : part) {
+      (*fks)[0].push_back(row.day);
+      (*fks)[1].push_back(row.store);
+      (*fks)[2].push_back(row.item);
+      for (auto& m : *measures) m.push_back(row.value);
+    }
+  };
+  std::vector<std::vector<int32_t>> fks;
+  std::vector<std::vector<double>> measures;
+  columns(rows, &fks, &measures);
+  FactTable facts = FactTable::FromColumns("D", fks, measures);
+  if (!tail.empty()) {
+    columns(tail, &fks, &measures);
+    facts.AppendBatch(fks, measures);
+  }
+  star.db = std::make_unique<StarDatabase>();
+  EXPECT_TRUE(star.db
+                  ->Register("D", std::make_unique<BoundCube>(
+                                      star.schema,
+                                      std::vector<DimensionTable>{
+                                          dates, stores, items},
+                                      std::move(facts)))
+                  .ok());
+  return star;
+}
+
+// A cube's cells of `measure` keyed by their member ids (every level of
+// the dated star has fewer than 1024 members), sorted: a cheap exact
+// comparison of cubes whose hierarchies intern members in the same order.
+std::vector<std::pair<uint64_t, double>> SortedCells(
+    const Cube& cube, const std::string& measure) {
+  const std::vector<double>& values =
+      cube.measure_column(*cube.MeasureIndex(measure));
+  std::vector<std::pair<uint64_t, double>> cells;
+  cells.reserve(values.size());
+  for (int64_t r = 0; r < cube.NumRows(); ++r) {
+    uint64_t key = 0;
+    for (int l = 0; l < cube.level_count(); ++l) {
+      key = key * 1024 + static_cast<uint64_t>(cube.coord_column(l)[r]);
+    }
+    cells.emplace_back(key, values[r]);
+  }
+  std::sort(cells.begin(), cells.end());
+  return cells;
+}
+
+int64_t DatePrefixRows(const DatedStar& star) {
+  return (*(*star.db->Find("D"))->facts().Snapshot().clustered)[0].rows;
+}
+
+class RowRangeTest : public ::testing::Test {
+ protected:
+  ~RowRangeTest() override { ForceSimdLevelForTest(-1); }
+
+  CubeQuery Query(const DatedStar& star, const std::vector<std::string>& by,
+                  std::vector<Predicate> preds) {
+    auto q = CubeQuery::Make(*star.schema, "D", by, std::move(preds),
+                             {"s", "a", "lo", "hi", "n"});
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    return *q;
+  }
+
+  // Every case, group-by and engine configuration must give the clustered
+  // table the cells of the shuffled one: solo at 1 and 4 threads on every
+  // compiled-in SIMD tier, and as an MQO shared scan (the compacted path).
+  void ExpectSameCells(const DatedStar& clustered, const DatedStar& shuffled,
+                       const std::vector<Predicate>& preds,
+                       const std::string& label) {
+    const std::vector<std::vector<std::string>> group_bys = {
+        {"month", "region"}, {"day", "item"}, {}};
+    const std::vector<std::string> measures = {"s", "a", "lo", "hi", "n"};
+    std::vector<CubeQuery> batch;
+    std::vector<Cube> expected;
+    StarQueryEngine reference(shuffled.db.get(), false, 1);
+    for (const auto& by : group_bys) {
+      batch.push_back(Query(clustered, by, preds));
+      expected.push_back(*reference.Execute(Query(shuffled, by, preds)));
+    }
+    auto same = [&](const Cube& want, const Cube& got,
+                    const std::string& where) {
+      for (const std::string& m : measures) {
+        EXPECT_EQ(SortedCells(want, m), SortedCells(got, m))
+            << label << " " << where << " measure " << m;
+      }
+    };
+    const int best = static_cast<int>(DetectCpuSimdLevel());
+    for (int level = 0; level <= best; ++level) {
+      ForceSimdLevelForTest(level);
+      for (int threads : {1, 4}) {
+        StarQueryEngine engine(clustered.db.get(), false, threads);
+        const std::string where = "tier " + std::to_string(level) +
+                                  " threads " + std::to_string(threads);
+        for (size_t i = 0; i < batch.size(); ++i) {
+          auto got = engine.Execute(batch[i]);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          same(expected[i], *got, where + " solo " + std::to_string(i));
+        }
+        auto shared = engine.ExecuteSharedScan(batch, 0);
+        ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+        for (size_t i = 0; i < batch.size(); ++i) {
+          same(expected[i], (*shared)[i],
+               where + " shared " + std::to_string(i));
+        }
+      }
+    }
+  }
+};
+
+TEST_F(RowRangeTest, ClusteredMatchesShuffledOnEverySlice) {
+  const std::vector<DatedRow> rows =
+      DatedRows(7, 3 * kMorselRows + 1234, /*integer_values=*/true);
+  const std::vector<DatedRow> sorted = Clustered(rows);
+  DatedStar clustered = BuildDatedStar(sorted);
+  DatedStar shuffled = BuildDatedStar(Shuffled(rows, 8));
+  ASSERT_EQ(DatePrefixRows(clustered), static_cast<int64_t>(rows.size()));
+  ASSERT_EQ(DatePrefixRows(shuffled), 1);
+
+  // A 15-day range around the first morsel boundary.
+  const int boundary_day = sorted[kMorselRows].day;
+  ASSERT_GT(sorted[kMorselRows].day, sorted.front().day);
+  const std::vector<Predicate> days = {
+      {0, 0, PredicateOp::kBetween,
+       {DayName(boundary_day - 7), DayName(boundary_day + 7)}}};
+  ExpectSameCells(clustered, shuffled, days, "days across a boundary");
+
+  // Two months with a gap: one range per morsel visits the month between.
+  const std::vector<Predicate> gap = {
+      {0, 1, PredicateOp::kIn, {"Y0-04", "Y0-06"}}};
+  ExpectSameCells(clustered, shuffled, gap, "months with a gap");
+
+  const std::vector<Predicate> year = {{0, 2, PredicateOp::kEquals, {"Y1"}}};
+  ExpectSameCells(clustered, shuffled, year, "a year");
+
+  const std::vector<Predicate> mixed = {
+      {0, 1, PredicateOp::kBetween, {"Y0-05", "Y0-09"}},
+      {1, 1, PredicateOp::kEquals, {"R1"}}};
+  ExpectSameCells(clustered, shuffled, mixed, "a slice and a region");
+
+  // A contiguous date slice visits exactly its own rows on the clustered
+  // table, also next to a predicate on an unclustered hierarchy.
+  auto slice_rows = [&](int lo, int hi, int region) {
+    return static_cast<uint64_t>(
+        std::count_if(rows.begin(), rows.end(), [&](const DatedRow& r) {
+          return r.day >= lo && r.day <= hi &&
+                 (region < 0 || r.store % 2 == region);
+        }));
+  };
+  struct Contiguous {
+    std::vector<Predicate> preds;
+    uint64_t visited;
+    uint64_t passed;
+  };
+  const std::vector<Contiguous> contiguous = {
+      {days, slice_rows(boundary_day - 7, boundary_day + 7, -1),
+       slice_rows(boundary_day - 7, boundary_day + 7, -1)},
+      {year, slice_rows(360, kDatedDays - 1, -1),
+       slice_rows(360, kDatedDays - 1, -1)},
+      {mixed, slice_rows(120, 269, -1), slice_rows(120, 269, 1)}};
+  for (int threads : {1, 4}) {
+    for (const Contiguous& c : contiguous) {
+      StarQueryEngine engine(clustered.db.get(), false, threads);
+      ASSERT_TRUE(engine.Execute(Query(clustered, {"month"}, c.preds)).ok());
+      EXPECT_EQ(engine.scan_stats().rows_visited, c.visited);
+      EXPECT_EQ(engine.scan_stats().rows_passed, c.passed);
+      ASSERT_TRUE(
+          engine.ExecuteSharedScan({Query(clustered, {"month"}, c.preds),
+                                    Query(clustered, {"region"}, c.preds)},
+                                   0)
+              .ok());
+      EXPECT_EQ(engine.scan_stats().rows_visited, 2 * c.visited);
+      EXPECT_EQ(engine.scan_stats().rows_passed, 2 * c.passed);
+    }
+  }
+}
+
+TEST_F(RowRangeTest, OutOfOrderAppendsAfterAClusteredPrefix) {
+  const std::vector<DatedRow> rows =
+      DatedRows(17, 2 * kMorselRows + 999, /*integer_values=*/true);
+  // Appended rows start with the earliest day, so they end the prefix.
+  std::vector<DatedRow> tail =
+      DatedRows(18, kMorselRows / 2, /*integer_values=*/true);
+  tail.front().day = 0;
+  DatedStar clustered = BuildDatedStar(Clustered(rows), tail);
+  DatedStar shuffled = BuildDatedStar(Shuffled(rows, 19), tail);
+  ASSERT_EQ(DatePrefixRows(clustered), static_cast<int64_t>(rows.size()));
+  ASSERT_EQ(DatePrefixRows(shuffled), 1);
+
+  ExpectSameCells(clustered, shuffled,
+                  {{0, 1, PredicateOp::kBetween, {"Y0-02", "Y0-03"}}},
+                  "early months");
+  ExpectSameCells(clustered, shuffled,
+                  {{0, 2, PredicateOp::kEquals, {"Y1"}}}, "the last year");
+}
+
+// Bit identity with non-integer measures: a clustered date range across a
+// morsel boundary sums to exactly what a whole-morsel scan gives — each
+// morsel's passing rows added in row order from 0.0, the per-morsel
+// partials then added in morsel order.
+TEST_F(RowRangeTest, NarrowedRangesKeepTheMorselSumOrder) {
+  const std::vector<DatedRow> sorted = Clustered(
+      DatedRows(27, 3 * kMorselRows + 77, /*integer_values=*/false));
+  DatedStar star = BuildDatedStar(sorted);
+  const int boundary_day = sorted[2 * kMorselRows].day;
+  const int lo = boundary_day - 20;
+  const int hi = boundary_day + 20;
+  const std::vector<Predicate> preds = {
+      {0, 0, PredicateOp::kBetween, {DayName(lo), DayName(hi)}}};
+
+  std::map<std::vector<std::string>, double> want_by_month;
+  double want_total = 0.0;
+  const int64_t n = static_cast<int64_t>(sorted.size());
+  for (int64_t begin = 0; begin < n; begin += kMorselRows) {
+    std::map<std::vector<std::string>, double> partial;
+    double partial_total = 0.0;
+    bool any = false;
+    for (int64_t r = begin; r < std::min(n, begin + kMorselRows); ++r) {
+      if (sorted[r].day < lo || sorted[r].day > hi) continue;
+      any = true;
+      partial[K(DayName(sorted[r].day).substr(0, 5))] += sorted[r].value;
+      partial_total += sorted[r].value;
+    }
+    if (!any) continue;
+    for (const auto& [month, sum] : partial) want_by_month[month] += sum;
+    want_total += partial_total;
+  }
+  ASSERT_GE(want_by_month.size(), 2u);  // the range spans months
+
+  const int best = static_cast<int>(DetectCpuSimdLevel());
+  for (int level = 0; level <= best; ++level) {
+    ForceSimdLevelForTest(level);
+    for (int threads : {1, 4}) {
+      StarQueryEngine engine(star.db.get(), false, threads);
+      Cube by_month = *engine.Execute(Query(star, {"month"}, preds));
+      Cube total = *engine.Execute(Query(star, {}, preds));
+      EXPECT_EQ(engine.scan_stats().morsels_scanned, 4u);
+      EXPECT_EQ(CellMap(by_month, "s"), want_by_month)
+          << "tier " << level << " threads " << threads;
+      EXPECT_EQ(CellMap(total, "s")[{}], want_total)
+          << "tier " << level << " threads " << threads;
+    }
+  }
 }
 
 // --- Aggregation operators beyond sum ------------------------------------

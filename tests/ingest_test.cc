@@ -413,10 +413,10 @@ TEST_F(IngestTest, EpochKeyingInvalidatesCachedResults) {
 }
 
 TEST_F(IngestTest, DimensionGrowthPastByteCodesScansCorrectly) {
-  // Build the zone maps first, so appends extend them rather than the
-  // first scan building them over the grown table.
-  FactSnapshot snap = bound_->facts().SnapshotWithDerived();
-  ASSERT_NE(snap.zones, nullptr);
+  // Pin a snapshot first, so the appends below publish new versions of the
+  // row-range index while an older one is still held.
+  FactSnapshot snap = bound_->facts().Snapshot();
+  ASSERT_NE(snap.clustered, nullptr);
 
   // 300 new products push the product FK past 255.
   IngestOptions options;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -254,10 +255,10 @@ TEST_F(ParallelEngineTest, FactRangeSpansMorselsFromAnUnalignedStart) {
   }
 }
 
-TEST_F(ParallelEngineTest, ZoneMapsSkipMorselsOnClusteredData) {
+TEST_F(ParallelEngineTest, RowRangesSkipMorselsOnClusteredData) {
   // A table clustered on the dimension key — code = row / kMorselRows — is
-  // the best case for zone maps: an equality predicate touches exactly one
-  // morsel and every other one is proven empty and skipped without a scan.
+  // the best case for the row-range index: an equality predicate touches
+  // exactly one morsel and every other one is skipped without a scan.
   auto hier = std::make_shared<Hierarchy>("H");
   hier->AddLevel("k");
   constexpr int kChunks = 4;
@@ -289,6 +290,8 @@ TEST_F(ParallelEngineTest, ZoneMapsSkipMorselsOnClusteredData) {
   ScanStats stats = engine.scan_stats();
   EXPECT_EQ(stats.morsels_scanned, 1u);
   EXPECT_EQ(stats.morsels_skipped, static_cast<uint64_t>(kChunks - 1));
+  EXPECT_EQ(stats.rows_visited, static_cast<uint64_t>(kMorselRows));
+  EXPECT_EQ(stats.rows_passed, static_cast<uint64_t>(kMorselRows));
 
   // An unpredicated scan of the same table must not skip anything.
   CubeQuery all = *CubeQuery::Make(*schema, "T", {"k"}, {}, {"s"});
@@ -297,6 +300,108 @@ TEST_F(ParallelEngineTest, ZoneMapsSkipMorselsOnClusteredData) {
   stats = engine.scan_stats();
   EXPECT_EQ(stats.morsels_scanned, 1u + kChunks);
   EXPECT_EQ(stats.morsels_skipped, static_cast<uint64_t>(kChunks - 1));
+  const auto all_rows = static_cast<uint64_t>((1 + kChunks) * kMorselRows);
+  EXPECT_EQ(stats.rows_visited, all_rows);
+  EXPECT_EQ(stats.rows_passed, all_rows);
+}
+
+TEST_F(ParallelEngineTest, ScansRaceAppendsThatGrowThenFreezeThePrefix) {
+  // Readers scan date-style slices while a writer appends batches that
+  // first extend the clustered prefix (codes rising from 32) and then end
+  // it (codes starting over at 32). Every snapshot must see whole batches
+  // and the index of exactly its own rows; under TSan this is the race
+  // check of the index's publication.
+  auto hier = std::make_shared<Hierarchy>("H");
+  hier->AddLevel("k");
+  constexpr int kCodes = 64;
+  DimensionTable dim("k", hier);
+  for (int g = 0; g < kCodes; ++g) {
+    dim.AddRow({hier->AddMember(0, (g < 10 ? "g0" : "g") + std::to_string(g))});
+  }
+  auto schema = std::make_shared<CubeSchema>("T");
+  schema->AddHierarchy(hier);
+  schema->AddMeasure({"s", AggOp::kSum});
+  constexpr int64_t kBase = 2 * kMorselRows;
+  std::vector<std::vector<int32_t>> fks(1);
+  std::vector<std::vector<double>> measures(1);
+  for (int64_t i = 0; i < kBase; ++i) {
+    fks[0].push_back(static_cast<int32_t>(i * 32 / kBase));
+    measures[0].push_back(1.0);
+  }
+  StarDatabase db;
+  ASSERT_TRUE(db.Register("T", std::make_unique<BoundCube>(
+                                   schema, std::vector<DimensionTable>{dim},
+                                   FactTable::FromColumns("T", fks, measures)))
+                  .ok());
+  FactTable& facts = (*db.FindMutable("T"))->mutable_facts();
+
+  constexpr int kBatches = 40;
+  constexpr int64_t kBatchRows = 1000;
+  const CubeQuery base = *CubeQuery::Make(
+      *schema, "T", {}, {{0, 0, PredicateOp::kBetween, {"g00", "g31"}}},
+      {"s"});
+  const CubeQuery appended = *CubeQuery::Make(
+      *schema, "T", {}, {{0, 0, PredicateOp::kBetween, {"g32", "g63"}}},
+      {"s"});
+  const CubeQuery one_code = *CubeQuery::Make(
+      *schema, "T", {}, {{0, 0, PredicateOp::kEquals, {"g33"}}}, {"s"});
+  auto sum = [](const Result<Cube>& cube) {
+    if (!cube.ok()) return -1.0;
+    auto cells = CellMap(*cube, "s");
+    return cells.empty() ? 0.0 : cells.begin()->second;
+  };
+
+  auto pool = std::make_shared<TaskPool>(2);
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  constexpr int kReaders = 3;
+  std::vector<int> bad(kReaders, 0);
+  std::vector<int> runs(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int c = 0; c < kReaders; ++c) {
+    readers.emplace_back([&, c] {
+      EngineOptions options;
+      options.use_views = false;
+      options.use_result_cache = false;
+      options.threads = 2;
+      options.pool = pool;
+      StarQueryEngine engine(&db, options);
+      started.fetch_add(1);
+      double seen = 0.0;
+      do {
+        if (sum(engine.Execute(base)) != static_cast<double>(kBase)) ++bad[c];
+        const double tail = sum(engine.Execute(appended));
+        if (tail < seen || std::fmod(tail, kBatchRows) != 0.0) ++bad[c];
+        seen = tail;
+        const double g33 = sum(engine.Execute(one_code));
+        if (g33 != 0.0 && g33 != kBatchRows && g33 != 2 * kBatchRows) {
+          ++bad[c];
+        }
+        ++runs[c];
+      } while (!done.load());
+    });
+  }
+  std::vector<std::vector<int32_t>> batch_fks(1);
+  std::vector<std::vector<double>> batch_measures(
+      1, std::vector<double>(kBatchRows, 1.0));
+  while (started.load() < kReaders) std::this_thread::yield();
+  for (int b = 0; b < kBatches; ++b) {
+    batch_fks[0].assign(kBatchRows, 32 + b % 32);
+    facts.AppendBatch(batch_fks, batch_measures);
+    std::this_thread::yield();
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  for (int c = 0; c < kReaders; ++c) {
+    EXPECT_EQ(bad[c], 0) << "reader " << c;
+    EXPECT_GT(runs[c], 0) << "reader " << c;
+  }
+  EXPECT_EQ((*facts.Snapshot().clustered)[0].rows, kBase + 32 * kBatchRows);
+
+  StarQueryEngine engine(&db, false, 1);
+  EXPECT_EQ(sum(engine.Execute(appended)),
+            static_cast<double>(kBatches * kBatchRows));
+  EXPECT_EQ(sum(engine.Execute(one_code)), static_cast<double>(2 * kBatchRows));
 }
 
 TEST_F(ParallelEngineTest, AssessResultBitIdenticalAcrossSessionThreads) {

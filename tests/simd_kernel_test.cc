@@ -1,8 +1,8 @@
 // The vectorized-scan determinism contract: both SIMD tiers (scalar /
 // AVX2), every thread count and every run must produce bit-identical
-// cubes — the tier is a pure performance knob. Plus the vectorized
-// zone-map min/max, tail handling at every alignment boundary, and
-// incremental extension of the zone maps after appends.
+// cubes — the tier is a pure performance knob. Plus tail handling at every
+// alignment boundary, and how appends extend the fact table's row-range
+// index.
 
 #include <gtest/gtest.h>
 
@@ -128,30 +128,6 @@ TEST_F(SimdKernelTest, ResolveSimdLevelParsesTheKnob) {
   EXPECT_EQ(ResolveSimdLevel("avx2", avx2), avx2);
   EXPECT_EQ(ResolveSimdLevel("auto", avx2), avx2);
   EXPECT_EQ(ResolveSimdLevel("definitely-not-a-tier", scalar), scalar);
-}
-
-TEST_F(SimdKernelTest, MinMaxAgreesAcrossTiersAndLengths) {
-  const int best = static_cast<int>(DetectCpuSimdLevel());
-  Rng rng(11);
-  for (int64_t n : {int64_t{1}, int64_t{2}, int64_t{7}, int64_t{8},
-                    int64_t{9}, int64_t{15}, int64_t{16}, int64_t{17},
-                    int64_t{100}, int64_t{4097}}) {
-    std::vector<int32_t> values;
-    values.reserve(n);
-    for (int64_t i = 0; i < n; ++i) {
-      values.push_back(static_cast<int32_t>(rng.Uniform(1000000)) - 500000);
-    }
-    int32_t want_lo = 0;
-    int32_t want_hi = 0;
-    MinMaxInt32(SimdLevel::kScalar, values.data(), n, &want_lo, &want_hi);
-    for (int level = 0; level <= best; ++level) {
-      int32_t lo = 0;
-      int32_t hi = 0;
-      MinMaxInt32(static_cast<SimdLevel>(level), values.data(), n, &lo, &hi);
-      EXPECT_EQ(lo, want_lo) << "level=" << level << " n=" << n;
-      EXPECT_EQ(hi, want_hi) << "level=" << level << " n=" << n;
-    }
-  }
 }
 
 // The core property: random cubes, random group-bys, random predicates,
@@ -408,15 +384,15 @@ TEST_F(SimdKernelTest, NoGroupBySumsAddInRowOrder) {
   }
 }
 
-// Zone maps used to fail the scan hard when rows were appended after they
-// were built. Appends now *extend* them incrementally for the suffix:
-// queries after an append see the new rows and the epoch advances, while
-// a snapshot taken earlier keeps its own shorter map.
+// The row-range index grows with in-order appends and freezes at the first
+// out-of-order one; a snapshot keeps the index of its own rows however the
+// table grows afterwards, and scans include the appended rows on either
+// side of the clustered prefix.
 TEST_F(SimdKernelTest, AppendExtendsDerivedStructures) {
   auto hier = std::make_shared<Hierarchy>("H");
   hier->AddLevel("k");
   DimensionTable dim("K", hier);
-  for (int g = 0; g < 3; ++g) {
+  for (int g = 0; g < 4; ++g) {
     dim.AddRow({hier->AddMember(0, "g" + std::to_string(g))});
   }
   auto schema = std::make_shared<CubeSchema>("T");
@@ -424,31 +400,37 @@ TEST_F(SimdKernelTest, AppendExtendsDerivedStructures) {
   schema->AddMeasure({"s", AggOp::kSum});
   FactTable facts("T", 1, 1);
   for (int64_t i = 0; i < 100; ++i) {
-    facts.AddRow({static_cast<int32_t>(i % 2)}, {1.0});
+    facts.AddRow({static_cast<int32_t>(i / 50)}, {1.0});
   }
-  // Build the zone maps at 100 rows (codes 0 and 1 only), then keep
-  // loading.
-  FactSnapshot before = facts.SnapshotWithDerived();
-  ASSERT_NE(before.zones, nullptr);
-  EXPECT_EQ(before.zones->built_rows, 100);
-  ASSERT_EQ(before.zones->num_morsels, 1);
-  EXPECT_EQ(before.zones->dims[0][0].max, 1);
+  const FactSnapshot before = facts.Snapshot();
+  ASSERT_NE(before.clustered, nullptr);
+  const ClusteredPrefix& b0 = (*before.clustered)[0];
+  EXPECT_EQ(b0.rows, 100);
+  EXPECT_EQ(b0.codes, (std::vector<int32_t>{0, 1}));
+  EXPECT_EQ(b0.first_row, (std::vector<int64_t>{0, 50}));
+
+  // In-order appends, one row and then a batch, grow the prefix.
   facts.AddRow({2}, {1.0});
   EXPECT_GT(facts.epoch(), before.epoch);
+  EXPECT_EQ(facts.AppendBatch({{2, 3}}, {{1.0, 1.0}}).first_row, 101);
+  const FactSnapshot grown = facts.Snapshot();
+  const ClusteredPrefix& g0 = (*grown.clustered)[0];
+  EXPECT_EQ(g0.rows, 103);
+  EXPECT_EQ(g0.codes, (std::vector<int32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(g0.first_row, (std::vector<int64_t>{0, 50, 100, 102}));
 
-  // A fresh snapshot extends the previous maps instead of failing: the
-  // boundary morsel's range now covers the appended code.
-  FactSnapshot after = facts.SnapshotWithDerived();
-  EXPECT_EQ(after.zones->built_rows, 101);
-  EXPECT_EQ(after.zones->dims[0][0].min, 0);
-  EXPECT_EQ(after.zones->dims[0][0].max, 2);
+  // The first out-of-order row freezes it, and a later in-order one (3
+  // after 1) does not restart it.
   facts.AddRow({1}, {1.0});
-  FactSnapshot third = facts.SnapshotWithDerived();
-  EXPECT_EQ(third.zones->built_rows, 102);
-  EXPECT_EQ(third.zones->dims[0][0].max, 2);
-  // The old snapshot still holds its own shorter map.
-  EXPECT_EQ(before.zones->built_rows, 100);
-  EXPECT_EQ(before.zones->dims[0][0].max, 1);
+  facts.AddRow({3}, {1.0});
+  const FactSnapshot frozen = facts.Snapshot();
+  EXPECT_EQ(frozen.rows, 105);
+  EXPECT_EQ((*frozen.clustered)[0].rows, 103);
+  EXPECT_EQ((*frozen.clustered)[0].codes, g0.codes);
+  // Older snapshots still hold their own index.
+  EXPECT_EQ(b0.rows, 100);
+  EXPECT_EQ(b0.codes.size(), 2u);
+  EXPECT_EQ(g0.rows, 103);
 
   StarDatabase db;
   ASSERT_TRUE(db.Register("T", std::make_unique<BoundCube>(
@@ -462,8 +444,21 @@ TEST_F(SimdKernelTest, AppendExtendsDerivedStructures) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto sums = CellMap(*result, "s");
   EXPECT_EQ(sums.at(K("g0")), 50.0);
-  EXPECT_EQ(sums.at(K("g1")), 51.0);  // 50 original + 1 appended
-  EXPECT_EQ(sums.at(K("g2")), 1.0);   // appended only
+  EXPECT_EQ(sums.at(K("g1")), 51.0);  // 50 original + 1 past the prefix
+  EXPECT_EQ(sums.at(K("g2")), 2.0);   // appended only
+  EXPECT_EQ(sums.at(K("g3")), 2.0);   // one in the prefix, one past it
+
+  // A slice on g1 visits one range: from its first prefix row (50) to the
+  // table's last row, past the prefix (104): 55 rows, 51 passing.
+  const ScanStats zero = engine.scan_stats();
+  CubeQuery g1 = *CubeQuery::Make(
+      *schema, "T", {}, {{0, 0, PredicateOp::kEquals, {"g1"}}}, {"s"});
+  result = engine.Execute(g1);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(CellMap(*result, "s")[{}], 51.0);
+  const ScanStats stats = engine.scan_stats();
+  EXPECT_EQ(stats.rows_visited - zero.rows_visited, 55u);
+  EXPECT_EQ(stats.rows_passed - zero.rows_passed, 51u);
 }
 
 }  // namespace
