@@ -78,7 +78,8 @@ inline std::string DescribeRemoteError(const assess::Status& status) {
     case assess::StatusCode::kTimeout:
       return status.ToString() +
              "\nThe request may still have executed. Retrying is safe — "
-             "retried queries are deduplicated server-side.";
+             "a query only reads, and a retried ingest replays its "
+             "receipt.";
     case assess::StatusCode::kCorruptFrame:
       return status.ToString() +
              "\nA frame failed its integrity check; the link is unreliable. "

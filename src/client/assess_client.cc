@@ -108,7 +108,7 @@ Status AssessClient::EnsureConnected() {
 
 uint64_t AssessClient::NextRequestId() {
   uint64_t id = 0;
-  while (id == 0) id = rng_.Next();  // 0 means "no dedup" on the wire
+  while (id == 0) id = rng_.Next();  // 0 means "no receipt" on the wire
   return id;
 }
 
@@ -185,10 +185,9 @@ Status AssessClient::RoundTripWithRetry(FrameType request,
 }
 
 Result<AssessResult> AssessClient::Query(std::string_view statement) {
-  // One id for all attempts of this call: a retry after a lost *response*
-  // replays the stored result server-side instead of executing twice. The
-  // trace id is likewise minted once per call, so every retry of this
-  // query tells the same story in the server's trace artifacts.
+  // One request id and one trace id for all attempts of this call, so
+  // every retry of this query tells the same story in the server's logs and
+  // trace artifacts. Each attempt executes: a query only reads.
   std::string request = EncodeQueryPayload(NextRequestId(), statement);
   last_trace_id_ = NextTraceId();
   std::string payload;
@@ -229,9 +228,9 @@ Result<IngestStats> AssessClient::Ingest(std::string_view cube,
                                          std::string_view text,
                                          IngestFormat format,
                                          bool auto_insert) {
-  // One id across attempts, like Query(): the server's dedup store turns a
-  // retried ingest into a replay of its stored receipt, so the rows land
-  // at most once no matter which side of the exchange got lost.
+  // One id across attempts: the server's receipt store turns a retried
+  // ingest into a replay of its stored receipt, so the rows land at most
+  // once no matter which side of the exchange got lost.
   std::string request = EncodeIngestPayload(
       NextRequestId(), cube, format,
       auto_insert ? kIngestFlagAutoInsert : uint8_t{0}, text);

@@ -65,11 +65,12 @@ struct ClientOptions {
 /// Resilience (ClientOptions): every call honours connect/read/write
 /// deadlines, and with max_retries > 0 retryable failures (kUnavailable,
 /// kTimeout, kCorruptFrame) trigger automatic reconnection and retry with
-/// exponential backoff and decorrelated jitter. Retried queries are safe:
-/// each Query() carries one client-generated request id reused across its
-/// attempts, and the server replays the stored response for a repeated id
-/// instead of executing twice — at-most-once execution even when a response
-/// (not the request) was what got lost.
+/// exponential backoff and decorrelated jitter. Each call carries one
+/// client-generated request id reused across its attempts. A retried query
+/// simply executes again — it only reads, and usually hits the result its
+/// first attempt cached. A retried ingest replays its stored receipt
+/// instead: at-most-once appends even when a response (not the request) was
+/// what got lost.
 ///
 /// One in-flight request per client (the protocol is strict
 /// request/response); a client is not thread-safe — use one per thread, the
@@ -90,8 +91,8 @@ class AssessClient {
   AssessClient& operator=(const AssessClient&) = delete;
   ~AssessClient();
 
-  /// \brief Executes one assess statement on the server (retrying per
-  /// ClientOptions under one request id).
+  /// \brief Executes one assess statement on the server, retrying per
+  /// ClientOptions; every attempt executes (reads are safe to repeat).
   Result<AssessResult> Query(std::string_view statement);
 
   /// \brief Fetches the server's statistics snapshot (retryable: reads are
@@ -103,8 +104,8 @@ class AssessClient {
   Result<std::string> Metrics();
 
   /// \brief Runs `statement` on the server under EXPLAIN ANALYZE and returns
-  /// the rendered span tree + phase breakdown. Never retried and never
-  /// deduplicated: every call re-executes and re-measures. Fails with
+  /// the rendered span tree + phase breakdown. Never retried: every call
+  /// executes once and re-measures. Fails with
   /// kNotSupported when the server was built with ASSESS_TRACING=OFF.
   Result<std::string> ExplainAnalyze(std::string_view statement);
 

@@ -35,6 +35,12 @@ double ElapsedMs(Clock::time_point since) {
 /// thread forever; see Stop()'s drain sequencing.
 constexpr int kSendTimeoutSeconds = 10;
 
+/// Caps of the ingest receipt store. Entries: a retry comes within seconds
+/// of its first attempt. Bytes: an ingest error echoes input fields
+/// (`unknown member '…'`), so one entry's size is the client's to choose.
+constexpr size_t kReceiptEntries = 1024;
+constexpr size_t kReceiptBytes = size_t{32} << 20;
+
 /// Status-returning wrapper around a failpoint site, for use where the
 /// enclosing function does not itself return Status (reader/worker loops).
 Status FailpointStatus(const char* name) {
@@ -65,7 +71,7 @@ struct AssessServer::Request {
   /// The statement text — or, for an ingest request, the raw row text.
   std::string statement;
   uint64_t request_id = 0;  ///< client idempotency key; 0 = none
-  bool explain = false;     ///< kExplainAnalyze: trace + render, no dedup
+  bool explain = false;     ///< kExplainAnalyze: trace + render
   bool ingest = false;      ///< kIngest: stream `statement` as rows
   std::string ingest_cube;
   IngestFormat ingest_format = IngestFormat::kCsv;
@@ -419,17 +425,19 @@ void AssessServer::ReaderLoop(Connection* conn) {
       continue;
     }
 
-    // Retry dedup: a retried request (same nonzero id, after a reconnect or
-    // a corrupted response) replays its stored response instead of
-    // executing twice. For ingest this is the at-most-once guarantee — a
-    // retried ingest must never append its rows a second time. EXPLAIN
-    // ANALYZE is never deduplicated — each run re-measures.
-    FrameType replay_type = FrameType::kError;
-    std::string replay_payload;
-    if (!explain && request_id != 0 &&
-        FindDeduped(request_id, &replay_type, &replay_payload)) {
-      if (!WriteFrame(conn->fd, replay_type, replay_payload).ok()) break;
-      continue;
+    // At-most-once ingest: a retried ingest (same nonzero id, after a
+    // reconnect, a timeout or a corrupted reply) replays its stored receipt,
+    // or hears kUnavailable while its first attempt still executes; it never
+    // appends its rows a second time. Queries and EXPLAIN ANALYZE only read
+    // the cube, so a retry of one simply executes again.
+    const bool receipt_keyed = ingest && request_id != 0;
+    if (receipt_keyed) {
+      FrameType reply_type = FrameType::kError;
+      std::string reply_payload;
+      if (!ClaimReceipt(request_id, &reply_type, &reply_payload)) {
+        if (!WriteFrame(conn->fd, reply_type, reply_payload).ok()) break;
+        continue;
+      }
     }
 
     Request request;
@@ -485,6 +493,7 @@ void AssessServer::ReaderLoop(Connection* conn) {
       if (rejected.ok()) queue_cv_.notify_one();
     }
     if (!rejected.ok()) {
+      if (receipt_keyed) ReleaseReceipt(request_id);
       if (rejected.message().find("overloaded") != std::string::npos) {
         rejected_overload_.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -597,11 +606,10 @@ std::pair<FrameType, std::string> AssessServer::ExecuteRequest(
                         opts);
       return ingestor.IngestText(request->ingest_cube, request->statement);
     }();
-    if (overdue()) {
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
-      error_code = StatusCode::kTimeout;
-      payload = SerializeStatus(timeout_status("during execution"));
-    } else if (!ingested.ok()) {
+    // No deadline check past this point: rows that committed are answered
+    // with their receipt however late, because a kTimeout would invite the
+    // client to retry an append that already happened.
+    if (!ingested.ok()) {
       fail(ingested.status());
     } else {
       ingest_rows_.fetch_add(ingested->rows_ingested,
@@ -709,57 +717,65 @@ std::pair<FrameType, std::string> AssessServer::ExecuteRequest(
     }
   }
 
-  // Only deterministic outcomes enter the dedup store: results and errors
-  // that re-derive identically from the statement. Transient conditions
-  // (kUnavailable, kTimeout, injected faults, kInternal) must re-execute on
-  // retry, so they are never replayed. Ingest replies are always stored —
-  // they are the receipt whose replay makes a retried ingest append-once.
-  if (!request->explain && request->request_id != 0) {
-    bool deterministic = type == FrameType::kResult ||
-                         type == FrameType::kIngestReply ||
+  // Ingest receipts: the receipt, and errors that re-derive identically
+  // from the same rows, are stored so a retry replays them. A transient
+  // outcome (kUnavailable, a timeout in the queue, an injected fault,
+  // kInternal) only clears the pending mark, and a retry executes.
+  if (request->ingest && request->request_id != 0) {
+    bool deterministic = type == FrameType::kIngestReply ||
                          error_code == StatusCode::kInvalidArgument ||
                          error_code == StatusCode::kNotFound ||
                          error_code == StatusCode::kNotSupported ||
                          error_code == StatusCode::kOutOfRange ||
                          error_code == StatusCode::kAlreadyExists ||
                          error_code == StatusCode::kFrameTooLarge;
-    if (deterministic) StoreDeduped(request->request_id, type, payload);
+    if (deterministic) {
+      StoreReceipt(request->request_id, type, payload);
+    } else {
+      ReleaseReceipt(request->request_id);
+    }
   }
   return {type, std::move(payload)};
 }
 
-bool AssessServer::FindDeduped(uint64_t request_id, FrameType* type,
-                               std::string* payload) {
-  if (options_.dedup_entries == 0) return false;
-  std::lock_guard<std::mutex> lock(dedup_mutex_);
-  auto it = dedup_map_.find(request_id);
-  if (it == dedup_map_.end()) return false;
-  *type = it->second.first;
-  *payload = it->second.second;
-  return true;
+bool AssessServer::ClaimReceipt(uint64_t request_id, FrameType* type,
+                                std::string* payload) {
+  std::lock_guard<std::mutex> lock(receipt_mutex_);
+  auto [it, inserted] = receipts_.try_emplace(request_id);
+  if (inserted) return true;
+  if (it->second.pending) {
+    error_responses_.fetch_add(1, std::memory_order_relaxed);
+    *type = FrameType::kError;
+    *payload = SerializeStatus(Status::Unavailable(
+        "request " + std::to_string(request_id) + " is still executing"));
+  } else {
+    *type = it->second.type;
+    *payload = it->second.payload;
+  }
+  return false;
 }
 
-void AssessServer::StoreDeduped(uint64_t request_id, FrameType type,
+void AssessServer::StoreReceipt(uint64_t request_id, FrameType type,
                                 const std::string& payload) {
-  if (options_.dedup_entries == 0) return;
-  std::lock_guard<std::mutex> lock(dedup_mutex_);
-  auto [it, inserted] = dedup_map_.try_emplace(request_id, type, payload);
-  if (!inserted) return;  // first stored response wins; retries replay it
-  dedup_fifo_.push_back(request_id);
-  dedup_bytes_held_ += payload.size();
+  std::lock_guard<std::mutex> lock(receipt_mutex_);
+  Receipt& receipt = receipts_[request_id];
+  receipt = {false, type, payload};
+  receipt_fifo_.push_back(request_id);
+  receipt_bytes_held_ += payload.size();
   // FIFO eviction past the entry cap; the byte cap keeps at least the
-  // newest entry so one huge response cannot disable dedup entirely.
-  while (dedup_fifo_.size() > options_.dedup_entries ||
-         (dedup_bytes_held_ > options_.dedup_bytes &&
-          dedup_fifo_.size() > 1)) {
-    uint64_t oldest = dedup_fifo_.front();
-    dedup_fifo_.pop_front();
-    auto old = dedup_map_.find(oldest);
-    if (old != dedup_map_.end()) {
-      dedup_bytes_held_ -= old->second.second.size();
-      dedup_map_.erase(old);
-    }
+  // newest entry so one huge receipt cannot disable replay entirely.
+  while (receipt_fifo_.size() > kReceiptEntries ||
+         (receipt_bytes_held_ > kReceiptBytes && receipt_fifo_.size() > 1)) {
+    auto oldest = receipts_.find(receipt_fifo_.front());
+    receipt_fifo_.pop_front();
+    receipt_bytes_held_ -= oldest->second.payload.size();
+    receipts_.erase(oldest);
   }
+}
+
+void AssessServer::ReleaseReceipt(uint64_t request_id) {
+  std::lock_guard<std::mutex> lock(receipt_mutex_);
+  receipts_.erase(request_id);
 }
 
 void AssessServer::RecordLatency(double ms) { latency_hist_.Observe(ms); }

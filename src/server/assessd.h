@@ -49,12 +49,6 @@ struct ServerOptions {
   int64_t request_timeout_ms = 30'000;
   /// Protocol frame cap for this server (requests and responses).
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Retry dedup: completed responses are remembered by their client
-  /// request id so a retried (reconnected) request replays its stored
-  /// response instead of executing again. Bounded FIFO; 0 disables.
-  size_t dedup_entries = 1024;
-  /// Byte cap on the stored dedup responses (oldest evicted past it).
-  size_t dedup_bytes = size_t{32} << 20;
   /// Whether kFailpoint admin frames may arm/disarm fault injection on
   /// this server. Off by default: chaos testing is opt-in
   /// (`assessd --failpoint-admin`).
@@ -202,15 +196,22 @@ class AssessServer {
 
   /// Executes one admitted request; the worker loop fulfils the promise
   /// with the returned (frame type, payload) after leaving the in-flight
-  /// count. Deterministic outcomes of requests carrying a nonzero id are
-  /// stored for retry dedup.
+  /// count. An ingest carrying a nonzero id settles its receipt entry:
+  /// deterministic outcomes are stored, any other clears the pending mark.
   std::pair<FrameType, std::string> ExecuteRequest(Request* request);
 
-  /// Retry dedup: the stored response for `request_id`, if any.
-  bool FindDeduped(uint64_t request_id, FrameType* type,
-                   std::string* payload);
-  void StoreDeduped(uint64_t request_id, FrameType type,
+  /// Ingest receipts. Marks `request_id` pending and returns true when this
+  /// attempt must execute; otherwise returns false with the reply to send
+  /// instead: the stored receipt, or kUnavailable while an earlier attempt
+  /// of the same id still executes. Check and mark are one critical section.
+  bool ClaimReceipt(uint64_t request_id, FrameType* type,
+                    std::string* payload);
+  /// Stores the outcome of a claimed id; retries replay it from now on.
+  void StoreReceipt(uint64_t request_id, FrameType type,
                     const std::string& payload);
+  /// Clears the pending mark of a claimed id whose outcome is not stored,
+  /// so a retry executes.
+  void ReleaseReceipt(uint64_t request_id);
 
   void RecordLatency(double ms);
   void ReapFinishedConnections();
@@ -262,12 +263,19 @@ class AssessServer {
   bool stopped_ = false;
   std::mutex lifecycle_mutex_;
 
-  // Retry dedup store (guarded by dedup_mutex_): completed responses keyed
-  // by client request id, evicted FIFO past the entry and byte caps.
-  mutable std::mutex dedup_mutex_;
-  std::unordered_map<uint64_t, std::pair<FrameType, std::string>> dedup_map_;
-  std::deque<uint64_t> dedup_fifo_;
-  size_t dedup_bytes_held_ = 0;
+  // Ingest receipt store (guarded by receipt_mutex_), keyed by client
+  // request id. An entry is pending while its first attempt executes, then
+  // holds the stored reply. Only stored entries enter the FIFO, which
+  // evicts past the entry and byte caps; a pending entry is never evicted.
+  struct Receipt {
+    bool pending = true;
+    FrameType type = FrameType::kError;
+    std::string payload;
+  };
+  std::mutex receipt_mutex_;
+  std::unordered_map<uint64_t, Receipt> receipts_;
+  std::deque<uint64_t> receipt_fifo_;
+  size_t receipt_bytes_held_ = 0;
 
   // Monotonic counters.
   std::atomic<uint64_t> total_requests_{0};

@@ -47,17 +47,14 @@ namespace assess {
 ///                     metrics registry plus this server's own series
 ///            kExplainAnalyze payload = request_id(u64 LE) | statement;
 ///                     executes like kQuery but under a trace, answering
-///                     with the rendered EXPLAIN ANALYZE text (never
-///                     deduplicated or replayed — each run re-measures)
+///                     with the rendered EXPLAIN ANALYZE text
 ///   request  kIngest payload = request_id(u64 LE) | cube_len(u16 LE) |
 ///                     cube name | format(u8, IngestFormat) | flags(u8,
 ///                     bit0 = auto-insert members) | row text (CSV/JSONL).
 ///                     Streams rows into the served database; refused with
 ///                     kNotSupported unless the server was started with an
 ///                     ingest-enabled (mutable) database. The request id is
-///                     the same idempotency key kQuery uses: a retried
-///                     ingest replays its stored reply instead of appending
-///                     the rows twice.
+///                     its idempotency key (see below).
 ///   response kResult payload = SerializeAssessResult bytes
 ///            kError  payload = SerializeStatus bytes (typed code + message)
 ///            kStatsReply payload = ServerStats::Serialize bytes (named
@@ -68,10 +65,13 @@ namespace assess {
 ///            kExplainReply payload = EXPLAIN ANALYZE rendering (text)
 ///            kIngestReply payload = IngestStats::Serialize bytes
 ///
-/// The kQuery request id is the client's idempotency key: a nonzero id
-/// identifies one logical request across retries and reconnections, and the
-/// server replays the stored response for an id it has already answered
-/// instead of executing again. Id 0 opts out.
+/// Request ids: a nonzero id names one logical request across retries and
+/// reconnections (the slow-query log quotes it). Reads re-execute, ingests
+/// replay their receipt: kQuery and kExplainAnalyze write nothing, so the
+/// server runs every arrival again. A kIngest id is an idempotency key:
+/// the server stores the reply of an id it has answered and replays it to a
+/// retry instead of appending the rows twice, and answers kUnavailable to a
+/// retry that arrives while the first attempt still executes. Id 0 opts out.
 ///
 /// Malformed traffic (length 0, oversized length, unknown type, truncated
 /// frame, CRC mismatch, garbage) terminates only the offending connection:

@@ -332,10 +332,11 @@ TEST_F(ChaosTest, CorruptedResponseWithoutRetriesIsTyped) {
   registry.DisarmAll();
 }
 
-// The server deduplicates by request id: a replayed id returns the stored
-// response even when the (bogus) retried statement differs — proof the
-// second arrival did not execute.
-TEST_F(ChaosTest, RequestIdReplayReturnsStoredResponse) {
+// Reads re-execute: a repeated query id is not replayed. The same id with an
+// invalid statement fails as that statement must, and the same id with the
+// first statement again is an exact cache hit with the same computation
+// (the payload bytes differ only in the measured timings).
+TEST_F(ChaosTest, RepeatedQueryIdReExecutes) {
   auto server = StartServer();
   int fd = -1;
   {
@@ -351,48 +352,62 @@ TEST_F(ChaosTest, RequestIdReplayReturnsStoredResponse) {
   ASSERT_TRUE(ReadFrame(fd, kDefaultMaxFrameBytes, &first).ok());
   ASSERT_EQ(first.type, FrameType::kResult);
 
-  // Same id, different (even invalid) statement: the stored response comes
-  // back verbatim.
   ASSERT_TRUE(WriteFrame(fd, FrameType::kQuery,
                          EncodeQueryPayload(kId, "syntactically !! invalid"))
                   .ok());
-  Frame replayed;
-  ASSERT_TRUE(ReadFrame(fd, kDefaultMaxFrameBytes, &replayed).ok());
-  EXPECT_EQ(replayed.type, FrameType::kResult);
-  EXPECT_EQ(replayed.payload, first.payload);
+  Frame invalid;
+  ASSERT_TRUE(ReadFrame(fd, kDefaultMaxFrameBytes, &invalid).ok());
+  ASSERT_EQ(invalid.type, FrameType::kError);
+  Status remote = Status::OK();
+  ASSERT_TRUE(DeserializeStatus(invalid.payload, &remote).ok());
+  EXPECT_EQ(remote.code(), StatusCode::kInvalidArgument) << remote.ToString();
 
-  // A different id does execute — and the invalid statement now fails.
   ASSERT_TRUE(WriteFrame(fd, FrameType::kQuery,
-                         EncodeQueryPayload(kId + 1,
-                                            "syntactically !! invalid"))
+                         EncodeQueryPayload(kId, kStatements[1]))
                   .ok());
-  Frame fresh;
-  ASSERT_TRUE(ReadFrame(fd, kDefaultMaxFrameBytes, &fresh).ok());
-  EXPECT_EQ(fresh.type, FrameType::kError);
+  Frame again;
+  ASSERT_TRUE(ReadFrame(fd, kDefaultMaxFrameBytes, &again).ok());
+  ASSERT_EQ(again.type, FrameType::kResult);
+  auto first_result = DeserializeAssessResult(first.payload);
+  auto again_result = DeserializeAssessResult(again.payload);
+  ASSERT_TRUE(first_result.ok()) << first_result.status().ToString();
+  ASSERT_TRUE(again_result.ok()) << again_result.status().ToString();
+  ExpectSameComputation(*first_result, *again_result, "re-executed id");
   CloseSocket(fd);
+  auto stats = server->Snapshot();
+  EXPECT_EQ(stats.ok_responses, 2u)
+      << "every arrival of a query id must execute";
+  EXPECT_GE(stats.cache_exact_hits, 1u);
   server->Stop();
 }
 
-// Request id 0 opts out of dedup: two identical id-0 requests both execute.
+// Request id 0 opts out of the ingest receipt store: two identical id-0
+// ingests both append.
 TEST_F(ChaosTest, RequestIdZeroIsNeverDeduplicated) {
-  auto server = StartServer();
+  ServerOptions options;
+  options.mutable_db = mini_.db.get();
+  auto server = StartServer(options);
   int fd = -1;
   {
     auto connected = ConnectTo("127.0.0.1", server->port(), 2'000);
     ASSERT_TRUE(connected.ok()) << connected.status().ToString();
     fd = *connected;
   }
+  const BoundCube* bound = *mini_.db->Find("SALES");
+  const int64_t rows_before = bound->facts().NumRows();
+  const std::string payload = EncodeIngestPayload(
+      /*request_id=*/0, "SALES", IngestFormat::kCsv, 0,
+      "date,product,store,quantity,sales\n"
+      "1997-07-01,Apple,SmartMart,3,0\n");
   for (int round = 0; round < 2; ++round) {
-    ASSERT_TRUE(WriteFrame(fd, FrameType::kQuery,
-                           EncodeQueryPayload(0, kStatements[1]))
-                    .ok());
+    ASSERT_TRUE(WriteFrame(fd, FrameType::kIngest, payload).ok());
     Frame frame;
     ASSERT_TRUE(ReadFrame(fd, kDefaultMaxFrameBytes, &frame).ok());
-    EXPECT_EQ(frame.type, FrameType::kResult);
+    EXPECT_EQ(frame.type, FrameType::kIngestReply);
   }
   CloseSocket(fd);
-  auto stats = server->Snapshot();
-  EXPECT_EQ(stats.ok_responses, 2u) << "id 0 must execute every time";
+  EXPECT_EQ(bound->facts().NumRows(), rows_before + 2)
+      << "id 0 must append every time";
   server->Stop();
 }
 
@@ -599,8 +614,8 @@ TEST_F(ChaosTest, SlowTraceSinkOnlySlowsDown) {
 // ---------------------------------------------------------------------------
 
 // A read deadline expiry surfaces as kTimeout; with retries the client
-// reconnects and — thanks to request-id dedup — still gets the answer the
-// first execution produced.
+// reconnects and re-executes the query, and gets the same answer the
+// in-process session computes.
 TEST_F(ChaosTest, ReadDeadlineThenRetryRecovers) {
   ServerOptions options;
   std::atomic<bool> slow_once{true};

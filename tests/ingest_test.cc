@@ -5,13 +5,14 @@
 // dimension growth past byte-sized codes, failpoint-driven batch atomicity,
 // snapshot isolation under concurrent append/query churn, and the kIngest
 // wire frame end to end (including at-most-once retry via the server's
-// dedup store).
+// receipt store).
 
 #include "ingest/ingestor.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -771,6 +772,77 @@ TEST_F(WireIngestTest, RetriedIngestReplaysItsReceiptInsteadOfAppending) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->rows_ingested, 1u);
   CloseSocket(*fd);
+}
+
+// An ingest that commits after its request deadline still answers with its
+// receipt: a kTimeout would make the client retry an append that happened.
+TEST_F(WireIngestTest, IngestCommittedPastItsDeadlineAnswersWithItsReceipt) {
+  ServerOptions options;
+  options.mutable_db = mini_.db.get();
+  options.request_timeout_ms = 100;
+  std::atomic<bool> slow_once{true};
+  options.pre_execute_hook = [&slow_once] {
+    if (slow_once.exchange(false)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+  };
+  auto server = StartServer(options);
+  ClientOptions client_options;
+  client_options.max_retries = 3;
+  client_options.seed = 31;
+  auto client =
+      AssessClient::Connect("127.0.0.1", server->port(), client_options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  const BoundCube* bound = *mini_.db->Find("SALES");
+  const int64_t rows_before = bound->facts().NumRows();
+  auto stats = client->Ingest(
+      "SALES",
+      "date,product,store,quantity,sales\n"
+      "1997-07-01,Apple,SmartMart,4,0\n"
+      "1997-07-02,Pear,PetitPrix,6,0\n");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->rows_ingested, 2u);
+  EXPECT_EQ(bound->facts().NumRows(), rows_before + 2)
+      << "the rows of one batch must land exactly once";
+  EXPECT_EQ(server->Snapshot().ingest_batches, 1u);
+}
+
+// A retry that arrives while its first attempt still executes (the client's
+// read deadline expired first) is told kUnavailable instead of appending
+// again; a later retry replays the first attempt's receipt.
+TEST_F(WireIngestTest, RetryDuringFirstAttemptDoesNotAppendAgain) {
+  ServerOptions options;
+  options.mutable_db = mini_.db.get();
+  options.worker_threads = 4;
+  std::atomic<bool> slow_once{true};
+  options.pre_execute_hook = [&slow_once] {
+    if (slow_once.exchange(false)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    }
+  };
+  auto server = StartServer(options);
+  ClientOptions client_options;
+  client_options.read_timeout_ms = 100;
+  client_options.max_retries = 10;
+  client_options.seed = 32;
+  auto client =
+      AssessClient::Connect("127.0.0.1", server->port(), client_options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  const BoundCube* bound = *mini_.db->Find("SALES");
+  const int64_t rows_before = bound->facts().NumRows();
+  auto stats = client->Ingest(
+      "SALES",
+      "date,product,store,quantity,sales\n"
+      "1997-07-01,Apple,SmartMart,8,0\n");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->rows_ingested, 1u);
+  // Drain: whichever attempt answered, every attempt has finished now.
+  server->Stop();
+  EXPECT_EQ(bound->facts().NumRows(), rows_before + 1)
+      << "a retry racing its first attempt must not append the rows again";
+  EXPECT_EQ(server->Snapshot().ingest_batches, 1u);
 }
 
 TEST_F(WireIngestTest, MalformedIngestFramesAreTypedErrors) {

@@ -819,8 +819,8 @@ TEST_F(ServerTest, RemoteExplainAnalyzeRendersSpans) {
   EXPECT_NE(text->find("span tree:"), std::string::npos);
   EXPECT_NE(text->find("Figure 4 phases:"), std::string::npos);
   EXPECT_NE(text->find("query"), std::string::npos);
-  // Each EXPLAIN ANALYZE re-executes (never deduplicated); both calls
-  // succeed and the server counts both traces.
+  // Each EXPLAIN ANALYZE re-executes; both calls succeed and the server
+  // counts both traces.
   ASSERT_TRUE(client.ExplainAnalyze(kRollup).ok());
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
