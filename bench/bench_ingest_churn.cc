@@ -1,4 +1,4 @@
-// Ingest-churn benchmark: the SSB workload keeps querying while batches of
+// Ingest-churn benchmark: the SSB workload keeps querying while requests of
 // member-stable rows stream into the fact table, each commit sweeping the
 // epoch-keyed cache and delta-merging two materialized views. Each
 // statement runs twice per round, so the second pass can hit the
@@ -50,9 +50,9 @@ std::string ChurnHeader(const CubeSchema& schema) {
   return header;
 }
 
-// One CSV batch of member-stable rows, keys sampled from the live
+// One CSV request of member-stable rows, keys sampled from the live
 // dimensions (deterministically, so both modes ingest identical data).
-std::string ChurnBatch(const BoundCube& bound, int rows, int64_t salt) {
+std::string ChurnRequest(const BoundCube& bound, int rows, int64_t salt) {
   const CubeSchema& schema = bound.schema();
   std::string text = ChurnHeader(schema);
   for (int r = 0; r < rows; ++r) {
@@ -94,7 +94,7 @@ struct ChurnResult {
   uint64_t cache_invalidations = 0;
 };
 
-ChurnResult RunChurn(double sf, int rounds, int batch_rows) {
+ChurnResult RunChurn(double sf, int rounds, int rows_per_request) {
   // The workload's External statement compares against the BUDGET cube, so
   // keep it; churn streams into SSB only.
   auto db = BuildScale({"SSB", sf});
@@ -110,7 +110,7 @@ ChurnResult RunChurn(double sf, int rounds, int batch_rows) {
   options.shared_cache = std::make_shared<CubeResultCache>(options.cache);
   AssessSession session(db.get(), options);
 
-  // Two coarse materialized views, so every batch pays view maintenance.
+  // Two coarse materialized views, so every request pays view maintenance.
   StarQueryEngine engine(db.get(), /*use_views=*/false, /*threads=*/1);
   std::vector<std::string> view_levels;
   for (int h = 0; h < schema.hierarchy_count() && view_levels.size() < 2;
@@ -126,9 +126,7 @@ ChurnResult RunChurn(double sf, int rounds, int batch_rows) {
     }
   }
 
-  IngestOptions ingest_options;
-  ingest_options.batch_rows = batch_rows;
-  Ingestor ingestor(db.get(), options.shared_cache, ingest_options);
+  Ingestor ingestor(db.get(), options.shared_cache, IngestOptions{});
 
   const std::vector<WorkloadStatement> workload = SsbWorkload();
   std::vector<double> query_seconds;
@@ -149,9 +147,9 @@ ChurnResult RunChurn(double sf, int rounds, int batch_rows) {
         query_seconds.push_back(watch.ElapsedSeconds());
       }
     }
-    std::string batch = ChurnBatch(**bound, batch_rows, round);
+    std::string request = ChurnRequest(**bound, rows_per_request, round);
     Stopwatch watch;
-    auto stats = ingestor.IngestText("SSB", batch);
+    auto stats = ingestor.IngestText("SSB", request);
     if (!stats.ok()) {
       std::fprintf(stderr, "ingest failed: %s\n",
                    stats.status().ToString().c_str());
@@ -226,14 +224,14 @@ void WriteModeJson(std::FILE* json, const char* name, const ChurnResult& r) {
 int main() {
   const double sf = BaseScaleFactorFromEnv(0.01);
   const int rounds = RepsFromEnv(12);
-  const int batch_rows = 512;
+  const int rows_per_request = 512;
 
   std::printf(
-      "Ingest churn (SF %.3g, %d rounds, %d rows/batch, SSB workload "
+      "Ingest churn (SF %.3g, %d rounds, %d rows/request, SSB workload "
       "twice per round)\n\n",
-      sf, rounds, batch_rows);
+      sf, rounds, rows_per_request);
 
-  ChurnResult incremental = RunChurn(sf, rounds, batch_rows);
+  ChurnResult incremental = RunChurn(sf, rounds, rows_per_request);
   PrintMode("incremental", incremental);
 
   std::FILE* json = std::fopen("BENCH_ingest.json", "w");
@@ -241,12 +239,13 @@ int main() {
     std::fprintf(stderr, "cannot write BENCH_ingest.json\n");
     return 1;
   }
+  // "batch_rows" is the rows per request; the key keeps the file's shape.
   std::fprintf(json,
                "{\n"
                "  \"scale_factor\": %.6g,\n"
                "  \"rounds\": %d,\n"
                "  \"batch_rows\": %d,\n",
-               sf, rounds, batch_rows);
+               sf, rounds, rows_per_request);
   WriteModeJson(json, "incremental", incremental);
   std::fprintf(json, "}\n");
   std::fclose(json);

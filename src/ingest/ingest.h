@@ -21,14 +21,14 @@ std::string_view IngestFormatToString(IngestFormat format);
 /// kJsonl, everything else kCsv.
 IngestFormat IngestFormatFromPath(std::string_view path);
 
-/// \brief Everything the durability layer needs to persist one committed
-/// ingest batch before its epoch is published: the accepted row text (for
-/// CSV, the bound header plus every accepted data line) and the epoch the
-/// batch will commit at. Pointers borrow from the ingest run and are valid
+/// \brief Everything the durability layer needs to persist one ingest
+/// request before its epoch is published: the accepted row text (for CSV,
+/// the bound header plus every accepted data line) and the epoch the
+/// request will commit at. Pointers borrow from the ingest run and are valid
 /// only for the duration of the OnCommit call.
 struct IngestCommit {
   const std::string* cube = nullptr;
-  /// The epoch this batch commits at (current fact epoch + 1) — stamped
+  /// The epoch this request commits at (current fact epoch + 1) — stamped
   /// into the WAL record so replay can verify it reproduces the same epoch.
   uint64_t epoch = 0;
   IngestFormat format = IngestFormat::kCsv;
@@ -40,12 +40,14 @@ struct IngestCommit {
   const std::string* text = nullptr;
 };
 
-/// \brief Write-ahead hook the Ingestor calls inside CommitBatch — after
-/// validation, under the cube's ingest mutex, *before* AppendBatch
-/// publishes the epoch. A non-OK return aborts the commit: nothing is
-/// appended, no epoch moves, and the error surfaces as the batch's typed
-/// error. The DurabilityManager implements this to append + fsync the WAL
-/// record, so a batch is durable strictly before any client can observe it.
+/// \brief Write-ahead hook the Ingestor calls once per request, inside
+/// Commit — after the whole request is parsed and validated, under the
+/// cube's ingest mutex, *before* its new members are interned and
+/// AppendBatch publishes the epoch. A non-OK return fails the request:
+/// nothing is appended or interned, no epoch moves, and the error surfaces
+/// as the request's typed error. The DurabilityManager implements this to
+/// append + fsync the WAL record, so a request is durable strictly before
+/// any client can observe it.
 class CommitDurabilityHook {
  public:
   virtual ~CommitDurabilityHook() = default;
@@ -58,23 +60,19 @@ struct IngestOptions {
 
   /// When a row names a level-0 member missing from the dimension, insert
   /// it (together with its roll-up parents, which the row must then also
-  /// provide) instead of rejecting the row. Inserts take the database's
-  /// exclusive schema lock; member-stable ingest never does.
+  /// provide) instead of rejecting the row. New members are staged while
+  /// the request parses and interned by its commit, under the database's
+  /// exclusive schema lock; member-stable ingest never takes it.
   bool auto_insert_members = false;
 
-  /// Rows per atomic fact-table batch: each batch commits under one epoch
-  /// (extending the table's row-range index while its rows stay in order),
-  /// maintains the materialized views and invalidates superseded cache
-  /// entries before the next batch starts.
-  int64_t batch_rows = 8192;
-
-  /// Malformed or unresolvable rows beyond this many abort the ingest with
-  /// the row's typed error. 0 (default) = strict: fail on the first bad
-  /// row. Rejected rows are counted in IngestStats::rows_rejected.
+  /// Malformed or unresolvable rows are skipped, up to this many; one more
+  /// fails the request with the row's typed error and lands nothing. 0
+  /// (default) = strict: fail on the first bad row. Skipped rows are
+  /// counted in IngestStats::rows_rejected.
   int64_t max_errors = 0;
 
-  /// When set, each batch commit calls OnCommit before publishing its
-  /// epoch; a failure aborts the batch with the hook's typed error (see
+  /// When set, each request's commit calls OnCommit before publishing its
+  /// epoch; a failure fails the request with the hook's typed error (see
   /// CommitDurabilityHook). Borrowed, not owned; null = no write-ahead
   /// logging (in-process and bench use).
   CommitDurabilityHook* durability = nullptr;
@@ -85,9 +83,11 @@ struct IngestOptions {
 struct IngestStats {
   uint64_t rows_ingested = 0;   ///< fact rows committed
   uint64_t rows_rejected = 0;   ///< malformed rows skipped (<= max_errors)
-  uint64_t batches = 0;         ///< atomic fact-table batches committed
+  /// 1 for a committed request, 0 for one with no rows. Kept so the fixed
+  /// kIngestReply layout stays unchanged.
+  uint64_t batches = 0;
   uint64_t new_members = 0;     ///< dimension rows auto-inserted
-  uint64_t epoch = 0;           ///< fact epoch after the last batch
+  uint64_t epoch = 0;           ///< fact epoch after the request
   uint64_t mv_incremental_updates = 0;  ///< view delta-merges applied
   uint64_t mv_full_rebuilds = 0;        ///< views rebuilt from scratch
   uint64_t cache_invalidations = 0;     ///< cache entries swept

@@ -98,10 +98,109 @@ Result<Cube> MergeViewDelta(const CubeSchema& schema, const Cube& view,
   return merged;
 }
 
+/// The members one auto-insert request adds to one dimension. They are
+/// staged while the request parses and interned only by Commit, so a
+/// request that fails leaves none behind.
+struct StagedMembers {
+  struct Member {
+    std::vector<std::string> chain;  // one name per level, finest first
+    int64_t line = 0;                // the line that first named it
+  };
+  std::vector<Member> members;
+  /// Finest-level name -> index in `members`; a staged row's FK is the
+  /// placeholder -1 - index until Commit patches it.
+  std::unordered_map<std::string, int32_t> index;
+  /// The roll-up links the staged chains declare: [level] name -> parent.
+  std::vector<std::unordered_map<std::string, std::string>> parents;
+
+  /// The placeholder FK the next staged member gets.
+  int32_t NextPlaceholder() const {
+    return -1 - static_cast<int32_t>(members.size());
+  }
+  /// Stages the member whose complete chain `level_values` holds.
+  void Add(const std::vector<const std::string*>& level_values, int64_t line) {
+    std::vector<std::string> chain(level_values.size());
+    for (size_t l = 0; l < chain.size(); ++l) chain[l] = *level_values[l];
+    for (size_t l = 0; l + 1 < chain.size(); ++l) {
+      parents[l].emplace(chain[l], chain[l + 1]);
+    }
+    index.emplace(chain[0], static_cast<int32_t>(members.size()));
+    members.push_back({std::move(chain), line});
+  }
+};
+
+Status RollUpMismatch(const std::string& member, const std::string& dim,
+                      const std::string& level, const std::string& have,
+                      const std::string& want) {
+  return Status::InvalidArgument("member '" + member + "' of dimension '" +
+                                 dim + "' rolls up to '" + have +
+                                 "' at level '" + level + "', not '" + want +
+                                 "'");
+}
+
+/// kInvalidArgument unless every link of `chain` agrees with the parent
+/// its member already has in `hier` or, failing that, in `staged`.
+Status CheckChain(const Hierarchy& hier, const std::vector<std::string>& chain,
+                  const StagedMembers* staged) {
+  for (int l = 0; l + 1 < hier.level_count(); ++l) {
+    const std::string* have = nullptr;
+    const Result<MemberId> code = hier.MemberIdOf(l, chain[l]);
+    const MemberId parent =
+        code.ok() ? hier.RollUpMember(l, *code, l + 1) : kInvalidMember;
+    if (parent != kInvalidMember) {
+      have = &hier.MemberName(l + 1, parent);
+    } else if (staged != nullptr) {
+      auto it = staged->parents[l].find(chain[l]);
+      if (it != staged->parents[l].end()) have = &it->second;
+    }
+    if (have != nullptr && *have != chain[l + 1]) {
+      return Status::InvalidArgument(
+          "conflicting roll-up: member '" + chain[l] + "' of level '" +
+          hier.level_name(l) + "' already rolls up to '" + *have +
+          "', not '" + chain[l + 1] + "'");
+    }
+  }
+  return Status::OK();
+}
+
+/// Interns the staged members of one dimension and patches their
+/// placeholder FKs in `fks`. A member another request interned meanwhile
+/// keeps its row. Returns the number of dimension rows added. Caller holds
+/// the exclusive schema lock and has checked every chain.
+uint64_t InternStaged(DimensionTable* dim, const StagedMembers& staged,
+                      std::vector<int32_t>* fks) {
+  Hierarchy& hier = dim->mutable_hierarchy();
+  const int level_count = hier.level_count();
+  std::vector<int32_t> rows(staged.members.size());
+  std::vector<MemberId> codes(level_count);
+  uint64_t added = 0;
+  for (size_t i = 0; i < staged.members.size(); ++i) {
+    const std::vector<std::string>& chain = staged.members[i].chain;
+    for (int l = 0; l < level_count; ++l) {
+      codes[l] = hier.AddMember(l, chain[l]);
+    }
+    for (int l = 0; l + 1 < level_count; ++l) {
+      if (hier.RollUpMember(l, codes[l], l + 1) == kInvalidMember) {
+        hier.SetParent(l, codes[l], codes[l + 1]);
+      }
+    }
+    rows[i] = dim->RowOfFinestCode(codes[0]);
+    if (rows[i] < 0) {
+      dim->AddRow(codes);
+      rows[i] = static_cast<int32_t>(dim->NumRows() - 1);
+      added += 1;
+    }
+  }
+  for (int32_t& fk : *fks) {
+    if (fk < 0) fk = rows[-1 - fk];
+  }
+  return added;
+}
+
 }  // namespace
 
-/// Per-IngestText state: schema bindings, the pending batch columns and the
-/// running stats.
+/// Per-IngestText state: schema bindings, the request's staged rows and
+/// members, and the running stats.
 struct Ingestor::Run {
   explicit Run(const StarDatabase* db)
       : engine(db, /*use_views=*/false, /*threads=*/1) {}
@@ -118,10 +217,13 @@ struct Ingestor::Run {
   std::unordered_map<std::string, int> binding_index;
   std::vector<int> header_bindings;  // CSV: binding per header column
 
-  // Pending batch (column-major, staged until CommitBatch).
+  // The request's accepted rows (column-major, staged until Commit) and the
+  // members they add, per hierarchy.
   std::vector<std::vector<int32_t>> fks;
   std::vector<std::vector<double>> measures;
   int64_t pending = 0;
+  std::vector<StagedMembers> staged;
+  bool has_staged = false;
 
   // Per-row scratch, sized once.
   std::vector<std::vector<const std::string*>> level_values;  // [h][level]
@@ -133,9 +235,9 @@ struct Ingestor::Run {
   IngestStats stats;
 
   // Write-ahead capture (populated only when options_.durability is set):
-  // the bound CSV header line and the accepted data lines of the pending
-  // batch, newline-joined. Replaying them through a fresh Ingestor
-  // reproduces the batch bit-for-bit, auto-insert side effects included.
+  // the bound CSV header line and the accepted data lines of the request,
+  // newline-joined. Replaying them through a fresh Ingestor reproduces the
+  // request bit-for-bit, auto-insert side effects included.
   std::string wal_header;
   std::string wal_lines;
 };
@@ -212,8 +314,8 @@ Status Ingestor::BindCsvHeader(Run* run, const std::vector<std::string>& names) 
 }
 
 Status Ingestor::ResolveDimension(
-    Run* run, int64_t line_no, int h,
-    const std::vector<const std::string*>& level_values, int32_t* fk_out) {
+    Run* run, int h, const std::vector<const std::string*>& level_values,
+    int32_t* fk_out) {
   const std::string& key = *level_values[0];
   {
     std::shared_lock<std::shared_mutex> lock(db_->schema_mutex());
@@ -227,10 +329,8 @@ Status Ingestor::ResolveDimension(
         if (level_values[l] == nullptr) continue;
         const std::string& have = hier.MemberName(l, dim.CodeAt(row, l));
         if (have != *level_values[l]) {
-          return Status::InvalidArgument(
-              "member '" + key + "' of dimension '" + dim.name() +
-              "' rolls up to '" + have + "' at level '" + hier.level_name(l) +
-              "', not '" + *level_values[l] + "'");
+          return RollUpMismatch(key, dim.name(), hier.level_name(l), have,
+                                *level_values[l]);
         }
       }
       *fk_out = row;
@@ -242,71 +342,46 @@ Status Ingestor::ResolveDimension(
                             run->bound->dimension(h).name() +
                             "' (auto-insert is off)");
   }
-  return AutoInsertMember(run, line_no, h, level_values, fk_out);
+  return ResolveNewMember(run, h, level_values, fk_out);
 }
 
-Status Ingestor::AutoInsertMember(
-    Run* run, int64_t line_no, int h,
-    const std::vector<const std::string*>& level_values, int32_t* fk_out) {
-  (void)line_no;
+Status Ingestor::ResolveNewMember(
+    Run* run, int h, const std::vector<const std::string*>& level_values,
+    int32_t* fk_out) {
   const std::string& key = *level_values[0];
-  DimensionTable& dim = run->bound->mutable_dimension(h);
-  Hierarchy& hier = dim.mutable_hierarchy();
+  const DimensionTable& dim = run->bound->dimension(h);
+  const Hierarchy& hier = dim.hierarchy();
   const int level_count = hier.level_count();
+  const StagedMembers& staged = run->staged[h];
+
+  auto it = staged.index.find(key);
+  if (it != staged.index.end()) {
+    // An earlier row of this request staged the member: coarser values,
+    // when provided, must agree with the chain it declared.
+    const std::vector<std::string>& chain = staged.members[it->second].chain;
+    for (int l = 1; l < level_count; ++l) {
+      if (level_values[l] != nullptr && *level_values[l] != chain[l]) {
+        return RollUpMismatch(key, dim.name(), hier.level_name(l), chain[l],
+                              *level_values[l]);
+      }
+    }
+    *fk_out = -1 - it->second;
+    return Status::OK();
+  }
+
   // The whole roll-up chain is needed to link the new member.
-  for (int l = 1; l < level_count; ++l) {
+  std::vector<std::string> chain(level_count);
+  for (int l = 0; l < level_count; ++l) {
     if (level_values[l] == nullptr) {
       return Status::InvalidArgument(
           "auto-insert of member '" + key + "' needs a value for level '" +
           hier.level_name(l) + "' of dimension '" + dim.name() + "'");
     }
+    chain[l] = *level_values[l];
   }
-
-  // Growing a dimension mutates structures queries index directly, so the
-  // insert runs under the database's exclusive schema lock. Sessions hold
-  // it shared for a statement; member-stable ingest never takes it
-  // exclusively.
-  std::unique_lock<std::shared_mutex> lock(db_->schema_mutex());
-
-  // A concurrent ingest (or a sibling cube sharing this hierarchy) may have
-  // interned members meanwhile; AddMember is idempotent, but an existing
-  // member must agree with the roll-up the row declares.
-  std::vector<MemberId> codes(level_count);
-  std::vector<bool> existed(level_count);
-  for (int l = 0; l < level_count; ++l) {
-    const int32_t before = hier.LevelCardinality(l);
-    codes[l] = hier.AddMember(l, *level_values[l]);
-    existed[l] = codes[l] < before;
-  }
-  for (int l = 0; l + 1 < level_count; ++l) {
-    if (existed[l]) {
-      const MemberId parent = hier.RollUpMember(l, codes[l], l + 1);
-      if (parent == kInvalidMember) {
-        hier.SetParent(l, codes[l], codes[l + 1]);
-      } else if (parent != codes[l + 1]) {
-        return Status::InvalidArgument(
-            "conflicting roll-up: member '" + *level_values[l] +
-            "' of level '" + hier.level_name(l) + "' already rolls up to '" +
-            hier.MemberName(l + 1, parent) + "', not '" +
-            *level_values[l + 1] + "'");
-      }
-    } else {
-      hier.SetParent(l, codes[l], codes[l + 1]);
-    }
-  }
-
-  // The member may have been interned before (e.g. by a cube sharing the
-  // hierarchy), and this cube's dimension may or may not have its row.
-  const int32_t existing = dim.RowOfFinestCode(codes[0]);
-  if (existing >= 0) {
-    *fk_out = existing;
-    return Status::OK();
-  }
-
-  dim.AddRow(codes);
-  const int32_t row = static_cast<int32_t>(dim.NumRows() - 1);
-  run->stats.new_members += 1;
-  *fk_out = row;
+  std::shared_lock<std::shared_mutex> lock(db_->schema_mutex());
+  ASSESS_RETURN_NOT_OK(CheckChain(hier, chain, &staged));
+  *fk_out = staged.NextPlaceholder();
   return Status::OK();
 }
 
@@ -314,7 +389,7 @@ Status Ingestor::ProcessRow(Run* run, int64_t line_no,
                             const std::vector<std::string>& fields,
                             const std::vector<int>& field_bindings) {
   // Chaos site: a triggered failpoint rejects this row with its typed
-  // error (committed batches stay committed; max_errors applies as usual).
+  // error (max_errors applies as usual).
   ASSESS_FAILPOINT("ingest.row");
   const CubeSchema& schema = *run->schema;
   const int hierarchies = schema.hierarchy_count();
@@ -367,14 +442,19 @@ Status Ingestor::ProcessRow(Run* run, int64_t line_no,
   }
 
   for (int h = 0; h < hierarchies; ++h) {
-    ASSESS_RETURN_NOT_OK(ResolveDimension(run, line_no, h,
-                                          run->level_values[h],
+    ASSESS_RETURN_NOT_OK(ResolveDimension(run, h, run->level_values[h],
                                           &run->row_fks[h]));
   }
 
-  // The row is fully validated and resolved: stage it. Nothing above
-  // mutated the pending batch, so a rejected row leaves no trace.
+  // The row is fully validated and resolved: stage it, with the members it
+  // adds. Nothing above mutated the request, so a rejected row leaves no
+  // trace.
   for (int h = 0; h < hierarchies; ++h) {
+    StagedMembers& staged = run->staged[h];
+    if (run->row_fks[h] == staged.NextPlaceholder()) {
+      staged.Add(run->level_values[h], line_no);
+      run->has_staged = true;
+    }
     run->fks[h].push_back(run->row_fks[h]);
   }
   for (int m = 0; m < num_measures; ++m) {
@@ -384,30 +464,31 @@ Status Ingestor::ProcessRow(Run* run, int64_t line_no,
   return Status::OK();
 }
 
-Status Ingestor::CommitBatch(Run* run) {
+Status Ingestor::Commit(Run* run) {
   if (run->pending == 0) return Status::OK();
-  // Chaos site: a triggered failpoint fails the whole ingest before this
-  // batch publishes anything — earlier batches stay committed.
+  // Chaos site: a triggered failpoint fails the request before anything of
+  // it publishes.
   ASSESS_FAILPOINT("ingest.commit");
 
   // One whole commit (append + view maintenance + cache sweep) at a time
   // per cube; queries never wait here — they scan admission snapshots. The
   // schema lock is shared: view maintenance reads dimensions and
-  // hierarchies, which a concurrent auto-insert (exclusive) may not mutate
-  // mid-scan.
+  // hierarchies, which a concurrent member insert (exclusive) may not
+  // mutate mid-scan.
   std::lock_guard<std::mutex> commit_lock(run->bound->ingest_mutex());
-  std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mutex());
+  std::shared_lock<std::shared_mutex> schema_lock(db_->schema_mutex(),
+                                                  std::defer_lock);
 
   FactTable& facts = run->bound->mutable_facts();
 
-  // Write-ahead: the batch must be durable before its epoch publishes and
+  // Write-ahead: the request must be durable before its epoch publishes and
   // any receipt can reach a client. The epoch is computed up front (we hold
   // the cube's ingest mutex, so nobody else can move it) and stamped into
-  // the record; a hook failure aborts the whole ingest with its typed error
-  // while the fact table, views and cache are exactly as the previous batch
-  // left them — no half-published epoch.
+  // the record; a hook failure fails the request with its typed error while
+  // the fact table, dimensions, views and cache are exactly as they were.
   const uint64_t commit_epoch = facts.epoch() + 1;
-  if (options_.durability != nullptr) {
+  auto log = [&]() -> Status {
+    if (options_.durability == nullptr) return Status::OK();
     IngestCommit commit;
     commit.cube = &run->cube_name;
     commit.epoch = commit_epoch;
@@ -416,7 +497,34 @@ Status Ingestor::CommitBatch(Run* run) {
     commit.row_count = static_cast<uint32_t>(run->pending);
     commit.header = &run->wal_header;
     commit.text = &run->wal_lines;
-    ASSESS_RETURN_NOT_OK(options_.durability->OnCommit(commit));
+    return options_.durability->OnCommit(commit);
+  };
+  if (!run->has_staged) {
+    schema_lock.lock();
+    ASSESS_RETURN_NOT_OK(log());
+  } else {
+    // New members mutate structures queries index directly, so they are
+    // interned under the exclusive schema lock, after the record that
+    // re-creates them is logged. A chain that a concurrent request made
+    // conflict fails the request before anything is logged.
+    std::unique_lock<std::shared_mutex> members_lock(db_->schema_mutex());
+    for (size_t h = 0; h < run->staged.size(); ++h) {
+      const Hierarchy& hier = run->bound->dimension(h).hierarchy();
+      for (const StagedMembers::Member& member : run->staged[h].members) {
+        ASSESS_RETURN_NOT_OK(CheckChain(hier, member.chain, nullptr)
+                                 .WithContext("line " +
+                                              std::to_string(member.line)));
+      }
+    }
+    ASSESS_RETURN_NOT_OK(log());
+    for (size_t h = 0; h < run->staged.size(); ++h) {
+      if (run->staged[h].members.empty()) continue;
+      run->stats.new_members +=
+          InternStaged(&run->bound->mutable_dimension(h), run->staged[h],
+                       &run->fks[h]);
+    }
+    members_lock.unlock();
+    schema_lock.lock();
   }
 
   const AppendResult app = facts.AppendBatch(run->fks, run->measures);
@@ -427,17 +535,12 @@ Status Ingestor::CommitBatch(Run* run) {
         std::to_string(app.epoch));
   }
 
-  run->stats.rows_ingested += static_cast<uint64_t>(app.rows);
-  run->stats.batches += 1;
+  run->stats.rows_ingested = static_cast<uint64_t>(app.rows);
+  run->stats.batches = 1;
   run->stats.epoch = app.epoch;
 
-  for (auto& col : run->fks) col.clear();
-  for (auto& col : run->measures) col.clear();
-  run->wal_lines.clear();
-  run->pending = 0;
-
   // Writes flow through the materialized views. A view at the epoch just
-  // before this commit aggregates exactly the rows before the batch, so
+  // before this commit aggregates exactly the rows before the request, so
   // only the appended delta is aggregated and merged in; a view lagging an
   // append that bypassed the ingestor, or any view of a cube with an avg
   // measure (merging it is lossy), is rebuilt from scratch. Until
@@ -552,20 +655,12 @@ Status Ingestor::IngestLines(Run* run, std::string_view text) {
       if (!run->wal_lines.empty()) run->wal_lines += '\n';
       run->wal_lines.append(line.data(), line.size());
     }
-    if (run->pending >= options_.batch_rows) {
-      // Commit failures are fatal: the batch is atomic, nothing of it
-      // published, and retrying rows out of order would reorder epochs.
-      ASSESS_RETURN_NOT_OK(CommitBatch(run));
-    }
   }
-  return CommitBatch(run);
+  return Commit(run);
 }
 
 Result<IngestStats> Ingestor::IngestText(std::string_view cube_name,
                                          std::string_view text) {
-  if (options_.batch_rows <= 0) {
-    return Status::InvalidArgument("batch_rows must be positive");
-  }
   ASSESS_ASSIGN_OR_RETURN(BoundCube * bound, db_->FindMutable(cube_name));
   Run run(db_);
   run.bound = bound;
@@ -576,6 +671,7 @@ Result<IngestStats> Ingestor::IngestText(std::string_view cube_name,
   const int num_measures = schema.measure_count();
   run.fks.resize(hierarchies);
   run.measures.resize(num_measures);
+  run.staged.resize(hierarchies);
   run.level_values.resize(hierarchies);
   run.row_fks.resize(hierarchies, 0);
   run.row_measures.resize(num_measures, 0.0);
@@ -584,7 +680,9 @@ Result<IngestStats> Ingestor::IngestText(std::string_view cube_name,
     if (schema.measure(m).op == AggOp::kAvg) run.has_avg_measure = true;
   }
   for (int h = 0; h < hierarchies; ++h) {
-    run.level_values[h].resize(schema.hierarchy(h).level_count(), nullptr);
+    const int levels = schema.hierarchy(h).level_count();
+    run.level_values[h].resize(levels, nullptr);
+    run.staged[h].parents.resize(levels);
   }
   run.stats.epoch = bound->facts().epoch();
 

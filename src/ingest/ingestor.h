@@ -15,27 +15,30 @@ namespace assess {
 
 /// \brief Streaming row ingestion into a bound cube: parses CSV or JSONL
 /// rows, resolves dimension keys (optionally auto-inserting new members),
-/// appends facts in atomic epoch-stamped batches, maintains the
-/// materialized views incrementally and sweeps superseded result-cache
-/// entries.
+/// appends facts under one epoch per request, maintains the materialized
+/// views incrementally and sweeps superseded result-cache entries.
 ///
 /// Columns are matched by name against the cube's schema: for every
 /// hierarchy the finest level's column is required (it is the dimension
 /// key); coarser-level columns are optional and only consulted to validate
 /// or establish roll-up links; every schema measure's column is required.
 ///
-/// Concurrency: one Ingestor call runs whole-batch commits under the
-/// cube's ingest mutex, so concurrent ingests into the same cube
-/// serialize. Queries are never blocked by member-stable ingest — they
-/// scan epoch snapshots. Auto-inserting a member takes the database's
-/// exclusive schema lock for the insert only.
+/// Atomicity: one call is one commit. The whole text is parsed and
+/// resolved first; then its accepted rows and the members they add land
+/// together (one WAL record, one epoch, one view delta, one cache sweep) or
+/// not at all.
+///
+/// Concurrency: the commit runs under the cube's ingest mutex, so
+/// concurrent ingests into the same cube serialize. Queries are never
+/// blocked by member-stable ingest — they scan epoch snapshots. A request
+/// that adds members takes the database's exclusive schema lock for the
+/// member insert only.
 ///
 /// Error handling: malformed or unresolvable rows produce typed errors
 /// (kInvalidArgument / kNotFound) carrying the 1-based line number. By
-/// default the first such error aborts the ingest; IngestOptions::max_errors
-/// tolerates that many rejected rows. Batches already committed stay
-/// committed — the returned stats (embedded in the error-free result only)
-/// say how far the run got.
+/// default the first such error fails the request; IngestOptions::max_errors
+/// skips that many rejected rows. A failed request lands nothing: no row,
+/// no member, no epoch.
 class Ingestor {
  public:
   /// `cache` may be null (no result cache to maintain); `db` must outlive
@@ -56,7 +59,7 @@ class Ingestor {
   const IngestOptions& options() const { return options_; }
 
  private:
-  struct Run;  // per-call state (bindings, pending batch, member maps)
+  struct Run;  // per-call state (bindings, staged rows and members)
 
   /// Resolves a column name against the cube schema (level or measure),
   /// interning the binding in the run; kInvalidArgument for unknown names.
@@ -68,13 +71,17 @@ class Ingestor {
   Status ProcessRow(Run* run, int64_t line_no,
                     const std::vector<std::string>& fields,
                     const std::vector<int>& field_bindings);
-  Status ResolveDimension(Run* run, int64_t line_no, int h,
+  /// Resolves a row's member of dimension `h` to its dimension row, or
+  /// (auto-insert) to the placeholder FK of a staged new member.
+  Status ResolveDimension(Run* run, int h,
                           const std::vector<const std::string*>& level_values,
                           int32_t* fk_out);
-  Status AutoInsertMember(Run* run, int64_t line_no, int h,
+  Status ResolveNewMember(Run* run, int h,
                           const std::vector<const std::string*>& level_values,
                           int32_t* fk_out);
-  Status CommitBatch(Run* run);
+  /// Lands the whole request: logs it, interns its staged members, appends
+  /// its rows under one epoch, maintains the views and sweeps the cache.
+  Status Commit(Run* run);
 
   StarDatabase* db_;
   std::shared_ptr<CubeResultCache> cache_;

@@ -597,8 +597,8 @@ std::pair<FrameType, std::string> AssessServer::ExecuteRequest(
       // it, but may opt out of it for one load.
       opts.auto_insert_members =
           opts.auto_insert_members && request->ingest_auto_insert;
-      // Write-ahead durability: each batch is logged + fsynced inside
-      // CommitBatch, before its epoch publishes — so by the time the
+      // Write-ahead durability: the request is logged + fsynced inside
+      // Ingestor::Commit, before its epoch publishes — so by the time the
       // kIngestReply receipt below reaches the client, every row it
       // acknowledges survives a crash.
       opts.durability = options_.durability;

@@ -26,8 +26,6 @@ Status ReplayRecord(StarDatabase* db, const WalRecordData& rec) {
   IngestOptions opts;
   opts.format = rec.format;
   opts.auto_insert_members = (rec.flags & kWalFlagAutoInsert) != 0;
-  // One atomic batch, exactly as it originally committed.
-  opts.batch_rows = std::max<int64_t>(rec.row_count, 1);
   opts.max_errors = 0;
   Ingestor ingestor(db, /*cache=*/nullptr, opts);
   std::string text;

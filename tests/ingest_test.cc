@@ -1,20 +1,23 @@
 // Streaming ingestion: CSV/JSONL parsing with typed per-line errors, member
-// auto-insert with roll-up validation, epoch-stamped atomic batches,
-// incremental materialized-view maintenance proven bit-identical to a
-// from-scratch rebuild, epoch-keyed result-cache invalidation, scans after
-// dimension growth past byte-sized codes, failpoint-driven batch atomicity,
-// snapshot isolation under concurrent append/query churn, and the kIngest
-// wire frame end to end (including at-most-once retry via the server's
-// receipt store).
+// auto-insert with roll-up validation, one epoch-stamped commit per request
+// (a failed request lands no row and no member), incremental
+// materialized-view maintenance proven bit-identical to a from-scratch
+// rebuild, epoch-keyed result-cache invalidation, scans after dimension
+// growth past byte-sized codes, snapshot isolation under concurrent
+// append/auto-insert/query churn, and the kIngest wire frame end to end
+// (including at-most-once retry via the server's receipt store).
 
 #include "ingest/ingestor.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +40,21 @@ namespace {
 using ::assess::testutil::BuildMiniSales;
 using ::assess::testutil::CellMap;
 using ::assess::testutil::K;
+
+constexpr char kSalesHeader[] = "date,product,store,quantity,sales\n";
+
+/// `rows` member-stable SALES rows with quantity 1, after the CSV header.
+std::string StableRows(int rows) {
+  const char* products[] = {"Apple", "Pear", "Lemon", "milk"};
+  const char* stores[] = {"SmartMart", "PetitPrix"};
+  std::string text = kSalesHeader;
+  for (int i = 0; i < rows; ++i) {
+    text += std::string("1997-07-0") + (i % 2 == 0 ? "1" : "2") + "," +
+            products[i % 4] + "," + stores[i % 2] + ",1," +
+            std::to_string(i % 7) + "\n";
+  }
+  return text;
+}
 
 /// Aggregates the whole committed fact prefix at `level_names` through the
 /// delta-aggregation primitive — the ground truth ingest results are
@@ -275,24 +293,30 @@ TEST_F(IngestTest, IncrementalViewMaintenanceMatchesFromScratchRebuild) {
       engine.MaterializeView(mini_.db.get(), "SALES", {"month"}, "pv_m")
           .ok());
 
-  // Many small batches: every commit must delta-merge both views.
-  IngestOptions options;
-  options.batch_rows = 2;
-  std::string text = "date,product,store,quantity,sales\n";
+  // Many small requests (two rows each, one at the end): every commit must
+  // delta-merge both views.
   const char* products[] = {"Apple", "Pear", "Lemon", "milk"};
   const char* stores[] = {"SmartMart", "PetitPrix"};
   const char* dates[] = {"1997-07-01", "1997-07-02", "1997-03-15"};
-  for (int i = 0; i < 9; ++i) {
-    text += std::string(dates[i % 3]) + "," + products[i % 4] + "," +
-            stores[i % 2] + "," + std::to_string(i + 1) + "," +
-            std::to_string(2 * i) + "\n";
+  IngestStats total;
+  for (int first = 0; first < 9; first += 2) {
+    std::string text = kSalesHeader;
+    for (int i = first; i < std::min(first + 2, 9); ++i) {
+      text += std::string(dates[i % 3]) + "," + products[i % 4] + "," +
+              stores[i % 2] + "," + std::to_string(i + 1) + "," +
+              std::to_string(2 * i) + "\n";
+    }
+    auto stats = Ingest(text);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    total.rows_ingested += stats->rows_ingested;
+    total.batches += stats->batches;
+    total.mv_incremental_updates += stats->mv_incremental_updates;
+    total.mv_full_rebuilds += stats->mv_full_rebuilds;
   }
-  auto stats = Ingest(text, options);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->rows_ingested, 9u);
-  EXPECT_EQ(stats->batches, 5u);
-  EXPECT_EQ(stats->mv_incremental_updates, 2u * stats->batches);
-  EXPECT_EQ(stats->mv_full_rebuilds, 0u);
+  EXPECT_EQ(total.rows_ingested, 9u);
+  EXPECT_EQ(total.batches, 5u);
+  EXPECT_EQ(total.mv_incremental_updates, 2u * total.batches);
+  EXPECT_EQ(total.mv_full_rebuilds, 0u);
 
   // Every maintained view is stamped at the final epoch.
   std::shared_ptr<const std::vector<CubeEntry>> views =
@@ -330,8 +354,8 @@ TEST_F(IngestTest, IncrementalViewMaintenanceMatchesFromScratchRebuild) {
   EXPECT_EQ(CellMap(*from_views, "sales"), CellMap(from_facts, "sales"));
 }
 
-// An avg measure cannot be delta-merged, so every batch rebuilds the views
-// of its cube from the full fact prefix.
+// An avg measure cannot be delta-merged, so every request rebuilds the
+// views of its cube from the full fact prefix.
 TEST_F(IngestTest, AvgMeasureViewsRebuildEveryBatch) {
   auto schema = std::make_shared<CubeSchema>("PRICES");
   schema->AddHierarchy(mini_.schema->hierarchy_ptr(1));
@@ -351,18 +375,20 @@ TEST_F(IngestTest, AvgMeasureViewsRebuildEveryBatch) {
       engine.MaterializeView(mini_.db.get(), "PRICES", {"type"}, "pv_t")
           .ok());
 
-  IngestOptions options;
-  options.batch_rows = 1;
-  Ingestor ingestor(mini_.db.get(), nullptr, options);
-  auto stats = ingestor.IngestText("PRICES",
-                                   "product,quantity,price\n"
-                                   "Apple,1,2.5\n"
-                                   "Pear,2,3.25\n"
-                                   "Lemon,3,1.5\n");
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->batches, 3u);
-  EXPECT_EQ(stats->mv_full_rebuilds, 3u);
-  EXPECT_EQ(stats->mv_incremental_updates, 0u);
+  Ingestor ingestor(mini_.db.get(), nullptr, {});
+  IngestStats total;
+  for (const char* row : {"Apple,1,2.5\n", "Pear,2,3.25\n", "Lemon,3,1.5\n"}) {
+    auto stats =
+        ingestor.IngestText("PRICES", std::string("product,quantity,price\n") +
+                                          row);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    total.batches += stats->batches;
+    total.mv_full_rebuilds += stats->mv_full_rebuilds;
+    total.mv_incremental_updates += stats->mv_incremental_updates;
+  }
+  EXPECT_EQ(total.batches, 3u);
+  EXPECT_EQ(total.mv_full_rebuilds, 3u);
+  EXPECT_EQ(total.mv_incremental_updates, 0u);
 
   std::shared_ptr<const std::vector<CubeEntry>> views =
       prices->views_snapshot();
@@ -419,18 +445,23 @@ TEST_F(IngestTest, DimensionGrowthPastByteCodesScansCorrectly) {
   FactSnapshot snap = bound_->facts().Snapshot();
   ASSERT_NE(snap.clustered, nullptr);
 
-  // 300 new products push the product FK past 255.
+  // 300 new products, in requests of up to 64 rows, push the product FK
+  // past 255.
   IngestOptions options;
   options.auto_insert_members = true;
-  options.batch_rows = 64;
-  std::string text = "date,product,type,store,quantity,sales\n";
-  for (int i = 0; i < 300; ++i) {
-    text += "1997-07-01,sku-" + std::to_string(i) + ",Bulk,SmartMart,1,1\n";
+  IngestStats total;
+  for (int first = 0; first < 300; first += 64) {
+    std::string text = "date,product,type,store,quantity,sales\n";
+    for (int i = first; i < std::min(first + 64, 300); ++i) {
+      text += "1997-07-01,sku-" + std::to_string(i) + ",Bulk,SmartMart,1,1\n";
+    }
+    auto stats = Ingest(text, options);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    total.rows_ingested += stats->rows_ingested;
+    total.new_members += stats->new_members;
   }
-  auto stats = Ingest(text, options);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->rows_ingested, 300u);
-  EXPECT_EQ(stats->new_members, 300u);
+  EXPECT_EQ(total.rows_ingested, 300u);
+  EXPECT_EQ(total.new_members, 300u);
 
   // Scans over the grown FK codes still aggregate correctly.
   auto by_type = CellMap(AggregateAll(*mini_.db, *bound_, {"type"}),
@@ -508,39 +539,42 @@ TEST(SharedHierarchyIngestTest, MemberInternedBySiblingCubeGetsOwnRow) {
   EXPECT_EQ(budget_by_customer[K("Customer#shared")], 100);
 }
 
-TEST_F(IngestTest, CommitFailpointKeepsCommittedBatchesAndDropsTheRest) {
+TEST_F(IngestTest, CommitFailpointLandsNothingOfItsRequest) {
   if (!kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
   FailpointRegistry& registry = FailpointRegistry::Instance();
   registry.DisarmAll();
 
-  // A committed batch survives a later ingest failing at its commit: the
-  // failed run's staged rows vanish, the earlier epoch's rows do not.
-  IngestOptions options;
-  options.batch_rows = 2;
+  // A committed request survives a later one failing at its commit: the
+  // failed request's rows and members vanish, the earlier epoch's rows do
+  // not.
   auto committed = Ingest(
       "date,product,store,quantity,sales\n"
       "1997-07-01,Apple,SmartMart,1,0\n"
-      "1997-07-01,Pear,SmartMart,1,0\n",
-      options);
+      "1997-07-01,Pear,SmartMart,1,0\n");
   ASSERT_TRUE(committed.ok()) << committed.status().ToString();
   const int64_t rows_committed = bound_->facts().NumRows();
   const uint64_t epoch_committed = bound_->facts().epoch();
+  const int64_t products_committed = bound_->dimension(1).NumRows();
 
   ASSERT_TRUE(
       registry.ArmFromString("ingest.commit=error(unavailable):budget=1")
           .ok());
+  IngestOptions auto_insert;
+  auto_insert.auto_insert_members = true;
   auto stats = Ingest(
-      "date,product,store,quantity,sales\n"
-      "1997-07-01,Lemon,SmartMart,1,0\n"
-      "1997-07-02,Apple,PetitPrix,1,0\n"
-      "1997-07-02,Pear,PetitPrix,1,0\n",
-      options);
+      "date,product,type,store,quantity,sales\n"
+      "1997-07-01,Lemon,,SmartMart,1,0\n"
+      "1997-07-02,Quince,Fresh Fruit,PetitPrix,1,0\n"
+      "1997-07-02,Pear,,PetitPrix,1,0\n",
+      auto_insert);
   registry.DisarmAll();
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kUnavailable);
-  // The failing commit was atomic: no rows, no epoch bump.
+  // The failing commit was atomic: no rows, no epoch bump, no member.
   EXPECT_EQ(bound_->facts().NumRows(), rows_committed);
   EXPECT_EQ(bound_->facts().epoch(), epoch_committed);
+  EXPECT_EQ(bound_->dimension(1).NumRows(), products_committed);
+  EXPECT_FALSE(bound_->dimension(1).hierarchy().MemberIdOf(0, "Quince").ok());
 
   // Row-level failpoint: rejected rows count against max_errors and the
   // remainder lands.
@@ -562,25 +596,96 @@ TEST_F(IngestTest, CommitFailpointKeepsCommittedBatchesAndDropsTheRest) {
   EXPECT_EQ(chaos->rows_ingested, 1u);
 }
 
+TEST_F(IngestTest, StrictRequestWithABadLastLineLandsNothing) {
+  const int64_t rows_before = bound_->facts().NumRows();
+  const uint64_t epoch_before = bound_->facts().epoch();
+  auto stats =
+      Ingest(StableRows(8192) + "1997-07-01,Apple,SmartMart,ten,0\n");
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(stats.status().message().find("line 8194"), std::string::npos);
+  EXPECT_EQ(bound_->facts().NumRows(), rows_before);
+  EXPECT_EQ(bound_->facts().epoch(), epoch_before);
+}
+
+/// Write-ahead hook that fails its `fail_call`-th call (1-based) with
+/// kUnavailable and accepts every other.
+class FailingHook : public CommitDurabilityHook {
+ public:
+  explicit FailingHook(int fail_call) : fail_call_(fail_call) {}
+  Status OnCommit(const IngestCommit& /*commit*/) override {
+    return ++calls_ == fail_call_ ? Status::Unavailable("injected WAL outage")
+                                  : Status::OK();
+  }
+  int calls() const { return calls_; }
+
+ private:
+  int fail_call_;
+  int calls_ = 0;
+};
+
+TEST_F(IngestTest, FailedCommitHookLandsNothingOfItsRequest) {
+  // Two requests of 8,193 rows, each adding one product; the write-ahead
+  // hook fails its second call. Each request lands whole or not at all.
+  FailingHook hook(2);
+  IngestOptions options;
+  options.auto_insert_members = true;
+  options.durability = &hook;
+  const DimensionTable& products = bound_->dimension(1);
+  int landed = 0;
+  for (int req = 0; req < 2; ++req) {
+    const std::string fig = "Fig-" + std::to_string(req);
+    std::string text = "date,product,type,store,quantity,sales\n";
+    for (int i = 0; i < 8193; ++i) {
+      text += "1997-07-01," +
+              (i % 2 == 0 ? fig + ",Fresh Fruit" : std::string("Apple,")) +
+              ",SmartMart,1,0\n";
+    }
+    const int64_t rows_before = bound_->facts().NumRows();
+    const uint64_t epoch_before = bound_->facts().epoch();
+    const int64_t products_before = products.NumRows();
+    const int32_t members_before = products.hierarchy().LevelCardinality(0);
+
+    auto stats = Ingest(text, options);
+    if (stats.ok()) {
+      landed += 1;
+      EXPECT_EQ(stats->rows_ingested, 8193u);
+      EXPECT_EQ(stats->new_members, 1u);
+      EXPECT_EQ(bound_->facts().NumRows(), rows_before + 8193);
+      EXPECT_EQ(bound_->facts().epoch(), epoch_before + 1);
+      EXPECT_EQ(products.NumRows(), products_before + 1);
+    } else {
+      EXPECT_EQ(stats.status().code(), StatusCode::kUnavailable);
+      EXPECT_EQ(bound_->facts().NumRows(), rows_before);
+      EXPECT_EQ(bound_->facts().epoch(), epoch_before);
+      EXPECT_EQ(products.NumRows(), products_before);
+      EXPECT_EQ(products.hierarchy().LevelCardinality(0), members_before);
+      EXPECT_FALSE(products.hierarchy().MemberIdOf(0, fig).ok());
+    }
+  }
+  EXPECT_EQ(landed, 1);
+  EXPECT_EQ(hook.calls(), 2) << "one write-ahead record per request";
+}
+
 TEST_F(IngestTest, SnapshotIsolationUnderConcurrentAppendAndQuery) {
-  // Two appenders stream member-stable batches while readers aggregate
-  // concurrently. Batch atomicity means every observed total quantity is a
-  // whole number of batches past the base; monotonicity per reader means no
-  // reader ever sees a commit un-happen. Afterwards, the merged state must
-  // be bit-identical to a serial replay into a fresh database.
+  // Two appenders stream member-stable requests while readers aggregate
+  // concurrently. Request atomicity means every observed total quantity is
+  // a whole number of requests past the base; monotonicity per reader means
+  // no reader ever sees a commit un-happen. Afterwards, the merged state
+  // must be bit-identical to a serial replay into a fresh database.
   const auto base =
       CellMap(AggregateAll(*mini_.db, *bound_, {"product"}), "quantity");
   double base_total = 0;
   for (const auto& [coord, v] : base) base_total += v;
 
   constexpr int kAppenders = 2;
-  constexpr int kRowsPerAppender = 120;  // 15 batches of 8 rows each
-  constexpr int kBatchRows = 8;
+  constexpr int kRequests = 15;
+  constexpr int kRequestRows = 8;
   const char* products[] = {"Apple", "Pear", "Lemon", "milk"};
   const char* stores[] = {"SmartMart", "PetitPrix"};
-  auto appender_text = [&](int a) {
-    std::string text = "date,product,store,quantity,sales\n";
-    for (int i = 0; i < kRowsPerAppender; ++i) {
+  auto request_text = [&](int a, int r) {
+    std::string text = kSalesHeader;
+    for (int i = r * kRequestRows; i < (r + 1) * kRequestRows; ++i) {
       text += std::string("1997-07-0") + (a == 0 ? "1" : "2") + "," +
               products[i % 4] + "," + stores[(a + i) % 2] + ",1,0\n";
     }
@@ -609,10 +714,10 @@ TEST_F(IngestTest, SnapshotIsolationUnderConcurrentAppendAndQuery) {
         auto cells = CellMap(*cube, "quantity");
         for (const auto& [coord, v] : cells) total += v;
         const double delta = total - base_total;
-        // Atomic batches: the appended quantity is a multiple of the batch
-        // size (each appended row carries quantity 1).
+        // Atomic requests: the appended quantity is a multiple of the
+        // request size (each appended row carries quantity 1).
         if (delta < 0 ||
-            static_cast<int64_t>(delta) % kBatchRows != 0 ||
+            static_cast<int64_t>(delta) % kRequestRows != 0 ||
             total < prev_total) {
           violations.fetch_add(1);
         }
@@ -625,11 +730,11 @@ TEST_F(IngestTest, SnapshotIsolationUnderConcurrentAppendAndQuery) {
   std::vector<Status> append_status(kAppenders, Status::OK());
   for (int a = 0; a < kAppenders; ++a) {
     appenders.emplace_back([&, a] {
-      IngestOptions options;
-      options.batch_rows = kBatchRows;
-      Ingestor ingestor(mini_.db.get(), nullptr, options);
-      auto stats = ingestor.IngestText("SALES", appender_text(a));
-      if (!stats.ok()) append_status[a] = stats.status();
+      Ingestor ingestor(mini_.db.get(), nullptr, {});
+      for (int r = 0; r < kRequests && append_status[a].ok(); ++r) {
+        auto stats = ingestor.IngestText("SALES", request_text(a, r));
+        if (!stats.ok()) append_status[a] = stats.status();
+      }
     });
   }
   for (auto& t : appenders) t.join();
@@ -643,13 +748,153 @@ TEST_F(IngestTest, SnapshotIsolationUnderConcurrentAppendAndQuery) {
 
   // Serial replay: the same rows into a fresh MiniDb, one appender.
   testutil::MiniDb serial = BuildMiniSales();
-  IngestOptions options;
-  options.batch_rows = kBatchRows;
-  Ingestor replay(serial.db.get(), nullptr, options);
+  Ingestor replay(serial.db.get(), nullptr, {});
   for (int a = 0; a < kAppenders; ++a) {
-    ASSERT_TRUE(replay.IngestText("SALES", appender_text(a)).ok());
+    for (int r = 0; r < kRequests; ++r) {
+      ASSERT_TRUE(replay.IngestText("SALES", request_text(a, r)).ok());
+    }
   }
   const BoundCube* serial_bound = *serial.db->Find("SALES");
+  for (const char* measure : {"quantity", "sales"}) {
+    EXPECT_EQ(
+        CellMap(AggregateAll(*mini_.db, *bound_, {"product", "store"}),
+                measure),
+        CellMap(AggregateAll(*serial.db, *serial_bound,
+                             {"product", "store"}),
+                measure))
+        << measure;
+  }
+}
+
+TEST_F(IngestTest, ConcurrentAutoInsertInternsEachMemberOnce) {
+  // Two appenders auto-insert overlapping new products (under a new type)
+  // while readers aggregate. Every third request names a product of its
+  // own and then a malformed line: it must land nothing, that product
+  // included. Readers hold the schema lock shared, as sessions do.
+  constexpr int kAppenders = 2;
+  constexpr int kRequests = 24;
+  constexpr int kRequestRows = 6;
+  constexpr int kNewProducts = 10;
+  const char* stores[] = {"SmartMart", "PetitPrix"};
+  auto fails = [](int r) { return r % 3 == 2; };
+  auto lost = [](int a, int r) {
+    return "lost-" + std::to_string(a) + "-" + std::to_string(r);
+  };
+  auto request_text = [&](int a, int r) {
+    std::string text = "date,product,type,store,quantity,sales\n";
+    for (int i = 0; i < kRequestRows; ++i) {
+      const std::string product =
+          fails(r) && i == 0
+              ? lost(a, r)
+              : "new-" + std::to_string((r + i + a) % kNewProducts);
+      text += std::string("1997-07-0") + (a == 0 ? "1" : "2") + "," +
+              product + ",Exotic," + stores[(a + i) % 2] + ",1,0\n";
+    }
+    if (fails(r)) text += "oops\n";
+    return text;
+  };
+  IngestOptions options;
+  options.auto_insert_members = true;
+
+  auto total_quantity = [&](StarQueryEngine& engine) -> Result<double> {
+    std::shared_lock<std::shared_mutex> lock(mini_.db->schema_mutex());
+    auto group_by = GroupBySet::FromLevelNames(bound_->schema(), {"type"});
+    ASSESS_RETURN_NOT_OK(group_by.status());
+    ASSESS_ASSIGN_OR_RETURN(
+        Cube cube, engine.AggregateFactRange(*bound_, *group_by, 0,
+                                             bound_->facts().NumRows()));
+    ASSESS_ASSIGN_OR_RETURN(int q, cube.MeasureIndex("quantity"));
+    double total = 0;
+    for (int64_t row = 0; row < cube.NumRows(); ++row) {
+      total += cube.MeasureAt(row, q);
+    }
+    return total;
+  };
+  StarQueryEngine base_engine(mini_.db.get(), /*use_views=*/false,
+                              /*threads=*/1);
+  const double base_total = *total_quantity(base_engine);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> violations{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      StarQueryEngine engine(mini_.db.get(), /*use_views=*/false,
+                             /*threads=*/1);
+      double prev_total = base_total;
+      while (!stop.load(std::memory_order_relaxed)) {
+        Result<double> total = total_quantity(engine);
+        if (!total.ok()) {
+          violations.fetch_add(1);
+          break;
+        }
+        // Whole requests only, and never one un-happening.
+        const double delta = *total - base_total;
+        if (delta < 0 ||
+            static_cast<int64_t>(delta) % kRequestRows != 0 ||
+            *total < prev_total) {
+          violations.fetch_add(1);
+        }
+        prev_total = *total;
+      }
+    });
+  }
+
+  std::vector<std::vector<Status>> status(
+      kAppenders, std::vector<Status>(kRequests, Status::OK()));
+  std::vector<std::thread> appenders;
+  for (int a = 0; a < kAppenders; ++a) {
+    appenders.emplace_back([&, a] {
+      Ingestor ingestor(mini_.db.get(), nullptr, options);
+      for (int r = 0; r < kRequests; ++r) {
+        status[a][r] =
+            ingestor.IngestText("SALES", request_text(a, r)).status();
+      }
+    });
+  }
+  for (auto& t : appenders) t.join();
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(violations.load(), 0);
+
+  for (int a = 0; a < kAppenders; ++a) {
+    for (int r = 0; r < kRequests; ++r) {
+      EXPECT_EQ(status[a][r].code(), fails(r) ? StatusCode::kInvalidArgument
+                                              : StatusCode::kOk)
+          << a << "/" << r << ": " << status[a][r].ToString();
+    }
+  }
+
+  // Each new product has exactly one dimension row, under the new type; no
+  // product of a failed request exists at all.
+  const DimensionTable& products = bound_->dimension(1);
+  const Hierarchy& hier = products.hierarchy();
+  for (int k = 0; k < kNewProducts; ++k) {
+    auto code = hier.MemberIdOf(0, "new-" + std::to_string(k));
+    ASSERT_TRUE(code.ok()) << code.status().ToString();
+    const std::vector<MemberId>& finest = products.level_column(0);
+    EXPECT_EQ(std::count(finest.begin(), finest.end(), *code), 1) << k;
+    EXPECT_EQ(hier.MemberName(1, hier.RollUpMember(0, *code, 1)), "Exotic");
+  }
+  for (int a = 0; a < kAppenders; ++a) {
+    for (int r = 0; r < kRequests; ++r) {
+      if (fails(r)) {
+        EXPECT_FALSE(hier.MemberIdOf(0, lost(a, r)).ok());
+      }
+    }
+  }
+
+  // Serial replay: the same requests into a fresh MiniDb, one appender
+  // after the other.
+  testutil::MiniDb serial = BuildMiniSales();
+  Ingestor replay(serial.db.get(), nullptr, options);
+  for (int a = 0; a < kAppenders; ++a) {
+    for (int r = 0; r < kRequests; ++r) {
+      EXPECT_EQ(replay.IngestText("SALES", request_text(a, r)).ok(), !fails(r));
+    }
+  }
+  const BoundCube* serial_bound = *serial.db->Find("SALES");
+  EXPECT_EQ(serial_bound->dimension(1).NumRows(), products.NumRows());
   for (const char* measure : {"quantity", "sales"}) {
     EXPECT_EQ(
         CellMap(AggregateAll(*mini_.db, *bound_, {"product", "store"}),
@@ -843,6 +1088,32 @@ TEST_F(WireIngestTest, RetryDuringFirstAttemptDoesNotAppendAgain) {
   EXPECT_EQ(bound->facts().NumRows(), rows_before + 1)
       << "a retry racing its first attempt must not append the rows again";
   EXPECT_EQ(server->Snapshot().ingest_batches, 1u);
+}
+
+// A file whose last line is bad lands nothing; once fixed and resent (a new
+// request, so a new id), every row lands exactly once.
+TEST_F(WireIngestTest, FixedFileResentUnderANewIdLandsOnce) {
+  ServerOptions options;
+  options.mutable_db = mini_.db.get();
+  auto server = StartServer(options);
+  auto client = AssessClient::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const BoundCube* bound = *mini_.db->Find("SALES");
+  const int64_t rows_before = bound->facts().NumRows();
+
+  const std::string rows = StableRows(8192);
+  auto bad =
+      client->Ingest("SALES", rows + "1997-07-01,Apple,SmartMart,ten,0\n");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bound->facts().NumRows(), rows_before);
+
+  auto fixed =
+      client->Ingest("SALES", rows + "1997-07-01,Apple,SmartMart,10,0\n");
+  ASSERT_TRUE(fixed.ok()) << fixed.status().ToString();
+  EXPECT_EQ(fixed->rows_ingested, 8193u);
+  EXPECT_EQ(fixed->batches, 1u);
+  EXPECT_EQ(bound->facts().NumRows(), rows_before + 8193);
 }
 
 TEST_F(WireIngestTest, MalformedIngestFramesAreTypedErrors) {

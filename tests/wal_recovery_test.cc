@@ -4,8 +4,10 @@
 // committed-epoch prefix), bit-flip discrimination (torn tail repaired,
 // mid-log damage refused typed), SIGKILLed child processes whose
 // acknowledged batches must all survive, checkpoint failpoints, the
-// wal.append failpoint surfacing as the batch's typed error, and the
-// epoch-keyed MV/cache state rebuilding consistently across a restart.
+// wal.append failpoint surfacing as the batch's typed error, a failed
+// auto-insert request leaving no member that replay could not re-create,
+// and the epoch-keyed MV/cache state rebuilding consistently across a
+// restart.
 
 #include "wal/durability.h"
 
@@ -389,6 +391,51 @@ TEST_F(WalRecoveryTest, WalAppendFailureIsTheBatchsTypedError) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->recovery().replayed_records, 3u);
   EXPECT_TRUE(Sig((*reopened)->db()) == committed);
+}
+
+// A request that fails after naming a new member leaves no member behind,
+// so no later request can log a row that needs it and the WAL always
+// replays.
+TEST_F(WalRecoveryTest, MemberOfFailedRequestDoesNotBreakRecovery) {
+  auto mgr = Open(data_dir_);
+  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+  StarDatabase* db = (*mgr)->db();
+  IngestOptions auto_insert;
+  auto_insert.durability = mgr->get();
+  auto_insert.auto_insert_members = true;
+  const std::string kiwi_row =
+      "date,product,type,store,quantity,sales\n"
+      "1997-07-02,Kiwi,Fresh Fruit,SmartMart,4,9\n";
+  auto failed = Ingestor(db, nullptr, auto_insert)
+                    .IngestText("SALES", kiwi_row + "oops\n");
+  ASSERT_FALSE(failed.ok());
+
+  IngestOptions stable;
+  stable.durability = mgr->get();
+  auto stable_kiwi = Ingestor(db, nullptr, stable)
+                         .IngestText("SALES",
+                                     "date,product,store,quantity,sales\n"
+                                     "1997-07-02,Kiwi,SmartMart,1,1\n");
+  const Signature before_restart = Sig(db);
+  mgr->reset();
+  auto reopened = Open(data_dir_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE(Sig((*reopened)->db()) == before_restart);
+  // The member-stable request could not name what never committed.
+  ASSERT_FALSE(stable_kiwi.ok());
+  EXPECT_EQ(stable_kiwi.status().code(), StatusCode::kNotFound);
+
+  // A request that commits the member logs it, and it recovers.
+  auto_insert.durability = reopened->get();
+  auto inserted = Ingestor((*reopened)->db(), nullptr, auto_insert)
+                      .IngestText("SALES", kiwi_row);
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  EXPECT_EQ(inserted->new_members, 1u);
+  const Signature committed = Sig((*reopened)->db());
+  reopened->reset();
+  auto again = Open(data_dir_);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(Sig((*again)->db()) == committed);
 }
 
 TEST_F(WalRecoveryTest, FailedCheckpointRenameKeepsThePreviousOneLive) {
