@@ -179,11 +179,13 @@ Status TaskPool::RunMorsels(int64_t num_morsels, int max_participants,
 }
 
 void TaskPool::AddScanCounts(uint64_t scanned, uint64_t skipped,
-                             uint64_t rows_visited, uint64_t rows_passed) {
+                             uint64_t rows_visited, uint64_t rows_passed,
+                             uint64_t setup_entries) {
   morsels_scanned_.fetch_add(scanned, std::memory_order_relaxed);
   morsels_skipped_.fetch_add(skipped, std::memory_order_relaxed);
   rows_visited_.fetch_add(rows_visited, std::memory_order_relaxed);
   rows_passed_.fetch_add(rows_passed, std::memory_order_relaxed);
+  setup_entries_.fetch_add(setup_entries, std::memory_order_relaxed);
 }
 
 TaskPoolStats TaskPool::stats() const {
@@ -195,6 +197,7 @@ TaskPoolStats TaskPool::stats() const {
   stats.morsels_skipped = morsels_skipped_.load(std::memory_order_relaxed);
   stats.rows_visited = rows_visited_.load(std::memory_order_relaxed);
   stats.rows_passed = rows_passed_.load(std::memory_order_relaxed);
+  stats.setup_entries = setup_entries_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const Job* job : active_jobs_) {

@@ -37,6 +37,7 @@ struct TaskPoolStats {
   uint64_t morsels_skipped = 0;
   uint64_t rows_visited = 0;
   uint64_t rows_passed = 0;
+  uint64_t setup_entries = 0;
 };
 
 /// \brief A process-wide pool of workers executing morsel-decomposed jobs
@@ -92,10 +93,11 @@ class TaskPool {
                     const MorselFn& fn);
 
   /// \brief Accumulates engine-side scan accounting (morsels scanned vs.
-  /// skipped, rows the scans visited and rows that passed) into this pool's
-  /// stats.
+  /// skipped, rows the scans visited and rows that passed, and the scans'
+  /// set-up entries: pass flags plus lane tables) into this pool's stats.
   void AddScanCounts(uint64_t scanned, uint64_t skipped,
-                     uint64_t rows_visited, uint64_t rows_passed);
+                     uint64_t rows_visited, uint64_t rows_passed,
+                     uint64_t setup_entries);
 
   TaskPoolStats stats() const;
 
@@ -123,6 +125,7 @@ class TaskPool {
   std::atomic<uint64_t> morsels_skipped_{0};
   std::atomic<uint64_t> rows_visited_{0};
   std::atomic<uint64_t> rows_passed_{0};
+  std::atomic<uint64_t> setup_entries_{0};
 };
 
 /// \brief The ASSESS_THREADS override: when the environment variable is set

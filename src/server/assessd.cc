@@ -901,6 +901,7 @@ ServerStats AssessServer::Snapshot() const {
     stats.morsels_skipped = pool.morsels_skipped;
     stats.scan_rows_visited = pool.rows_visited;
     stats.scan_rows_passed = pool.rows_passed;
+    stats.scan_setup_entries = pool.setup_entries;
   }
   if (mqo_ != nullptr) {
     const MqoStats mqo = mqo_->stats();

@@ -473,6 +473,9 @@ constexpr StatsField kStatsFields[] = {
     {"engine", "assess_scan_rows_passed_total",
      "Visited rows that passed the scans' predicates", kCounter,
      &S::scan_rows_passed},
+    {"engine", "assess_scan_setup_entries_total",
+     "Pass-flag and lane-table entries the scans built before visiting rows",
+     kCounter, &S::scan_setup_entries},
     {"obs", "assessd_slow_queries_total",
      "Queries at or over the slow-query threshold", kCounter,
      &S::slow_queries},

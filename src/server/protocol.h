@@ -227,6 +227,7 @@ struct ServerStats {
   uint64_t morsels_skipped = 0;   ///< morsels no slice row can reach
   uint64_t scan_rows_visited = 0;  ///< fact and roll-up rows scans visited
   uint64_t scan_rows_passed = 0;   ///< visited rows that passed predicates
+  uint64_t scan_setup_entries = 0;  ///< pass-flag + lane entries scans built
   // Observability counters. The latency percentiles above are estimated
   // from a fixed-bucket histogram over the server's whole lifetime (not a
   // sliding window); latency_samples is that histogram's total count.

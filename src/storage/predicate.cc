@@ -60,15 +60,16 @@ Result<std::vector<uint8_t>> BuildConjunctionFlags(
 
 Result<std::vector<uint8_t>> BuildDimensionRowFlags(
     const DimensionTable& dim, const std::vector<Predicate>& predicates) {
-  int64_t rows = dim.NumRows();
+  const int64_t rows = dim.NumRows();
   std::vector<uint8_t> flags(rows, 1);
+  uint8_t* out = flags.data();
   for (const Predicate& p : predicates) {
     ASSESS_ASSIGN_OR_RETURN(std::vector<uint8_t> domain,
                             BuildDomainFlags(dim.hierarchy(), p));
-    const std::vector<MemberId>& codes = dim.level_column(p.level);
-    for (int64_t r = 0; r < rows; ++r) {
-      if (flags[r] && !domain[codes[r]]) flags[r] = 0;
-    }
+    const uint8_t* pass = domain.data();
+    const MemberId* codes = dim.level_column(p.level).data();
+    // An AND, not a branch: whether a row passes is unpredictable.
+    for (int64_t r = 0; r < rows; ++r) out[r] &= pass[codes[r]];
   }
   return flags;
 }

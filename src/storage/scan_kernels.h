@@ -2,6 +2,7 @@
 #define ASSESS_STORAGE_SCAN_KERNELS_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/flat_map64.h"
@@ -17,16 +18,21 @@ namespace assess {
 /// The engine lowers a scan into *lane tables*: for every hierarchy the
 /// scan touches, a uint32 array over that hierarchy's code domain holding
 ///
-///   lane[code] = kLaneReject                     when the conjunction of
-///                                                predicates rejects `code`
-///   lane[code] = radix * (group_member + 1)      when grouped (0 if only
-///                                                predicated)
+///   lane[code] = reject | radix * (group_member + 1)
 ///
-/// so per fact row the kernel computes key = 1 + Σ_h lane_h[code_h], with
-/// the reject bit OR-accumulated alongside the sum. Keys are exact integers
-/// (the engine only picks this kernel when the mixed-radix key space fits
-/// kDenseKeyLimit, so the sum never reaches the reject bit) and group
-/// lookup is a direct index into a dense key→group array — no hashing.
+/// where `reject` is kLaneReject when the conjunction of predicates
+/// rejects `code` (else 0) and the group term is 0 when the hierarchy is
+/// only predicated. A rejected code keeps its group term under the reject
+/// bit, so a lane is built without a branch. Per fact row the kernel
+/// computes key = 1 + Σ_h lane_h[code_h], with the lanes OR-accumulated
+/// alongside the sum: the reject bit of that OR alone decides whether the
+/// row passes, and a rejected row's key is never read. A passing row's key
+/// is an exact integer (the engine only picks this kernel when the
+/// mixed-radix key space fits kDenseKeyLimit, so a sum of clean lanes
+/// never reaches the reject bit) and group lookup is a direct index into a
+/// dense key→group array — no hashing. A lane depends only on its pass
+/// flags, group column and radix, so consumers of one scan with equal
+/// inputs share one table.
 ///
 /// Determinism contract: both tiers (the scalar reference and AVX2)
 /// produce bit-identical output. The AVX2 tier only vectorizes the integer
@@ -71,7 +77,9 @@ struct KernelMeasure {
 /// \brief Per-morsel aggregation state shared by the dense fused kernels
 /// and the generic hash kernel; partials merge in morsel index order.
 struct AggState {
-  FlatMap64 map{1024};
+  /// Key → group index of the generic kernel and of a merge target, built
+  /// on first use: the dense fused kernels never touch it.
+  std::optional<FlatMap64> map;
   int32_t num_groups = 0;
   std::vector<std::vector<MemberId>> out_coords;  ///< [grouped hier][group]
   std::vector<std::vector<double>> acc;           ///< [measure][group]
@@ -82,6 +90,11 @@ struct AggState {
   std::vector<int32_t> dense;
   int64_t rows_visited = 0;
   int64_t rows_passed = 0;
+
+  FlatMap64& Map() {
+    if (!map) map.emplace(1024);
+    return *map;
+  }
 };
 
 /// \brief Everything a fused-kernel invocation needs besides the row range.

@@ -24,6 +24,12 @@ namespace assess {
 
 namespace {
 
+// Pass flags over a source's code domain, indexed by code (null: every code
+// passes). Shared, because every consumer of an MQO batch applies the same
+// conjunction: the batch builds each hierarchy's flags once and all of its
+// plans hold them.
+using PassFlags = std::shared_ptr<const std::vector<uint8_t>>;
+
 // Per-hierarchy scan plan: translation arrays from the source's code domain
 // (dimension rows for fact scans, Dom(view level) for view scans) to group
 // member ids and predicate pass flags.
@@ -48,7 +54,7 @@ struct HierScanPlan {
   // the effective array.
   const std::vector<MemberId>* external_group_code = nullptr;
   std::vector<MemberId> owned_group_code;
-  std::vector<uint8_t> pass;  // empty: all pass
+  PassFlags pass;
   uint64_t radix = 0;
   int group_level = 0;
   std::shared_ptr<Hierarchy> hierarchy;
@@ -83,6 +89,7 @@ void AggregateRange(int64_t begin, int64_t end,
   const int num_grouped = static_cast<int>(grouped.size());
   const int num_measures = static_cast<int>(measures.size());
   std::array<MemberId, kMaxGroupLevels> row_groups;
+  FlatMap64& map = state->Map();
   state->rows_visited += end - begin;
   for (int64_t r = begin; r < end; ++r) {
     uint64_t key = 1;
@@ -90,7 +97,7 @@ void AggregateRange(int64_t begin, int64_t end,
     int g = 0;
     for (HierScanPlan* h : needed) {
       int32_t code = h->codes[r];
-      if (!h->pass.empty() && !h->pass[code]) {
+      if (h->pass != nullptr && !(*h->pass)[code]) {
         pass = false;
         break;
       }
@@ -104,7 +111,7 @@ void AggregateRange(int64_t begin, int64_t end,
     ++state->rows_passed;
 
     bool inserted = false;
-    int32_t group = state->map.FindOrInsert(key, state->num_groups, &inserted);
+    int32_t group = map.FindOrInsert(key, state->num_groups, &inserted);
     if (inserted) {
       ++state->num_groups;
       for (int i = 0; i < num_grouped; ++i) {
@@ -147,6 +154,7 @@ void MergeAggStates(const std::vector<HierScanPlan*>& grouped,
                     const AggState& from, AggState* into) {
   const int num_grouped = static_cast<int>(grouped.size());
   const int num_measures = static_cast<int>(measures.size());
+  FlatMap64& map = into->Map();
   for (int32_t g = 0; g < from.num_groups; ++g) {
     uint64_t key = 1;
     for (int i = 0; i < num_grouped; ++i) {
@@ -154,7 +162,7 @@ void MergeAggStates(const std::vector<HierScanPlan*>& grouped,
              (static_cast<uint64_t>(from.out_coords[i][g]) + 1);
     }
     bool inserted = false;
-    int32_t group = into->map.FindOrInsert(key, into->num_groups, &inserted);
+    int32_t group = map.FindOrInsert(key, into->num_groups, &inserted);
     if (inserted) {
       ++into->num_groups;
       for (int i = 0; i < num_grouped; ++i) {
@@ -201,6 +209,9 @@ struct MorselExec {
   bool fused = false;
   int64_t rows_visited = 0;
   int64_t rows_passed = 0;
+  // Set-up work, counted exactly: the entries of every pass-flag array the
+  // scan's plans built plus every lane-table entry the driver built.
+  int64_t setup_entries = 0;
 };
 
 // Process-wide dispatch counters (one bump per scan, not per morsel): which
@@ -261,6 +272,32 @@ std::vector<RowRange> PassingRowRuns(const ClusteredPrefix& prefix,
   return runs;
 }
 
+// A lane table over codes [0, n) of one hierarchy (scan_kernels.h): the
+// reject bit where `pass` rejects the code, OR-ed over radix × (group member
+// + 1) where `group` is set. A plan touches a hierarchy only to test or to
+// group it, so at least one of the two is set. Each loop is branch-free
+// over sequential reads, which lets the compiler vectorise it.
+std::unique_ptr<uint32_t[]> BuildLane(const uint8_t* pass,
+                                      const MemberId* group, uint32_t radix,
+                                      int64_t n) {
+  // Default-initialized: every entry is written below.
+  std::unique_ptr<uint32_t[]> lane(new uint32_t[static_cast<size_t>(n)]);
+  uint32_t* out = lane.get();
+  if (group == nullptr) {
+    for (int64_t c = 0; c < n; ++c) out[c] = (pass[c] - 1u) & kLaneReject;
+  } else if (pass == nullptr) {
+    for (int64_t c = 0; c < n; ++c) {
+      out[c] = radix * (static_cast<uint32_t>(group[c]) + 1u);
+    }
+  } else {
+    for (int64_t c = 0; c < n; ++c) {
+      out[c] = ((pass[c] - 1u) & kLaneReject) |
+               radix * (static_cast<uint32_t>(group[c]) + 1u);
+    }
+  }
+  return lane;
+}
+
 // Annotates a scan span with the kernel path and observed selectivity.
 void AddKernelSpanAttrs(Span& span, const MorselExec& exec) {
   if (!span.active()) return;
@@ -268,6 +305,7 @@ void AddKernelSpanAttrs(Span& span, const MorselExec& exec) {
   span.AddString("kernel", exec.fused ? "fused_dense" : "hash");
   span.AddInt("rows_visited", exec.rows_visited);
   span.AddInt("rows_passed", exec.rows_passed);
+  span.AddInt("setup_entries", exec.setup_entries);
   if (exec.rows_visited > 0) {
     // Per-mille so the span attribute stays integral.
     span.AddInt("selectivity_permille",
@@ -327,7 +365,6 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
   struct Compiled {
     std::vector<HierScanPlan*> needed;
     std::vector<HierScanPlan*> grouped;
-    std::vector<std::vector<uint32_t>> lane_tables;
     FusedScanArgs args;
     bool fused = false;
     // Compacted path only: per fused column, index into the shared code-
@@ -337,6 +374,38 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
     std::vector<int> msource_of;
   };
   std::vector<Compiled> compiled(num_consumers);
+  auto intern = [](auto& list, const auto& item) {
+    for (size_t d = 0; d < list.size(); ++d) {
+      if (list[d] == item) return static_cast<int>(d);
+    }
+    list.push_back(item);
+    return static_cast<int>(list.size() - 1);
+  };
+
+  // The plans' pass flags, each counted once: a batch's consumers share
+  // the flags of their common conjunction.
+  std::vector<const std::vector<uint8_t>*> flag_arrays;
+  for (const ScanConsumer& consumer : consumers) {
+    for (const HierScanPlan& h : consumer.hiers) {
+      if (h.pass != nullptr) intern(flag_arrays, h.pass.get());
+    }
+  }
+  for (const std::vector<uint8_t>* flags : flag_arrays) {
+    exec->setup_entries += static_cast<int64_t>(flags->size());
+  }
+
+  // One lane table per distinct input: consumers whose lanes read the same
+  // flags and group column at the same radix (the predicated-only
+  // hierarchies of a batch, say) share one table.
+  struct LaneKey {
+    const uint8_t* pass = nullptr;
+    const MemberId* group = nullptr;
+    uint32_t radix = 0;
+    int64_t domain = 0;
+    bool operator==(const LaneKey&) const = default;
+  };
+  std::vector<LaneKey> lane_keys;
+  std::vector<std::unique_ptr<uint32_t[]>> lanes;
 
   for (int c = 0; c < num_consumers; ++c) {
     Compiled& comp = compiled[c];
@@ -374,22 +443,16 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
                      std::max<int64_t>(int64_t{4096}, rows);
     if (!comp.fused) continue;
     comp.args.key_space = static_cast<uint32_t>(key_space);
-    comp.lane_tables.reserve(comp.needed.size());
     for (HierScanPlan* h : comp.needed) {
-      std::vector<uint32_t> lane(static_cast<size_t>(h->code_domain), 0u);
-      const std::vector<MemberId>* gc =
-          h->grouped ? &h->group_code() : nullptr;
-      for (int64_t code = 0; code < h->code_domain; ++code) {
-        if (!h->pass.empty() && !h->pass[code]) {
-          lane[code] = kLaneReject;
-        } else if (gc != nullptr) {
-          lane[code] = static_cast<uint32_t>(h->radix) *
-                       (static_cast<uint32_t>((*gc)[code]) + 1u);
-        }
+      const LaneKey key{h->pass != nullptr ? h->pass->data() : nullptr,
+                        h->grouped ? h->group_code().data() : nullptr,
+                        static_cast<uint32_t>(h->radix), h->code_domain};
+      const int lane = intern(lane_keys, key);
+      if (lane == static_cast<int>(lanes.size())) {
+        lanes.push_back(BuildLane(key.pass, key.group, key.radix, key.domain));
+        exec->setup_entries += key.domain;
       }
-      comp.lane_tables.push_back(std::move(lane));
-      comp.args.columns.push_back(
-          KernelColumn{h->codes, comp.lane_tables.back().data()});
+      comp.args.columns.push_back(KernelColumn{h->codes, lanes[lane].get()});
       if (h->grouped) {
         comp.args.groups.push_back(KernelGroup{
             static_cast<uint32_t>(h->radix),
@@ -417,24 +480,19 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
   // compacted consumers read.
   struct SelColumn {
     const int32_t* codes = nullptr;  // absolute source
-    const std::vector<uint8_t>* pass = nullptr;
+    const uint8_t* pass = nullptr;
   };
   std::vector<SelColumn> sel_columns;
   if (num_consumers > 1 && any_fused) {
     for (HierScanPlan& h : consumers[0].hiers) {
-      if (!h.pass.empty()) sel_columns.push_back(SelColumn{h.codes, &h.pass});
+      if (h.pass != nullptr) {
+        sel_columns.push_back(SelColumn{h.codes, h.pass->data()});
+      }
     }
   }
   const bool compact = !sel_columns.empty();
   std::vector<const int32_t*> code_sources;
   std::vector<const double*> msources;
-  auto intern = [](auto& list, const auto& item) {
-    for (size_t d = 0; d < list.size(); ++d) {
-      if (list[d] == item) return static_cast<int>(d);
-    }
-    list.push_back(item);
-    return static_cast<int>(list.size() - 1);
-  };
   if (compact) {
     for (Compiled& comp : compiled) {
       if (!comp.fused) continue;
@@ -461,14 +519,14 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
   if (clustered != nullptr && begin == 0) {
     const HierScanPlan* best = nullptr;
     for (const HierScanPlan& h : consumers[0].hiers) {
-      if (h.pass.empty()) continue;
+      if (h.pass == nullptr) continue;
       if (best == nullptr || (*clustered)[h.fact_dim].rows >
                                  (*clustered)[best->fact_dim].rows) {
         best = &h;
       }
     }
     if (best != nullptr) {
-      runs = PassingRowRuns((*clustered)[best->fact_dim], best->pass, end);
+      runs = PassingRowRuns((*clustered)[best->fact_dim], *best->pass, end);
     }
   }
   // Each morsel is scanned over one range, from its first to its last row a
@@ -525,7 +583,7 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
         if (sel_columns.size() == 1) {
           // The common shape (one predicated hierarchy): a tight two-array
           // loop the compiler can keep branch-cheap.
-          const uint8_t* pass = sel_columns[0].pass->data();
+          const uint8_t* pass = sel_columns[0].pass;
           const int32_t* codes = sel_columns[0].codes + mbegin;
           for (int64_t r = 0; r < n; ++r) {
             if (pass[codes[r]]) out[n_pass++] = static_cast<int32_t>(r);
@@ -534,7 +592,7 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
           for (int64_t r = 0; r < n; ++r) {
             bool ok = true;
             for (const SelColumn& sc : sel_columns) {
-              if (!(*sc.pass)[sc.codes[mbegin + r]]) {
+              if (!sc.pass[sc.codes[mbegin + r]]) {
                 ok = false;
                 break;
               }
@@ -664,22 +722,41 @@ Result<std::vector<std::vector<Predicate>>> PartitionPredicates(
   return preds;
 }
 
-// The one fact-scan plan builder (solo gets, delta merges and every MQO
-// consumer): a plan per hierarchy `group_by` or `predicates` touches and
-// per measure in `measures`, over the rows `snap` pins. Reads the int32 FK
-// columns and attaches the snapshot's row-range index.
-Result<ScanConsumer> PlanFactScan(const BoundCube& bound,
-                                  const FactSnapshot& snap,
-                                  const GroupBySet& group_by,
-                                  const std::vector<Predicate>& predicates,
-                                  const std::vector<int>& measures) {
+// Pass flags over the dimension rows of each hierarchy of `bound` for the
+// conjunction `predicates` (null where no predicate applies): the fact
+// scans' predicate, compiled once per scan.
+Result<std::vector<PassFlags>> FlagDimensionRows(
+    const BoundCube& bound, const std::vector<Predicate>& predicates) {
   const CubeSchema& schema = bound.schema();
   ASSESS_ASSIGN_OR_RETURN(auto preds, PartitionPredicates(schema, predicates));
+  std::vector<PassFlags> flags(schema.hierarchy_count());
+  for (int h = 0; h < schema.hierarchy_count(); ++h) {
+    if (preds[h].empty()) continue;
+    ASSESS_ASSIGN_OR_RETURN(std::vector<uint8_t> rows,
+                            BuildDimensionRowFlags(bound.dimension(h),
+                                                   preds[h]));
+    flags[h] = std::make_shared<const std::vector<uint8_t>>(std::move(rows));
+  }
+  return flags;
+}
+
+// The one fact-scan plan builder (solo gets, delta merges and every MQO
+// consumer): a plan per hierarchy `group_by` groups or `flags` (from
+// FlagDimensionRows, or empty for no predicate) tests and per measure in
+// `measures`, over the rows `snap` pins. Reads the int32 FK columns and
+// attaches the snapshot's row-range index. The plans hold `flags`, so the
+// consumers of one batch share them.
+ScanConsumer PlanFactScan(const BoundCube& bound, const FactSnapshot& snap,
+                          const GroupBySet& group_by,
+                          const std::vector<PassFlags>& flags,
+                          const std::vector<int>& measures) {
+  const CubeSchema& schema = bound.schema();
   ScanConsumer consumer;
   consumer.clustered = snap.clustered.get();
   for (int h = 0; h < schema.hierarchy_count(); ++h) {
-    bool grouped = group_by.HasHierarchy(h);
-    if (!grouped && preds[h].empty()) continue;
+    const bool grouped = group_by.HasHierarchy(h);
+    PassFlags pass = flags.empty() ? nullptr : flags[static_cast<size_t>(h)];
+    if (!grouped && pass == nullptr) continue;
     const DimensionTable& dim = bound.dimension(h);
     HierScanPlan plan;
     plan.hierarchy = schema.hierarchy_ptr(h);
@@ -691,10 +768,7 @@ Result<ScanConsumer> PlanFactScan(const BoundCube& bound,
       plan.group_level = group_by.LevelOf(h);
       plan.external_group_code = &dim.level_column(plan.group_level);
     }
-    if (!preds[h].empty()) {
-      ASSESS_ASSIGN_OR_RETURN(plan.pass,
-                              BuildDimensionRowFlags(dim, preds[h]));
-    }
+    plan.pass = std::move(pass);
     consumer.hiers.push_back(std::move(plan));
   }
   for (int m : measures) {
@@ -747,7 +821,9 @@ Result<ScanConsumer> PlanRollupScan(const CubeSchema& schema,
     }
     if (!preds[h].empty()) {
       ASSESS_ASSIGN_OR_RETURN(
-          plan.pass, BuildConjunctionFlags(hier, preds[h], data_level));
+          std::vector<uint8_t> pass,
+          BuildConjunctionFlags(hier, preds[h], data_level));
+      plan.pass = std::make_shared<const std::vector<uint8_t>>(std::move(pass));
     }
     consumer.hiers.push_back(std::move(plan));
   }
@@ -839,15 +915,17 @@ Result<std::vector<Cube>> StarQueryEngine::Scan(
   MorselExec exec{pool_.get(), threads_};
   Result<std::vector<Cube>> result =
       ScanConsumers(begin, end, *consumers, &exec);
-  if (exec.scanned != 0 || exec.skipped != 0) {
+  if (exec.scanned != 0 || exec.skipped != 0 || exec.setup_entries != 0) {
     const auto visited = static_cast<uint64_t>(exec.rows_visited);
     const auto passed = static_cast<uint64_t>(exec.rows_passed);
+    const auto setup = static_cast<uint64_t>(exec.setup_entries);
     morsels_scanned_.fetch_add(exec.scanned, std::memory_order_relaxed);
     morsels_skipped_.fetch_add(exec.skipped, std::memory_order_relaxed);
     rows_visited_.fetch_add(visited, std::memory_order_relaxed);
     rows_passed_.fetch_add(passed, std::memory_order_relaxed);
+    setup_entries_.fetch_add(setup, std::memory_order_relaxed);
     if (pool_) {
-      pool_->AddScanCounts(exec.scanned, exec.skipped, visited, passed);
+      pool_->AddScanCounts(exec.scanned, exec.skipped, visited, passed, setup);
     }
   }
   if (span.active()) {
@@ -991,11 +1069,11 @@ Result<Cube> StarQueryEngine::ExecuteUncached(const BoundCube& bound,
     span.AddInt("rows", snap.rows);
     span.AddInt("epoch", static_cast<int64_t>(snap.epoch));
   }
-  ASSESS_ASSIGN_OR_RETURN(
-      ScanConsumer consumer,
-      PlanFactScan(bound, snap, query.group_by, query.predicates,
-                   query.measures));
-  return ScanOne(span, 0, snap.rows, std::move(consumer));
+  ASSESS_ASSIGN_OR_RETURN(std::vector<PassFlags> flags,
+                          FlagDimensionRows(bound, query.predicates));
+  return ScanOne(span, 0, snap.rows,
+                 PlanFactScan(bound, snap, query.group_by, flags,
+                              query.measures));
 }
 
 Result<Cube> StarQueryEngine::AggregateFactRange(const BoundCube& bound,
@@ -1018,9 +1096,8 @@ Result<Cube> StarQueryEngine::AggregateFactRange(const BoundCube& bound,
   }
   std::vector<int> measures(schema.measure_count());
   std::iota(measures.begin(), measures.end(), 0);
-  ASSESS_ASSIGN_OR_RETURN(ScanConsumer consumer,
-                          PlanFactScan(bound, snap, group_by, {}, measures));
-  return ScanOne(span, from, to, std::move(consumer));
+  return ScanOne(span, from, to,
+                 PlanFactScan(bound, snap, group_by, {}, measures));
 }
 
 Result<std::vector<Cube>> StarQueryEngine::ExecuteSharedScan(
@@ -1066,17 +1143,17 @@ Result<std::vector<Cube>> StarQueryEngine::ExecuteSharedScan(
     span.AddInt("epoch", static_cast<int64_t>(snap.epoch));
   }
 
-  // One consumer per query. Views are deliberately bypassed: every
-  // consumer must aggregate the same source rows for the shared gather to
-  // be the one scan they all ride.
+  // One consumer per query, all holding the flags of the one conjunction,
+  // built once. Views are deliberately bypassed: every consumer must
+  // aggregate the same source rows for the shared gather to be the one
+  // scan they all ride.
+  ASSESS_ASSIGN_OR_RETURN(std::vector<PassFlags> flags,
+                          FlagDimensionRows(*bound, queries[0].predicates));
   std::vector<ScanConsumer> consumers;
   consumers.reserve(queries.size());
   for (const CubeQuery& query : queries) {
-    ASSESS_ASSIGN_OR_RETURN(
-        ScanConsumer consumer,
-        PlanFactScan(*bound, snap, query.group_by, query.predicates,
-                     query.measures));
-    consumers.push_back(std::move(consumer));
+    consumers.push_back(PlanFactScan(*bound, snap, query.group_by, flags,
+                                     query.measures));
   }
   ASSESS_ASSIGN_OR_RETURN(std::vector<Cube> cubes,
                           Scan(span, 0, snap.rows, &consumers));

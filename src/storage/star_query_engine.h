@@ -73,13 +73,17 @@ struct EngineOptions {
 
 /// \brief Scan accounting for one engine: how many scan morsels were
 /// aggregated vs. skipped outright because the fact table's row-range index
-/// showed no row of them can pass the pushed-down predicate, and how many
-/// rows the scans visited and how many of those passed.
+/// showed no row of them can pass the pushed-down predicate, how many
+/// rows the scans visited and how many of those passed, and the set-up
+/// work done before any row is visited: pass-flag entries (one per
+/// dimension row, or per member for a roll-up, of each predicated
+/// hierarchy, once per scan) plus lane-table entries built.
 struct ScanStats {
   uint64_t morsels_scanned = 0;
   uint64_t morsels_skipped = 0;
   uint64_t rows_visited = 0;
   uint64_t rows_passed = 0;
+  uint64_t setup_entries = 0;
 };
 
 /// \brief The query engine over star-schema storage: the stand-in for the
@@ -208,7 +212,8 @@ class StarQueryEngine {
     return ScanStats{morsels_scanned_.load(std::memory_order_relaxed),
                      morsels_skipped_.load(std::memory_order_relaxed),
                      rows_visited_.load(std::memory_order_relaxed),
-                     rows_passed_.load(std::memory_order_relaxed)};
+                     rows_passed_.load(std::memory_order_relaxed),
+                     setup_entries_.load(std::memory_order_relaxed)};
   }
 
  private:
@@ -246,6 +251,7 @@ class StarQueryEngine {
   mutable std::atomic<uint64_t> morsels_skipped_{0};
   mutable std::atomic<uint64_t> rows_visited_{0};
   mutable std::atomic<uint64_t> rows_passed_{0};
+  mutable std::atomic<uint64_t> setup_entries_{0};
   mutable bool last_used_view_ = false;
   mutable CacheOutcome last_cache_outcome_ = CacheOutcome::kBypass;
 };

@@ -82,15 +82,18 @@ class SharedScanTest : public ::testing::Test {
     return std::move(*q);
   }
 
-  /// The first `n` country member names of the Store hierarchy — a shared
-  /// selection every query in a batch slices on.
-  std::vector<std::string> Countries(int n) {
-    const Hierarchy& store = sales_->schema().hierarchy(3);
-    n = std::min(n, store.LevelCardinality(2));
+  /// The first `n` member names of `level` of hierarchy `hier`.
+  std::vector<std::string> Members(int hier, int level, int n) {
+    const Hierarchy& h = sales_->schema().hierarchy(hier);
+    n = std::min(n, h.LevelCardinality(level));
     std::vector<std::string> out;
-    for (int id = 0; id < n; ++id) out.push_back(store.MemberName(2, id));
+    for (int id = 0; id < n; ++id) out.push_back(h.MemberName(level, id));
     return out;
   }
+
+  /// The first `n` country member names of the Store hierarchy — a shared
+  /// selection every query in a batch slices on.
+  std::vector<std::string> Countries(int n) { return Members(3, 2, n); }
 
   /// One correlated batch: same selection, five different group-by sets and
   /// measure subsets (integer-valued quantity and non-integer store
@@ -113,6 +116,10 @@ class SharedScanTest : public ::testing::Test {
 
 TEST_F(SharedScanTest, BitIdenticalToSoloExecute) {
   std::vector<Predicate> preds{{3, 2, PredicateOp::kIn, Countries(3)}};
+  std::vector<Predicate> dashboard{
+      {0, 1, PredicateOp::kIn, Members(0, 1, 8)},
+      {2, 2, PredicateOp::kIn, Members(2, 2, 2)},
+      {3, 2, PredicateOp::kIn, Countries(3)}};
   const std::vector<std::vector<CubeQuery>> batches = {
       // Predicated, grouped, dense-kernel consumers: the compacted path.
       CorrelatedBatch(),
@@ -128,6 +135,16 @@ TEST_F(SharedScanTest, BitIdenticalToSoloExecute) {
       {
           Query({"date", "customer", "country"}, preds, {"storeSales"}),
           Query({"year"}, preds, {"quantity", "storeSales"}),
+      },
+      // Dashboard-shaped: predicates on three hierarchies. Product is
+      // predicated and grouped at a different level by each consumer, Date
+      // is grouped by one consumer only, and Store is only predicated, so
+      // all three consumers share its lane (and the first and last share
+      // Date's).
+      {
+          Query({"type", "gender"}, dashboard, {"storeSales"}),
+          Query({"product", "month"}, dashboard, {"quantity", "storeCost"}),
+          Query({"category"}, dashboard, {"storeSales", "quantity"}),
       },
       // No predicate: no shared selection, every consumer runs its solo
       // kernel over every row.

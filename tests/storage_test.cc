@@ -2,7 +2,10 @@
 
 #include "cache/cube_cache.h"
 #include "cache/query_fingerprint.h"
+#include "common/task_pool.h"
+#include "ssb/sales_generator.h"
 #include "storage/predicate.h"
+#include "storage/star_query_engine.h"
 #include "storage/star_schema.h"
 #include "test_util.h"
 
@@ -166,6 +169,110 @@ TEST_F(StorageTest, EmptyPredicatesPassEverything) {
   auto flags = BuildDimensionRowFlags(bound_->dimension(2), {});
   ASSERT_TRUE(flags.ok());
   EXPECT_EQ(*flags, (std::vector<uint8_t>{1, 1}));
+}
+
+// The generated SALES cube: its dimensions are large enough for the row
+// flags and scan set-up counts below to mean something.
+class SalesStorageTest : public ::testing::Test {
+ protected:
+  // Dimension sizes, derived from the generator: the days of 1996 (a leap
+  // year) and 1997, 200 customers, 18 products, 11 stores.
+  static constexpr int64_t kDates = 366 + 365;
+  static constexpr int64_t kCustomers = 200;
+  static constexpr int64_t kProducts = 18;
+  static constexpr int64_t kStores = 11;
+
+  SalesStorageTest() {
+    SalesConfig config;
+    config.facts = 5000;
+    config.seed = 3;
+    auto db = BuildSalesDatabase(config);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    db_ = std::move(*db);
+    sales_ = *db_->Find("SALES");
+  }
+
+  CubeQuery Query(const std::vector<std::string>& by,
+                  const std::vector<Predicate>& predicates,
+                  const std::vector<std::string>& measures) const {
+    auto q = CubeQuery::Make(sales_->schema(), "SALES", by, predicates,
+                             measures);
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    return std::move(*q);
+  }
+
+  std::unique_ptr<StarDatabase> db_;
+  const BoundCube* sales_ = nullptr;
+};
+
+TEST_F(SalesStorageTest, DimensionRowFlagsMatchNaiveEvaluation) {
+  // Two predicates on the Date hierarchy, at two levels: the flags are
+  // their conjunction per dimension row, checked against member names.
+  const DimensionTable& dates = sales_->dimension(0);
+  ASSERT_EQ(dates.NumRows(), kDates);
+  const Hierarchy& h = dates.hierarchy();
+  std::vector<Predicate> preds = {
+      {0, 1, PredicateOp::kBetween, {"1996-11", "1997-04"}},
+      {0, 2, PredicateOp::kEquals, {"1997"}}};
+  auto flags = BuildDimensionRowFlags(dates, preds);
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  ASSERT_EQ(static_cast<int64_t>(flags->size()), kDates);
+  int64_t passed = 0;
+  for (int64_t r = 0; r < kDates; ++r) {
+    const std::string& month = h.MemberName(1, dates.CodeAt(r, 1));
+    const std::string& year = h.MemberName(2, dates.CodeAt(r, 2));
+    const bool expected =
+        month >= "1996-11" && month <= "1997-04" && year == "1997";
+    EXPECT_EQ((*flags)[r], expected ? 1 : 0) << "row " << r;
+    passed += (*flags)[r];
+  }
+  // January to April 1997.
+  EXPECT_EQ(passed, 31 + 28 + 31 + 30);
+}
+
+TEST_F(SalesStorageTest, SharedScanFlagsOnceAndSharesEqualLanes) {
+  ASSERT_EQ(sales_->dimension(1).NumRows(), kCustomers);
+  ASSERT_EQ(sales_->dimension(2).NumRows(), kProducts);
+  ASSERT_EQ(sales_->dimension(3).NumRows(), kStores);
+  // Predicates on Date and Store; two consumers group by type (equal
+  // lanes), one by gender.
+  std::vector<Predicate> preds = {
+      {0, 2, PredicateOp::kEquals, {"1997"}},
+      {3, 2, PredicateOp::kIn, {"Italy", "France"}}};
+  const std::vector<CubeQuery> batch = {
+      Query({"type"}, preds, {"storeSales"}),
+      Query({"type"}, preds, {"quantity"}),
+      Query({"gender"}, preds, {"storeSales"}),
+  };
+  auto pool = std::make_shared<TaskPool>(1);
+  EngineOptions options;
+  options.use_views = false;
+  options.use_result_cache = false;
+  options.threads = 1;
+  options.pool = pool;
+
+  // Alone, each get flags both predicated dimensions and builds a lane for
+  // each of them and for its grouped one.
+  StarQueryEngine solo(db_.get(), options);
+  for (const CubeQuery& query : batch) {
+    ASSERT_TRUE(solo.Execute(query).ok());
+  }
+  const uint64_t solo_entries =
+      3 * (2 * kDates + 2 * kStores) + 2 * kProducts + kCustomers;
+  EXPECT_EQ(solo.scan_stats().setup_entries, solo_entries);
+
+  // Batched, the conjunction is flagged once, the Date and Store lanes are
+  // built once for all three consumers, and the two type consumers share
+  // one Product lane.
+  StarQueryEngine shared(db_.get(), options);
+  auto cubes = shared.ExecuteSharedScan(batch, 0);
+  ASSERT_TRUE(cubes.ok()) << cubes.status().ToString();
+  const uint64_t shared_entries =
+      (kDates + kStores) + (kDates + kStores + kProducts + kCustomers);
+  EXPECT_EQ(shared.scan_stats().setup_entries, shared_entries);
+  // The pool sums every engine's scans: this is what assessd exports as
+  // assess_scan_setup_entries_total.
+  EXPECT_EQ(pool->stats().setup_entries, solo_entries + shared_entries);
 }
 
 // A materialized view is a CubeEntry with no predicates and every measure.

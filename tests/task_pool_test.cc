@@ -118,13 +118,14 @@ TEST(TaskPoolTest, ConcurrentJobsShareOneWorkerSet) {
 
 TEST(TaskPoolTest, ScanCountsAccumulate) {
   TaskPool pool(1);
-  pool.AddScanCounts(10, 3, 1000, 40);
-  pool.AddScanCounts(5, 0, 500, 2);
+  pool.AddScanCounts(10, 3, 1000, 40, 700);
+  pool.AddScanCounts(5, 0, 500, 2, 0);
   TaskPoolStats stats = pool.stats();
   EXPECT_EQ(stats.morsels_scanned, 15u);
   EXPECT_EQ(stats.morsels_skipped, 3u);
   EXPECT_EQ(stats.rows_visited, 1500u);
   EXPECT_EQ(stats.rows_passed, 42u);
+  EXPECT_EQ(stats.setup_entries, 700u);
 }
 
 TEST(TaskPoolTest, SharedPoolIsOneInstance) {
