@@ -89,14 +89,15 @@ double RunFusedKernel(SimdLevel level, const FusedScanArgs& args,
     Stopwatch sw;
     AggState state;
     state.out_coords.resize(args.groups.size());
-    state.acc.resize(args.measures.size());
-    state.cnt.resize(args.measures.size());
+    for (const ScanMeasure& m : args.measures) {
+      state.cols.emplace_back().op = m.op;
+    }
     for (int64_t begin = 0; begin < rows; begin += kMorselRows) {
       kernel(args, begin, std::min(rows, begin + kMorselRows), &state);
     }
     seconds = std::min(seconds, sw.ElapsedSeconds());
     *checksum = 0;
-    for (double v : state.acc[0]) *checksum += v;
+    for (double v : state.cols[0].acc) *checksum += v;
   }
   return seconds;
 }
@@ -182,8 +183,8 @@ int main() {
   args.columns.push_back(
       KernelColumn{facts.fk_column(1).data(), cust_lane.data()});
   args.groups.push_back(KernelGroup{1, nations + 1});
-  args.measures.push_back(KernelMeasure{
-      facts.measure_column(1).data(), AggOp::kSum});
+  args.measures.push_back(
+      ScanMeasure{facts.measure_column(1).data(), AggOp::kSum});
   args.key_space = nations + 2;
 
   double generic_check = 0;

@@ -8,6 +8,7 @@
 
 #include "common/failpoint.h"
 #include "obs/trace.h"
+#include "olap/aggregate.h"
 
 namespace assess {
 
@@ -322,10 +323,10 @@ bool EntryAnswersQuery(const CubeSchema& schema, const CanonicalQuery& want,
   }
   // The residual request — its group-by plus the extra predicates the entry
   // has not already applied — must be answerable by rolling the entry up:
-  // measures re-aggregate losslessly (avg does not), and every level the
+  // every measure has an agg::RollupOp (avg has none), and every level the
   // residual touches is available at a finer-or-equal level in the entry.
   for (int m : want.measures) {
-    if (schema.measure(m).op == AggOp::kAvg) return false;
+    if (!agg::RollupOp(schema.measure(m).op)) return false;
   }
   const GroupBySet& source = entry.group_by;
   if (!source.RollsUpTo(want.group_by, schema)) return false;

@@ -11,6 +11,7 @@
 
 #include "common/failpoint.h"
 #include "ingest/row_codec.h"
+#include "olap/aggregate.h"
 #include "olap/cube.h"
 #include "storage/star_query_engine.h"
 
@@ -29,9 +30,10 @@ struct ColumnBinding {
 
 /// Merges a delta aggregation (the appended rows, grouped at the view's
 /// group-by set) into a copy of the view's cube: matching coordinates
-/// combine per the schema operator, new coordinates append. The index is
-/// built over the *old* cube only — delta coordinates are unique within the
-/// delta (it is itself grouped), so appended rows never need indexing.
+/// combine by their operator's agg::RollupOp, new coordinates append. The
+/// index is built over the *old* cube only — delta coordinates are unique
+/// within the delta (it is itself grouped), so appended rows never need
+/// indexing.
 Result<Cube> MergeViewDelta(const CubeSchema& schema, const Cube& view,
                             const Cube& delta) {
   Cube merged = view;
@@ -45,7 +47,9 @@ Result<Cube> MergeViewDelta(const CubeSchema& schema, const Cube& view,
   for (int i = 0; i < num_measures; ++i) {
     ASSESS_ASSIGN_OR_RETURN(int mi,
                             schema.MeasureIndex(merged.measure_name(i)));
-    ops[i] = schema.measure(mi).op;
+    const std::optional<AggOp> op = agg::RollupOp(schema.measure(mi).op);
+    if (!op) return Status::Internal("avg views are rebuilt, not merged");
+    ops[i] = *op;
     ASSESS_ASSIGN_OR_RETURN(delta_col[i],
                             delta.MeasureIndex(merged.measure_name(i)));
   }
@@ -68,24 +72,8 @@ Result<Cube> MergeViewDelta(const CubeSchema& schema, const Cube& view,
       const int64_t row = rows[0];
       for (int i = 0; i < num_measures; ++i) {
         const double d = delta.MeasureAt(r, delta_col[i]);
-        const double old = merged.MeasureAt(row, i);
-        double v = 0;
-        switch (ops[i]) {
-          case AggOp::kSum:
-          case AggOp::kCount:
-            v = old + d;
-            break;
-          case AggOp::kMin:
-            v = std::min(old, d);
-            break;
-          case AggOp::kMax:
-            v = std::max(old, d);
-            break;
-          case AggOp::kAvg:
-            return Status::Internal(
-                "avg measures cannot be delta-merged (caller must rebuild)");
-        }
-        merged.SetMeasure(row, i, v);
+        merged.SetMeasure(row, i,
+                          agg::Iter(ops[i], merged.MeasureAt(row, i), d));
       }
     } else {
       for (int l = 0; l < levels; ++l) coords[l] = delta.CoordAt(r, l);
@@ -231,7 +219,8 @@ struct Ingestor::Run {
   std::vector<double> row_measures;
   std::vector<char> measure_set;
 
-  bool has_avg_measure = false;
+  // Whether a measure has no agg::RollupOp (avg), so views rebuild in full.
+  bool rebuild_views = false;
   IngestStats stats;
 
   // Write-ahead capture (populated only when options_.durability is set):
@@ -542,8 +531,8 @@ Status Ingestor::Commit(Run* run) {
   // Writes flow through the materialized views. A view at the epoch just
   // before this commit aggregates exactly the rows before the request, so
   // only the appended delta is aggregated and merged in; a view lagging an
-  // append that bypassed the ingestor, or any view of a cube with an avg
-  // measure (merging it is lossy), is rebuilt from scratch. Until
+  // append that bypassed the ingestor, or any view of a cube with a measure
+  // that has no agg::RollupOp (avg), is rebuilt from scratch. Until
   // PublishViews lands, queries at the new epoch skip the (lagging) views
   // and scan facts — consistent, just slower.
   std::shared_ptr<const std::vector<CubeEntry>> old_views =
@@ -555,7 +544,7 @@ Status Ingestor::Commit(Run* run) {
     for (const CubeEntry& view : *old_views) {
       CanonicalQuery query = view.query;
       query.epoch = app.epoch;
-      if (view.query.epoch + 1 == app.epoch && !run->has_avg_measure) {
+      if (view.query.epoch + 1 == app.epoch && !run->rebuild_views) {
         ASSESS_ASSIGN_OR_RETURN(
             Cube delta, run->engine.AggregateFactRange(
                             *run->bound, query.group_by, app.first_row,
@@ -677,7 +666,7 @@ Result<IngestStats> Ingestor::IngestText(std::string_view cube_name,
   run.row_measures.resize(num_measures, 0.0);
   run.measure_set.resize(num_measures, 0);
   for (int m = 0; m < num_measures; ++m) {
-    if (schema.measure(m).op == AggOp::kAvg) run.has_avg_measure = true;
+    if (!agg::RollupOp(schema.measure(m).op)) run.rebuild_views = true;
   }
   for (int h = 0; h < hierarchies; ++h) {
     const int levels = schema.hierarchy(h).level_count();

@@ -1,7 +1,5 @@
 #include "storage/scan_kernels.h"
 
-#include <limits>
-
 #include "storage/scan_kernels_impl.h"
 
 namespace assess {
@@ -24,20 +22,6 @@ void FusedScanScalar(const FusedScanArgs& args, int64_t begin, int64_t end,
 }
 
 }  // namespace
-
-double InitialAccumulator(AggOp op) {
-  switch (op) {
-    case AggOp::kSum:
-    case AggOp::kAvg:
-    case AggOp::kCount:
-      return 0.0;
-    case AggOp::kMin:
-      return std::numeric_limits<double>::infinity();
-    case AggOp::kMax:
-      return -std::numeric_limits<double>::infinity();
-  }
-  return 0.0;
-}
 
 FusedScanFn GetFusedScanKernel(SimdLevel level) {
 #if defined(ASSESS_SIMD_X86)

@@ -7,6 +7,7 @@
 
 #include "common/flat_map64.h"
 #include "common/simd.h"
+#include "olap/aggregate.h"
 #include "olap/cube_schema.h"
 #include "olap/hierarchy.h"
 
@@ -36,8 +37,8 @@ namespace assess {
 ///
 /// Determinism contract: both tiers (the scalar reference and AVX2)
 /// produce bit-identical output. The AVX2 tier only vectorizes the integer
-/// keys and pass bitmaps; every passing row is then added into its group by
-/// the one shared accumulate code, in row order, in every tier — a scan
+/// keys and pass bitmaps; every passing row is then folded into its group
+/// by agg::Iter (olap/aggregate.h), in row order, in every tier — a scan
 /// with no group-by included (it is the dense path with key_space 2).
 
 /// \brief Reject marker in a lane table (bit 31; clean lane sums stay far
@@ -64,12 +65,9 @@ struct KernelGroup {
   uint32_t card1 = 0;  ///< level cardinality + 1
 };
 
-/// \brief Identity of `op`'s accumulator: 0 for sum/avg/count, +inf for
-/// min, -inf for max. Shared by the fused kernels, the generic hash kernel
-/// and the morsel merge.
-double InitialAccumulator(AggOp op);
-
-struct KernelMeasure {
+/// \brief One measure a scan aggregates, as both kernels read it: its
+/// source column and its operator.
+struct ScanMeasure {
   const double* source = nullptr;  ///< null: rows contribute 0.0 (count)
   AggOp op = AggOp::kSum;
 };
@@ -82,8 +80,7 @@ struct AggState {
   std::optional<FlatMap64> map;
   int32_t num_groups = 0;
   std::vector<std::vector<MemberId>> out_coords;  ///< [grouped hier][group]
-  std::vector<std::vector<double>> acc;           ///< [measure][group]
-  std::vector<std::vector<int64_t>> cnt;          ///< [measure][group], avg
+  std::vector<agg::Column> cols;                  ///< [measure]
   /// Dense key→group index, -1 = empty. Allocated by the fused kernel on
   /// entry, released when its morsel completes (only the group lists above
   /// survive to the merge).
@@ -101,7 +98,7 @@ struct AggState {
 struct FusedScanArgs {
   std::vector<KernelColumn> columns;  ///< all touched hierarchies
   std::vector<KernelGroup> groups;    ///< grouped subset, radix-ascending
-  std::vector<KernelMeasure> measures;
+  std::vector<ScanMeasure> measures;
   uint32_t key_space = 0;  ///< dense array size (> max possible key)
 };
 

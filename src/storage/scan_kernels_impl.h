@@ -64,59 +64,36 @@ inline void ComputeKeysScalar(const std::vector<KernelColumn>& cols,
 }
 
 /// Folds one passing row into `state`: first-seen group assignment through
-/// the dense key→group array, coordinate decode from the key, then the
-/// measure accumulate. The single definition every dense path shares — the
+/// the dense key→group array, coordinate decode from the key, then agg::Iter
+/// per measure. The single definition every dense path shares — the
 /// block-staged AVX2 tier and the single-pass scalar tier both funnel
 /// passing rows through here in row order, which is what makes them
 /// bit-identical.
 inline void AccumulateRow(const FusedScanArgs& args, uint32_t key, int64_t r,
                           AggState* state) {
-  const int num_grouped = static_cast<int>(args.groups.size());
-  const int num_measures = static_cast<int>(args.measures.size());
   int32_t group = state->dense[key];
   if (group < 0) {
     group = state->num_groups++;
     state->dense[key] = group;
     const uint32_t k0 = key - 1;
-    for (int gi = 0; gi < num_grouped; ++gi) {
+    for (size_t gi = 0; gi < args.groups.size(); ++gi) {
       const KernelGroup& kg = args.groups[gi];
       state->out_coords[gi].push_back(
           static_cast<MemberId>((k0 / kg.radix) % kg.card1) - 1);
     }
-    for (int m = 0; m < num_measures; ++m) {
-      state->acc[m].push_back(InitialAccumulator(args.measures[m].op));
-      state->cnt[m].push_back(0);
-    }
+    agg::AppendGroup(state->cols);
   }
-  for (int m = 0; m < num_measures; ++m) {
-    const KernelMeasure& km = args.measures[m];
-    const double v = km.source != nullptr ? km.source[r] : 0.0;
-    switch (km.op) {
-      case AggOp::kSum:
-        state->acc[m][group] += v;
-        break;
-      case AggOp::kAvg:
-        state->acc[m][group] += v;
-        state->cnt[m][group] += 1;
-        break;
-      case AggOp::kMin:
-        state->acc[m][group] = std::min(state->acc[m][group], v);
-        break;
-      case AggOp::kMax:
-        state->acc[m][group] = std::max(state->acc[m][group], v);
-        break;
-      case AggOp::kCount:
-        state->acc[m][group] += 1;
-        break;
-    }
+  for (size_t m = 0; m < args.measures.size(); ++m) {
+    const double* src = args.measures[m].source;
+    agg::Iter(state->cols[m], group, src != nullptr ? src[r] : 0.0);
   }
 }
 
 /// Whether the single-measure kSum fast path of the accumulate loops
 /// applies. That shape — one summed measure, groups resolved through the
-/// dense array — is the archetypal OLAP scan, and special-casing it keeps
-/// the accumulator base pointer and dense array in registers instead of
-/// re-deriving them through AggState for every passing row.
+/// dense array — is the archetypal OLAP scan, and specialising agg::Iter to
+/// it keeps the accumulator base pointer and dense array in registers
+/// instead of re-deriving them through AggState for every passing row.
 inline bool SingleSumShape(const FusedScanArgs& args) {
   return args.measures.size() == 1 && args.measures[0].op == AggOp::kSum &&
          args.measures[0].source != nullptr;
@@ -134,7 +111,7 @@ inline void AccumulateBlock(const FusedScanArgs& args, int64_t row0,
     // the raw pointer is re-fetched), everything else stays in registers.
     const double* src = args.measures[0].source;
     const int32_t* dense = state->dense.data();
-    double* acc = state->acc[0].data();
+    double* acc = state->cols[0].acc.data();
     for (int64_t w = 0; w < words; ++w) {
       uint64_t bits = bitmap[w];
       state->rows_passed += std::popcount(bits);
@@ -144,10 +121,10 @@ inline void AccumulateBlock(const FusedScanArgs& args, int64_t row0,
         const int64_t i = (w << 6) + b;
         const int32_t group = dense[keys[i]];
         if (group >= 0) {
-          acc[group] += src[row0 + i];
+          acc[group] = agg::Iter(AggOp::kSum, acc[group], src[row0 + i]);
         } else {
           AccumulateRow(args, keys[i], row0 + i, state);
-          acc = state->acc[0].data();
+          acc = state->cols[0].acc.data();
         }
       }
     }
@@ -175,7 +152,7 @@ inline void DenseScanScalar(const FusedScanArgs& args, int64_t begin,
   if (SingleSumShape(args)) {
     const double* src = args.measures[0].source;
     const int32_t* dense = state->dense.data();
-    double* acc = state->acc[0].data();
+    double* acc = state->cols[0].acc.data();
     int64_t passed = 0;
     for (int64_t r = begin; r < end; ++r) {
       uint32_t key = 0;
@@ -183,10 +160,10 @@ inline void DenseScanScalar(const FusedScanArgs& args, int64_t begin,
       ++passed;
       const int32_t group = dense[key];
       if (group >= 0) {
-        acc[group] += src[r];
+        acc[group] = agg::Iter(AggOp::kSum, acc[group], src[r]);
       } else {
         AccumulateRow(args, key, r, state);
-        acc = state->acc[0].data();
+        acc = state->cols[0].acc.data();
       }
     }
     state->rows_passed += passed;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -17,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/workload_profiler.h"
+#include "olap/aggregate.h"
 #include "storage/predicate.h"
 #include "storage/scan_kernels.h"
 
@@ -65,12 +65,6 @@ struct HierScanPlan {
   }
 };
 
-struct MeasureScanPlan {
-  const double* source = nullptr;
-  AggOp op = AggOp::kSum;  // effective re-aggregation operator
-  std::string name;
-};
-
 // Deepest group-by set any scan accepts (the generic kernel's per-row
 // member buffer).
 constexpr size_t kMaxGroupLevels = 16;
@@ -84,10 +78,8 @@ constexpr size_t kMaxGroupLevels = 16;
 void AggregateRange(int64_t begin, int64_t end,
                     const std::vector<HierScanPlan*>& needed,
                     const std::vector<HierScanPlan*>& grouped,
-                    const std::vector<MeasureScanPlan>& measures,
+                    const std::vector<ScanMeasure>& measures,
                     AggState* state) {
-  const int num_grouped = static_cast<int>(grouped.size());
-  const int num_measures = static_cast<int>(measures.size());
   std::array<MemberId, kMaxGroupLevels> row_groups;
   FlatMap64& map = state->Map();
   state->rows_visited += end - begin;
@@ -114,46 +106,24 @@ void AggregateRange(int64_t begin, int64_t end,
     int32_t group = map.FindOrInsert(key, state->num_groups, &inserted);
     if (inserted) {
       ++state->num_groups;
-      for (int i = 0; i < num_grouped; ++i) {
+      for (size_t i = 0; i < grouped.size(); ++i) {
         state->out_coords[i].push_back(row_groups[i]);
       }
-      for (int m = 0; m < num_measures; ++m) {
-        state->acc[m].push_back(InitialAccumulator(measures[m].op));
-        state->cnt[m].push_back(0);
-      }
+      agg::AppendGroup(state->cols);
     }
-    for (int m = 0; m < num_measures; ++m) {
-      double v = measures[m].source ? measures[m].source[r] : 0.0;
-      switch (measures[m].op) {
-        case AggOp::kSum:
-          state->acc[m][group] += v;
-          break;
-        case AggOp::kAvg:
-          state->acc[m][group] += v;
-          state->cnt[m][group] += 1;
-          break;
-        case AggOp::kMin:
-          state->acc[m][group] = std::min(state->acc[m][group], v);
-          break;
-        case AggOp::kMax:
-          state->acc[m][group] = std::max(state->acc[m][group], v);
-          break;
-        case AggOp::kCount:
-          state->acc[m][group] += 1;
-          break;
-      }
+    for (size_t m = 0; m < measures.size(); ++m) {
+      const double* src = measures[m].source;
+      agg::Iter(state->cols[m], group, src != nullptr ? src[r] : 0.0);
     }
   }
 }
 
 // Folds `from` into `into` (the parallel path's merge step): groups are
-// re-keyed from their stored coordinates and accumulators combined per
-// operator.
+// re-keyed from their stored coordinates and accumulators combined by
+// agg::Merge.
 void MergeAggStates(const std::vector<HierScanPlan*>& grouped,
-                    const std::vector<MeasureScanPlan>& measures,
                     const AggState& from, AggState* into) {
   const int num_grouped = static_cast<int>(grouped.size());
-  const int num_measures = static_cast<int>(measures.size());
   FlatMap64& map = into->Map();
   for (int32_t g = 0; g < from.num_groups; ++g) {
     uint64_t key = 1;
@@ -168,28 +138,10 @@ void MergeAggStates(const std::vector<HierScanPlan*>& grouped,
       for (int i = 0; i < num_grouped; ++i) {
         into->out_coords[i].push_back(from.out_coords[i][g]);
       }
-      for (int m = 0; m < num_measures; ++m) {
-        into->acc[m].push_back(InitialAccumulator(measures[m].op));
-        into->cnt[m].push_back(0);
-      }
+      agg::AppendGroup(into->cols);
     }
-    for (int m = 0; m < num_measures; ++m) {
-      switch (measures[m].op) {
-        case AggOp::kSum:
-        case AggOp::kCount:
-          into->acc[m][group] += from.acc[m][g];
-          break;
-        case AggOp::kAvg:
-          into->acc[m][group] += from.acc[m][g];
-          into->cnt[m][group] += from.cnt[m][g];
-          break;
-        case AggOp::kMin:
-          into->acc[m][group] = std::min(into->acc[m][group], from.acc[m][g]);
-          break;
-        case AggOp::kMax:
-          into->acc[m][group] = std::max(into->acc[m][group], from.acc[m][g]);
-          break;
-      }
+    for (size_t m = 0; m < into->cols.size(); ++m) {
+      agg::Merge(into->cols[m], group, from.cols[m], g);
     }
   }
 }
@@ -321,7 +273,8 @@ void AddKernelSpanAttrs(Span& span, const MorselExec& exec) {
 // carry none).
 struct ScanConsumer {
   std::vector<HierScanPlan> hiers;
-  std::vector<MeasureScanPlan> measures;
+  std::vector<ScanMeasure> measures;  // operators as the source re-aggregates
+  std::vector<std::string> measure_names;
   const std::vector<ClusteredPrefix>* clustered = nullptr;
 };
 
@@ -461,9 +414,7 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
                 1u});
       }
     }
-    for (const MeasureScanPlan& m : consumers[c].measures) {
-      comp.args.measures.push_back(KernelMeasure{m.source, m.op});
-    }
+    comp.args.measures = consumers[c].measures;
   }
 
   bool any_fused = false;
@@ -499,7 +450,7 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
       for (const KernelColumn& col : comp.args.columns) {
         comp.code_of.push_back(intern(code_sources, col.codes32));
       }
-      for (const KernelMeasure& km : comp.args.measures) {
+      for (const ScanMeasure& km : comp.args.measures) {
         comp.msource_of.push_back(
             km.source != nullptr ? intern(msources, km.source) : -1);
       }
@@ -551,8 +502,9 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
   auto make_state = [](const Compiled& comp, const ScanConsumer& consumer) {
     AggState state;
     state.out_coords.resize(comp.grouped.size());
-    state.acc.resize(consumer.measures.size());
-    state.cnt.resize(consumer.measures.size());
+    for (const ScanMeasure& m : consumer.measures) {
+      state.cols.emplace_back().op = m.op;
+    }
     return state;
   };
   // One partial state per (consumer, surviving morsel), filled by whichever
@@ -669,8 +621,6 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
   out.reserve(num_consumers);
   for (int c = 0; c < num_consumers; ++c) {
     const Compiled& comp = compiled[c];
-    const std::vector<MeasureScanPlan>& measures = consumers[c].measures;
-    const int num_measures = static_cast<int>(measures.size());
     // Deterministic merge: always in morsel index order. A single-morsel
     // scan adopts its partial unchanged, which also keeps sub-morsel scans
     // bit-identical to the pre-morsel serial engine.
@@ -680,31 +630,22 @@ Result<std::vector<Cube>> ScanConsumers(int64_t begin, int64_t end,
     } else {
       result_state = make_state(comp, consumers[c]);
       for (const AggState& partial : partials[c]) {
-        MergeAggStates(comp.grouped, measures, partial, &result_state);
+        MergeAggStates(comp.grouped, partial, &result_state);
       }
     }
-    // Finalize averages.
-    for (int m = 0; m < num_measures; ++m) {
-      if (measures[m].op != AggOp::kAvg) continue;
-      for (int32_t gi = 0; gi < result_state.num_groups; ++gi) {
-        result_state.acc[m][gi] =
-            result_state.cnt[m][gi] > 0
-                ? result_state.acc[m][gi] / result_state.cnt[m][gi]
-                : kNullMeasure;
-      }
+    std::vector<std::vector<double>> values;
+    for (agg::Column& col : result_state.cols) {
+      values.push_back(agg::Final(col));
     }
     std::vector<LevelRef> out_levels;
     out_levels.reserve(comp.grouped.size());
     for (HierScanPlan* h : comp.grouped) {
       out_levels.push_back(LevelRef{h->hierarchy, h->group_level});
     }
-    std::vector<std::string> out_names;
-    out_names.reserve(num_measures);
-    for (const MeasureScanPlan& m : measures) out_names.push_back(m.name);
     out.push_back(Cube::FromColumns(std::move(out_levels),
                                     std::move(result_state.out_coords),
-                                    std::move(out_names),
-                                    std::move(result_state.acc)));
+                                    consumers[c].measure_names,
+                                    std::move(values)));
   }
   return out;
 }
@@ -773,11 +714,8 @@ ScanConsumer PlanFactScan(const BoundCube& bound, const FactSnapshot& snap,
   }
   for (int m : measures) {
     const MeasureDef& def = schema.measure(m);
-    MeasureScanPlan mp;
-    mp.source = snap.measures[m];
-    mp.op = def.op;
-    mp.name = def.name;
-    consumer.measures.push_back(std::move(mp));
+    consumer.measures.push_back(ScanMeasure{snap.measures[m], def.op});
+    consumer.measure_names.push_back(def.name);
   }
   return consumer;
 }
@@ -785,8 +723,8 @@ ScanConsumer PlanFactScan(const BoundCube& bound, const FactSnapshot& snap,
 // Plans answering `query` by re-aggregating `data`, a selection-free-or-
 // weaker result pre-aggregated at `data_group_by` (a cache entry or a
 // materialized view). `predicates` are the ones the source has not already
-// applied. Feasibility (level reachability, re-aggregable measures) must
-// have been established by EntryAnswersQuery.
+// applied. Feasibility (level reachability, measures with an
+// agg::RollupOp) must have been established by EntryAnswersQuery.
 Result<ScanConsumer> PlanRollupScan(const CubeSchema& schema,
                                     const CubeQuery& query,
                                     const std::vector<Predicate>& predicates,
@@ -830,12 +768,11 @@ Result<ScanConsumer> PlanRollupScan(const CubeSchema& schema,
   for (int m : query.measures) {
     const MeasureDef& def = schema.measure(m);
     ASSESS_ASSIGN_OR_RETURN(int src, data.MeasureIndex(def.name));
-    MeasureScanPlan mp;
-    mp.source = data.measure_column(src).data();
-    // Counts stored in the source re-aggregate by summation.
-    mp.op = def.op == AggOp::kCount ? AggOp::kSum : def.op;
-    mp.name = def.name;
-    consumer.measures.push_back(std::move(mp));
+    const std::optional<AggOp> op = agg::RollupOp(def.op);
+    if (!op) return Status::Internal("avg does not re-aggregate");
+    consumer.measures.push_back(
+        ScanMeasure{data.measure_column(src).data(), *op});
+    consumer.measure_names.push_back(def.name);
   }
   return consumer;
 }

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -44,8 +46,11 @@ std::map<std::vector<std::string>, uint64_t> BitMap(
 
 // A randomly shaped star: 2-3 two-level dimensions of random cardinality,
 // one measure per aggregation operator, `rows` facts with skewed foreign
-// keys and sign-mixed values. One dimension row per fine member, so fk
-// code == fine member id.
+// keys and sign-mixed values. About one row in 256 holds a special value
+// instead (±0.0, kNullMeasure or ±inf), so the bit comparisons also pin
+// how every operator treats signed zeros, NaN and infinities across tiers,
+// thread counts and the morsel merge. One dimension row per fine member,
+// so fk code == fine member id.
 struct RandomStar {
   std::unique_ptr<StarDatabase> db;
   std::shared_ptr<CubeSchema> schema;
@@ -97,6 +102,11 @@ RandomStar BuildRandomStar(uint64_t seed, int64_t rows) {
           rng.Skewed(static_cast<uint64_t>(dim_rows[d])));
     }
     double v = rng.NextDouble() * 1000.0 - 500.0;
+    if (rng.Uniform(256) == 0) {
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      const double specials[] = {0.0, -0.0, kNullMeasure, kInf, -kInf};
+      v = specials[rng.Uniform(5)];
+    }
     facts.AddRow(fks, {v, v, v, v, v});
   }
   star.db = std::make_unique<StarDatabase>();
@@ -380,6 +390,87 @@ TEST_F(SimdKernelTest, NoGroupBySumsAddInRowOrder) {
           << "tier=" << level << " threads=" << threads;
       EXPECT_EQ(CellMap(cube, "n").begin()->second, want_count)
           << "tier=" << level << " threads=" << threads;
+    }
+  }
+}
+
+// Signed zeros, NaN and infinities follow the operator rules of
+// olap/aggregate.h, checked against a row-order fold written out here: MIN
+// and MAX replace the running value only by a strictly smaller (larger)
+// one, so a NaN row is skipped and the first of equal zeros stays, across
+// the morsel merge too. Values are otherwise integers, so SUM and AVG are
+// exact in any order of adds (or NaN, compared as NaN). Per group:
+// g0 is one +0.0 then -0.0s, g1 integers with NaNs (its last row too),
+// g2 integers with one +inf and one -inf, g3 integers only.
+TEST_F(SimdKernelTest, SpecialValuesFollowTheOperatorRules) {
+  const int best = static_cast<int>(DetectCpuSimdLevel());
+  auto hier = std::make_shared<Hierarchy>("H");
+  hier->AddLevel("k");
+  constexpr int kGroups = 4;
+  DimensionTable dim("K", hier);
+  for (int g = 0; g < kGroups; ++g) {
+    dim.AddRow({hier->AddMember(0, "g" + std::to_string(g))});
+  }
+  auto schema = std::make_shared<CubeSchema>("T");
+  schema->AddHierarchy(hier);
+  schema->AddMeasure({"s", AggOp::kSum});
+  schema->AddMeasure({"a", AggOp::kAvg});
+  schema->AddMeasure({"lo", AggOp::kMin});
+  schema->AddMeasure({"hi", AggOp::kMax});
+  schema->AddMeasure({"n", AggOp::kCount});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const int64_t rows = 2 * kMorselRows + 103;
+  FactTable facts("T", 1, 5);
+  facts.Reserve(rows);
+  Rng rng(41);
+  std::vector<double> sum(kGroups, 0.0), count(kGroups, 0.0);
+  std::vector<double> lo(kGroups, kInf), hi(kGroups, -kInf);
+  for (int64_t i = 0; i < rows; ++i) {
+    const int g = static_cast<int>(i % kGroups);
+    double v = static_cast<double>(rng.Uniform(21)) - 10.0;
+    if (g == 0) v = i == 0 ? 0.0 : -0.0;
+    if (g == 1 && (i % 997 == 1 || i + kGroups >= rows)) v = kNullMeasure;
+    if (g == 2 && i == 6) v = kInf;
+    if (g == 2 && i == kMorselRows + 6) v = -kInf;
+    facts.AddRow({g}, {v, v, v, v, v});
+    sum[g] += v;
+    count[g] += 1;
+    if (v < lo[g]) lo[g] = v;
+    if (hi[g] < v) hi[g] = v;
+  }
+  StarDatabase db;
+  ASSERT_TRUE(db.Register("T", std::make_unique<BoundCube>(
+                                   schema, std::vector<DimensionTable>{dim},
+                                   std::move(facts)))
+                  .ok());
+  CubeQuery q =
+      *CubeQuery::Make(*schema, "T", {"k"}, {}, {"s", "a", "lo", "hi", "n"});
+  auto bits = [](double v) {
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  auto same = [&](double actual, double want) {
+    return std::isnan(want) ? std::isnan(actual) : bits(actual) == bits(want);
+  };
+  for (int level = 0; level <= best; ++level) {
+    for (int threads : {1, 4}) {
+      ForceSimdLevelForTest(level);
+      StarQueryEngine engine(&db, false, threads);
+      Cube cube = *engine.Execute(q);
+      ASSERT_EQ(cube.NumRows(), kGroups);
+      for (int g = 0; g < kGroups; ++g) {
+        const std::vector<std::string> coord = {"g" + std::to_string(g)};
+        const std::string where = "g" + std::to_string(g) +
+                                  " tier=" + std::to_string(level) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_TRUE(same(CellMap(cube, "s")[coord], sum[g])) << where;
+        EXPECT_TRUE(same(CellMap(cube, "a")[coord], sum[g] / count[g]))
+            << where;
+        EXPECT_EQ(bits(CellMap(cube, "lo")[coord]), bits(lo[g])) << where;
+        EXPECT_EQ(bits(CellMap(cube, "hi")[coord]), bits(hi[g])) << where;
+        EXPECT_EQ(CellMap(cube, "n")[coord], count[g]) << where;
+      }
     }
   }
 }
